@@ -5,25 +5,23 @@ interference-matched aggregation tree, and adapt their opportunistic traffic
 per cell from the resulting multi-scale view of the network.
 """
 
-from .aggregation import BufferUnderrunError, HierarchicalExchange, \
-    MultiScaleEstimate
-from .control import (ControlParams, baseline_ip_estimate, exact_throughput,
-                      network_inr, optimal_traffic, throughput_lb, utility)
-from .dynamics import (OccupancyModel, OccupancyState, PopulationModel,
-                       SuPopulation, k_step_marginal, sample_steady_state,
-                       sample_su_population, step_occupancy)
+from .aggregation import (BufferUnderrunError, HierarchicalExchange,
+                          delayed_ring_sums)
+from .control import (ControlParams, exact_throughput, network_inr,
+                      optimal_traffic, throughput_lb, utility)
+from .dynamics import (OccupancyModel, OccupancyState, k_step_marginal,
+                       sample_steady_state, step_occupancy)
 from .harness import (ConfigError, ExperimentConfig, FrameMetrics, SchemeSpec,
                       Simulation, SweepResult, SweepRow, eval_fading_success,
                       prepare_trial, run_experiment)
 from .hierarchy import (AggregationTree, build_ibt, build_random_tree,
-                        gamma_metric, h_distance, pair_cost, ring_sets)
+                        gamma_metric, pair_cost)
 from .inference import (BeliefTable, DelayCompensatedWeights, compute_weights,
-                        estimate_ip, estimate_is, exact_belief,
-                        marginal_occupancy)
-from .sensing import (LocalBelief, SensorModel, posterior_update,
-                      prior_propagate, sample_detection_count)
+                        estimate_ip, exact_belief, marginal_occupancy)
+from .sensing import (SensorModel, posterior_update, prior_propagate,
+                      sample_detection_count)
 from .topology import (Blockage, InterferenceMatrix, NetworkTopology,
                        PathlossParams, build_topology, compute_phi, db_to_lin,
-                       is_los, lin_to_db)
+                       lin_to_db)
 
 __version__ = "0.1.0"

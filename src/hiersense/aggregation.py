@@ -13,11 +13,14 @@ Values buffered before frame 0 are represented by the steady-state
 expectation (cluster size times the configured steady value), which keeps the
 telescoping identity between aggregates and delayed locals exact from the
 very first frame.
+
+That identity also gives the exchange's output in closed form:
+:func:`delayed_ring_sums` computes the multi-scale estimates of any set of
+frames directly from the local-value history, without buffers.  The sweep
+uses it; the exchange remains the protocol model and the test oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +29,6 @@ from .hierarchy import AggregationTree
 
 class BufferUnderrunError(RuntimeError):
     """A read fell off the retained history: the buffer was sized too small."""
-
-
-@dataclass
-class MultiScaleEstimate:
-    """sigma[i, L]: delay-mismatched aggregate estimate of cells at h-distance L."""
-
-    sigma: np.ndarray
 
 
 class HierarchicalExchange:
@@ -58,18 +54,7 @@ class HierarchicalExchange:
             np.array([len(c.members) * self.steady_value for c in lv])
             for lv in tree.levels
         ]
-        # per level >= 1: flattened child ids, their edge delays, and segment
-        # boundaries for the reduction into parent clusters
-        self._child_idx, self._child_lag, self._child_seg = [], [], []
-        for lvl in range(1, tree.depth + 1):
-            idx, lag, seg = [], [], []
-            for node in tree.levels[lvl]:
-                seg.append(len(idx))
-                idx.extend(node.children)
-                lag.extend(node.child_delays)
-            self._child_idx.append(np.asarray(idx, dtype=int))
-            self._child_lag.append(np.asarray(lag, dtype=int))
-            self._child_seg.append(np.asarray(seg, dtype=int))
+        self._plan = tree.fusion_plan()
         self._locals: list[np.ndarray] | None = [] if track_locals else None
 
     @property
@@ -104,11 +89,9 @@ class HierarchicalExchange:
         self._t = t
         slot = t % self.window
         self._buffers[0][:, slot] = local_values
-        for lvl in range(1, self.tree.depth + 1):
-            vals = self._read_vec(lvl - 1, self._child_idx[lvl - 1],
-                                  t - self._child_lag[lvl - 1])
-            self._buffers[lvl][:, slot] = np.add.reduceat(
-                vals, self._child_seg[lvl - 1])
+        for lvl, (idx, lag, seg) in enumerate(self._plan, start=1):
+            vals = self._read_vec(lvl - 1, idx, t - lag)
+            self._buffers[lvl][:, slot] = np.add.reduceat(vals, seg)
         if self._locals is not None:
             self._locals.append(local_values.copy())
 
@@ -132,9 +115,6 @@ class HierarchicalExchange:
             sigma[:, lvl] = (self._read_vec(lvl, own_head, np.full(n, t))
                              - self._read_vec(lvl - 1, sub_head[cells], t - edge))
         return sigma
-
-    def multi_scale(self, t: int) -> MultiScaleEstimate:
-        return MultiScaleEstimate(sigma=self.sigma_all(t))
 
     def trace_rows(self, t: int):
         """(level, head index, aggregate value) rows for the current frame."""
@@ -172,3 +152,42 @@ class HierarchicalExchange:
                              for j in node.members)
                 worst = max(worst, abs(s - direct))
         return worst
+
+
+def delayed_ring_sums(tree: AggregationTree, x, pre: float, frames
+                      ) -> np.ndarray:
+    """Multi-scale estimates of every cell at the given frames, in closed form.
+
+    Returns sigma[k, i, L] = sum over the cells j at h-distance L from i of
+    x[frames[k] - delta_L(j), j], with x before frame 0 read as ``pre``: what
+    an exchange fed the rows of ``x`` (steady value ``pre``) returns from
+    ``sigma_all(frames[k])``.  Aggregates are fused level by level in the
+    exchange's order, over just the frames the requested ones read, so the
+    two agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    frames = np.asarray(frames, dtype=int)
+    pre = float(pre)
+    # level L is read at most reach[L] frames before the earliest request
+    edge_max = (tree.delta[1:] - tree.delta[:-1]).max(axis=1, initial=0)
+    reach = np.append(np.cumsum(edge_max[::-1])[::-1], 0)
+    start = frames.min() - reach
+    stop = frames.max() + 1
+    tau = np.arange(start[0], stop)
+    agg = [np.where((tau < 0)[:, None], pre, x[np.maximum(tau, 0)])]
+    for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(), start=1):
+        tau = np.arange(start[lvl], stop)
+        vals = agg[-1][tau[:, None] - lag[None, :] - start[lvl - 1], idx]
+        size = np.bincount(tree.cluster_of[lvl], minlength=len(seg))
+        agg.append(np.where((tau < 0)[:, None], size * pre,
+                            np.add.reduceat(vals, seg, axis=1)))
+
+    sigma = np.empty((len(frames), tree.n_cells, tree.depth + 1))
+    sigma[:, :, 0] = agg[0][frames - start[0]]
+    for lvl in range(1, tree.depth + 1):
+        own = agg[lvl][frames - start[lvl]][:, tree.cluster_of[lvl]]
+        edge = tree.delta[lvl] - tree.delta[lvl - 1]
+        sub = agg[lvl - 1][frames[:, None] - edge[None, :] - start[lvl - 1],
+                           tree.cluster_of[lvl - 1][None, :]]
+        sigma[:, :, lvl] = own - sub
+    return sigma

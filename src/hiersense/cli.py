@@ -18,8 +18,9 @@ from . import control, inference
 from .aggregation import HierarchicalExchange
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .harness import (ConfigError, ExperimentConfig, Simulation,
-                      prepare_trial, run_experiment, _seed_int)
-from .hierarchy import AggregationTree, build_ibt, build_random_tree
+                      prepare_scheme, prepare_trial, run_experiment,
+                      trial_topology)
+from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
 from .topology import PathlossParams, build_topology, compute_phi
 
@@ -53,20 +54,9 @@ def cmd_build_tree(args) -> int:
     if pick is None:
         print("error: no tree scheme (ibt/rt) in the config", file=sys.stderr)
         return 2
-    scheme_idx, spec = pick
-    topo_seed = _seed_int(config.master_seed, args.trial, 1)
-    topology = build_topology(config.topology_kind, config.n_cells, config.area,
-                              config.n_blockages, topo_seed, config.cell_radius)
-    phi = compute_phi(topology, config.pathloss)
-    model = config.occupancy_model()
-    if spec.kind == "ibt":
-        tree = build_ibt(topology, phi, float(model.mu), spec.gamma_delay,
-                         spec.c_max)
-    else:
-        # same stream the sweep harness would use for this scheme slot
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [config.master_seed, args.trial, 5, scheme_idx]))
-        tree = build_random_tree(topology, spec.gamma_delay, spec.c_max, rng)
+    topology, phi = trial_topology(config, args.trial)
+    tree = prepare_scheme(config, topology, phi, config.occupancy_model(),
+                          args.trial, pick[0]).tree
     tree.save(args.output)
     print(f"tree written to {args.output}")
     print(f"depth: {tree.depth}")
@@ -92,16 +82,21 @@ def cmd_simulate(args) -> int:
     grid = config.ptx_grid if spec.kind == "uncoordinated" else config.lambda_grid
     gval = args.grid_value if args.grid_value is not None else grid[0]
     ctx = prepare_trial(config, args.trial)
-    sim = Simulation(ctx, ctx.runtimes[scheme_idx], gval, 0)
+    runtime = ctx.runtimes[scheme_idx]
+    sim = Simulation(ctx, runtime, gval, 0)
     trace_fh = open(args.trace, "w", newline="") if args.trace else None
     trace = csv.writer(trace_fh) if trace_fh else None
     if trace:
         trace.writerow(["frame", "level", "head", "aggregate"])
+    # the trace replays the sensed occupancy through the exchange protocol
+    exchange = HierarchicalExchange(runtime.tree, float(ctx.model.pi_b)) \
+        if trace and runtime.tree is not None else None
     frames = []
     for t in range(ctx.t_total):
         frames.append(sim.run_frame())
-        if trace and sim.exchange is not None:
-            for lvl, head, value in sim.exchange.trace_rows(t):
+        if exchange is not None:
+            exchange.advance_frame(ctx.bhat_seq[t], t)
+            for lvl, head, value in exchange.trace_rows(t):
                 trace.writerow([t, lvl, head, repr(value)])
     if trace_fh:
         trace_fh.close()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OccupancyModel
-from .topology import _phi_array
+from .topology import _phi_array, coupling_matrix
 
 
 @dataclass(frozen=True)
@@ -161,38 +161,37 @@ def full_nsi_delay_matrix(distance_matrix, gamma_delay: float) -> np.ndarray:
     return np.ceil(gamma_delay * np.asarray(distance_matrix)).astype(int)
 
 
-def full_nsi_ip(phi, delay_matrix, b_history, t: int, model: OccupancyModel
+def full_nsi_ip(phi, delay_matrix, b_history, model: OccupancyModel
                 ) -> np.ndarray:
-    """Delay-compensated estimate from (delayed) true occupancy bits.
+    """Delay-compensated estimate of every frame from (delayed) true bits.
 
-    Bits older than the simulated history enter at the steady-state prior.
+    Row t reads each contributor's bit from frame t - delay; bits older than
+    the simulated history enter at the steady-state prior.
     """
-    phi_arr = _phi_array(phi)
-    w = phi_arr / np.diag(phi_arr)[None, :]
+    w = coupling_matrix(phi)
     pi_b = float(model.pi_b)
     mu = float(model.mu)
-    ip = pi_b * w.sum(axis=0)
+    b = np.asarray(b_history, dtype=float)
+    t_total = len(b)
+    ip = np.tile(pi_b * w.sum(axis=0), (t_total, 1))
     for d in np.unique(delay_matrix):
-        if t - d < 0:
-            continue  # prior only: the correction term vanishes
+        if d >= t_total:
+            break  # prior only: the correction term vanishes
         mask = delay_matrix == d
-        dev = np.asarray(b_history[t - d], dtype=float) - pi_b
-        ip = ip + (mu ** int(d)) * (dev @ (w * mask))
+        ip[d:] += (mu ** int(d)) * ((b[:t_total - d] - pi_b) @ (w * mask))
     return np.maximum(ip, 0.0)
 
 
-def radius_masked_weights(phi, distance_matrix, radius: float):
-    """Split the coupling weights into within-radius and beyond-radius parts."""
-    phi_arr = _phi_array(phi)
-    w = phi_arr / np.diag(phi_arr)[None, :]
+def radius_nsi_ip(phi, distance_matrix, radius: float, b_history,
+                  model: OccupancyModel) -> np.ndarray:
+    """Exact bits inside the radius, steady-state prior beyond it.
+
+    ``b_history`` is one frame's bits or a (frames, n_cells) history.
+    """
+    w = coupling_matrix(phi)
     within = np.asarray(distance_matrix) <= radius
-    return w * within, w * ~within
-
-
-def radius_nsi_ip(w_within, w_beyond, b, model: OccupancyModel) -> np.ndarray:
-    """Exact bits inside the radius, steady-state prior beyond it."""
-    return np.asarray(b, dtype=float) @ w_within \
-        + float(model.pi_b) * w_beyond.sum(axis=0)
+    return np.asarray(b_history, dtype=float) @ (w * within) \
+        + float(model.pi_b) * (w * ~within).sum(axis=0)
 
 
 def radius_cost(distance_matrix, radius: float) -> float:
@@ -244,22 +243,10 @@ def consensus_mixer(adjacency, rounds: int) -> np.ndarray:
 
 
 def consensus_ip(mixer, b_hat, phi_tot) -> np.ndarray:
-    """Averaged occupancy estimate scaled by each cell's total coupling."""
-    x = mixer @ np.asarray(b_hat, dtype=float)
+    """Averaged occupancy estimate scaled by each cell's total coupling.
+
+    ``b_hat`` is one frame's estimates or a (frames, n_cells) history.
+    """
+    x = np.asarray(b_hat, dtype=float) @ np.asarray(mixer).T
     return np.maximum(x * np.asarray(phi_tot), 0.0)
 
-
-def baseline_ip_estimate(scheme: str, **kw):
-    """Dispatch to one NSI baseline; uncoordinated returns traffic directly."""
-    if scheme == "full_nsi":
-        return full_nsi_ip(kw["phi"], kw["delay_matrix"], kw["b_history"],
-                           kw["t"], kw["model"])
-    if scheme == "radius_nsi":
-        w_in, w_out = radius_masked_weights(kw["phi"], kw["distance_matrix"],
-                                            kw["radius"])
-        return radius_nsi_ip(w_in, w_out, kw["b"], kw["model"])
-    if scheme == "uncoordinated":
-        return uncoordinated_traffic(kw["p_tx"], kw["m"], kw.get("a_max"))
-    if scheme == "consensus":
-        return consensus_ip(kw["mixer"], kw["b_hat"], kw["phi_tot"])
-    raise ValueError(f"unknown scheme {scheme!r}")

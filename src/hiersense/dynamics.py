@@ -1,4 +1,4 @@
-"""Two-state Markov occupancy dynamics of the licensed users and the SU population.
+"""Two-state Markov occupancy dynamics of the licensed users.
 
 Each cell's occupancy bit evolves independently: an empty cell becomes
 occupied with probability nu1 per frame, an occupied one clears with
@@ -81,45 +81,3 @@ def k_step_marginal(model: OccupancyModel, b_prob, delta: int):
     if delta < 0 or delta != int(delta):
         raise ValueError("delta must be a nonnegative integer")
     return model.pi_b + model.mu ** int(delta) * (b_prob - model.pi_b)
-
-
-@dataclass
-class SuPopulation:
-    """SU head-count per cell; np.inf marks the dense (M >> 1) regime."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if not ((self.m >= 1) | np.isinf(self.m)).all():
-            raise ValueError("every cell needs at least one SU")
-
-    @property
-    def dense(self) -> bool:
-        return bool(np.isinf(self.m).all())
-
-
-@dataclass(frozen=True)
-class PopulationModel:
-    """Stationary, cell-i.i.d. SU population process.
-
-    Only two modes are exercised: a constant head count per cell, and the
-    dense limit where per-SU terms (a/M, 1/M) vanish.
-    """
-
-    mode: str = "dense"
-    m: int = 10
-
-    def __post_init__(self):
-        if self.mode not in ("constant", "dense"):
-            raise ValueError(f"unknown population mode {self.mode!r}")
-        if self.mode == "constant" and self.m < 1:
-            raise ValueError("constant population must be >= 1")
-
-
-def sample_su_population(model: PopulationModel, n_cells: int, t: int, rng
-                         ) -> SuPopulation:
-    """Population vector at frame t (stationary, so t and rng are unused)."""
-    if model.mode == "constant":
-        return SuPopulation(m=np.full(n_cells, float(model.m)))
-    return SuPopulation(m=np.full(n_cells, np.inf))

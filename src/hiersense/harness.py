@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import control
-from .aggregation import HierarchicalExchange
-from .dynamics import (OccupancyModel, PopulationModel,
-                       sample_steady_state, sample_su_population, step_occupancy)
+from .aggregation import delayed_ring_sums
+from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
                         estimate_is_hierarchical, estimate_is_oracle)
@@ -136,10 +135,12 @@ class ExperimentConfig:
                               "(per-user access draws)")
             if self.topology_kind == "grid" and self.n_blockages > 0:
                 errors.append("eval_mode: fading_mc with blockages is not modeled")
-        try:
-            PopulationModel(self.population_mode, self.m_per_cell)
-        except ValueError as exc:
-            errors.append(f"population: {exc}")
+        if self.population_mode not in ("constant", "dense"):
+            errors.append(f"population.mode: unknown mode "
+                          f"{self.population_mode!r} (constant or dense)")
+        elif self.population_mode == "constant" and self.m_per_cell < 1:
+            errors.append("population.m: a constant population needs >= 1 SU "
+                          "per cell")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -169,44 +170,79 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        topo = raw.get("topology", {})
-        occ = raw.get("occupancy", {})
-        sen = raw.get("sensing", {})
-        pop = raw.get("population", {})
-        ctl = raw.get("control", {})
-        exp = raw.get("experiment", {})
-        pl = raw.get("pathloss", {})
-        schemes = tuple(SchemeSpec(**{k: _maybe_inf(v) for k, v in s.items()})
-                        for s in raw.get("schemes", ()))
-        area = topo.get("area", (800.0, 800.0))
-        return cls(
-            topology_kind=topo.get("kind", "grid"),
-            n_cells=int(topo.get("n_cells", 64)),
+        """Build a config from its YAML mapping; unknown keys are errors.
+
+        Every key read is popped from a copy of its section, so whatever is
+        left over is reported by its dotted path.
+        """
+        raw = _section(raw, "config")
+        names = ("topology", "occupancy", "sensing", "population", "control",
+                 "experiment", "pathloss")
+        sections = [_section(raw.pop(name, {}), name) for name in names]
+        topo, occ, sen, pop, ctl, exp, pl = sections
+        schemes = tuple(_scheme_from_dict(s, f"schemes[{k}]")
+                        for k, s in enumerate(raw.pop("schemes", ())))
+        area = topo.pop("area", (800.0, 800.0))
+        kwargs = dict(
+            topology_kind=topo.pop("kind", "grid"),
+            n_cells=int(topo.pop("n_cells", 64)),
             area=(float(area[0]), float(area[1])),
-            n_blockages=int(topo.get("n_blockages", 0)),
-            cell_radius=topo.get("cell_radius"),
-            pathloss=PathlossParams(**pl),
-            nu1=float(occ.get("nu1", 0.005)),
-            nu0=float(occ.get("nu0", 0.095)),
-            mu=occ.get("mu"),
-            pi_b=occ.get("pi_b"),
-            eps_f=float(sen.get("eps_f", 0.0)),
-            eps_m=float(sen.get("eps_m", 0.0)),
-            population_mode=pop.get("mode", "dense"),
-            m_per_cell=int(pop.get("m", 10)),
-            a_max=pop.get("a_max"),
-            sinr_th_db=float(ctl.get("sinr_th_db", 5.0)),
+            n_blockages=int(topo.pop("n_blockages", 0)),
+            cell_radius=topo.pop("cell_radius", None),
+            pathloss=PathlossParams(**_pop_fields(pl, PathlossParams)),
+            nu1=float(occ.pop("nu1", 0.005)),
+            nu0=float(occ.pop("nu0", 0.095)),
+            mu=occ.pop("mu", None),
+            pi_b=occ.pop("pi_b", None),
+            eps_f=float(sen.pop("eps_f", 0.0)),
+            eps_m=float(sen.pop("eps_m", 0.0)),
+            population_mode=pop.pop("mode", "dense"),
+            m_per_cell=int(pop.pop("m", 10)),
+            a_max=pop.pop("a_max", None),
+            sinr_th_db=float(ctl.pop("sinr_th_db", 5.0)),
             schemes=schemes,
-            lambda_grid=tuple(float(x) for x in exp.get("lambda_grid", (1.0,))),
-            ptx_grid=tuple(float(x) for x in exp.get("ptx_grid", (0.01,))),
-            frames=int(exp.get("frames", 300)),
-            trials=int(exp.get("trials", 20)),
-            master_seed=int(exp.get("master_seed", 1)),
-            eval_mode=exp.get("eval_mode", "analytic_lb"),
-            is_mode=exp.get("is_mode", "oracle"),
-            extra_warmup=int(exp.get("extra_warmup", 0)),
-            hop_distance_m=exp.get("hop_distance_m"),
+            lambda_grid=tuple(float(x) for x in exp.pop("lambda_grid", (1.0,))),
+            ptx_grid=tuple(float(x) for x in exp.pop("ptx_grid", (0.01,))),
+            frames=int(exp.pop("frames", 300)),
+            trials=int(exp.pop("trials", 20)),
+            master_seed=int(exp.pop("master_seed", 1)),
+            eval_mode=exp.pop("eval_mode", "analytic_lb"),
+            is_mode=exp.pop("is_mode", "oracle"),
+            extra_warmup=int(exp.pop("extra_warmup", 0)),
+            hop_distance_m=exp.pop("hop_distance_m", None),
         )
+        _reject_unknown(raw, "")
+        for name, left in zip(names, sections):
+            _reject_unknown(left, name + ".")
+        return cls(**kwargs)
+
+
+def _section(node, path: str) -> dict:
+    """A mutable copy of one config mapping."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: must be a mapping")
+    return dict(node)
+
+
+def _pop_fields(node: dict, spec_cls) -> dict:
+    return {f.name: node.pop(f.name) for f in fields(spec_cls)
+            if f.name in node}
+
+
+def _reject_unknown(left: dict, prefix: str) -> None:
+    if left:
+        raise ConfigError("; ".join(f"{prefix}{key}: unknown key"
+                                    for key in left))
+
+
+def _scheme_from_dict(entry, path: str) -> SchemeSpec:
+    entry = _section(entry, path)
+    known = {k: _maybe_inf(v) for k, v in _pop_fields(entry, SchemeSpec).items()}
+    _reject_unknown(entry, path + ".")
+    for key in ("name", "kind"):
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: required")
+    return SchemeSpec(**known)
 
 
 def _maybe_inf(v):
@@ -245,8 +281,6 @@ class SchemeRuntime:
     weights: DelayCompensatedWeights | None = None
     weights_uncomp: DelayCompensatedWeights | None = None
     delay_matrix: np.ndarray | None = None
-    w_within: np.ndarray | None = None
-    w_beyond: np.ndarray | None = None
     mixer: np.ndarray | None = None
     warmup: int = 0
     agg_cost_per_cell: float = 0.0
@@ -374,8 +408,6 @@ def prepare_scheme(config: ExperimentConfig, topology, phi, model,
         rt.warmup = int(rt.delay_matrix.max())
         rt.agg_cost_per_cell = float(config.n_cells - 1)
     elif spec.kind == "radius_nsi":
-        rt.w_within, rt.w_beyond = control.radius_masked_weights(
-            phi, topology.distance_matrix, spec.radius)
         rt.agg_cost_per_cell = control.radius_cost(topology.distance_matrix,
                                                    spec.radius)
     elif spec.kind == "consensus":
@@ -385,16 +417,23 @@ def prepare_scheme(config: ExperimentConfig, topology, phi, model,
     return rt
 
 
-def prepare_trial(config: ExperimentConfig, trial: int) -> TrialContext:
+def trial_topology(config: ExperimentConfig, trial: int
+                   ) -> tuple[NetworkTopology, InterferenceMatrix]:
+    """The trial's cell layout and INR matrix."""
     topo_seed = _seed_int(config.master_seed, trial, 1)
     topology = build_topology(config.topology_kind, config.n_cells, config.area,
                               config.n_blockages, topo_seed, config.cell_radius)
-    phi = compute_phi(topology, config.pathloss)
+    return topology, compute_phi(topology, config.pathloss)
+
+
+def prepare_trial(config: ExperimentConfig, trial: int) -> TrialContext:
+    config.validate()
+    topology, phi = trial_topology(config, trial)
     model = config.occupancy_model()
     sensor = config.sensor_model()
-    m = sample_su_population(PopulationModel(config.population_mode,
-                                             config.m_per_cell),
-                             config.n_cells, 0, None).m
+    # SU head count per cell; inf marks the dense (M >> 1) regime
+    m = np.full(config.n_cells, float(config.m_per_cell)
+                if config.population_mode == "constant" else np.inf)
 
     runtimes = [prepare_scheme(config, topology, phi, model, trial, k)
                 for k in range(len(config.schemes))]
@@ -472,8 +511,36 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     return su_counts, pu_rate, inr
 
 
+def _ip_sequence(ctx: TrialContext, rt: SchemeRuntime, b_seq, bhat_seq
+                 ) -> np.ndarray:
+    """(frames, n_cells) licensed-user interference estimate of every frame.
+
+    Tree schemes read their sensed occupancy through the delayed rings; the
+    NSI baselines read true bits and consensus averages the sensed values.
+    """
+    kind, model = rt.spec.kind, ctx.model
+    if rt.tree is not None:
+        sigma = delayed_ring_sums(rt.tree, bhat_seq, float(model.pi_b),
+                                  np.arange(len(bhat_seq)))
+        return estimate_ip(sigma, rt.weights, model)
+    if kind == "full_nsi":
+        return control.full_nsi_ip(ctx.phi, rt.delay_matrix, b_seq, model)
+    if kind == "radius_nsi":
+        return control.radius_nsi_ip(ctx.phi, ctx.topology.distance_matrix,
+                                     rt.spec.radius, b_seq, model)
+    if kind == "consensus":
+        return control.consensus_ip(rt.mixer, bhat_seq,
+                                    ctx.coupling.sum(axis=0))
+    raise AssertionError(kind)
+
+
 class Simulation:
-    """Frame-by-frame execution of one (trial, scheme, grid point) cell."""
+    """Frame-by-frame execution of one (trial, scheme, grid point) cell.
+
+    The licensed-user interference estimate depends only on the exogenous
+    occupancy history, so every frame's is computed up front (``ip_seq``);
+    only the SU-interference estimate waits for the committed traffic.
+    """
 
     def __init__(self, ctx: TrialContext, runtime: SchemeRuntime,
                  grid_value: float, grid_idx: int, b_sequence=None):
@@ -495,61 +562,36 @@ class Simulation:
                 raise ValueError("overriding the occupancy sequence requires "
                                  "noiseless sensing")
             self.bhat_seq = self.b_seq.astype(float)
-        self.exchange = None
-        self.traffic_exchange = None
-        if runtime.tree is not None:
-            self.exchange = HierarchicalExchange(runtime.tree,
-                                                 float(ctx.model.pi_b))
-            if cfg.is_mode == "hierarchical":
-                self.traffic_exchange = HierarchicalExchange(runtime.tree, 0.0)
+        self.ip_seq = None if self.uncoordinated else \
+            _ip_sequence(ctx, runtime, self.b_seq, self.bhat_seq)
+        # committed traffic per frame; frames not yet run (and t < 0) read 0
+        self.a_hist = np.zeros((len(self.b_seq), cfg.n_cells))
         scheme_idx = [s.name for s in cfg.schemes].index(runtime.spec.name)
         self._eval_rng = _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
                                    grid_idx)
-        self.prev_traffic = np.zeros(cfg.n_cells)
         self.t = -1
 
-    def _estimate_ip(self, t, bhat):
-        rt, ctx = self.rt, self.ctx
-        kind = rt.spec.kind
-        if kind in ("ibt", "rt"):
-            self.exchange.advance_frame(bhat, t)
-            sigma = self.exchange.sigma_all(t)
-            return estimate_ip(sigma, rt.weights, ctx.model)
-        if kind == "full_nsi":
-            return control.full_nsi_ip(ctx.phi, rt.delay_matrix, self.b_seq, t,
-                                       ctx.model)
-        if kind == "radius_nsi":
-            return control.radius_nsi_ip(rt.w_within, rt.w_beyond,
-                                         self.b_seq[t], ctx.model)
-        if kind == "consensus":
-            return control.consensus_ip(rt.mixer, bhat,
-                                        ctx.coupling.sum(axis=0))
-        raise AssertionError(kind)
-
     def _estimate_is(self, t):
-        ctx = self.ctx
-        if self.traffic_exchange is not None:
-            # traffic decided this frame is unknown; feed the last commitment
-            self.traffic_exchange.advance_frame(self.prev_traffic, t)
-            sigma_a = self.traffic_exchange.sigma_all(t)
-            return estimate_is_hierarchical(sigma_a, self.rt.weights_uncomp)
-        return estimate_is_oracle(ctx.phi, self.prev_traffic)
+        if self.rt.weights_uncomp is not None:
+            # traffic decided this frame is unknown; read the last commitment
+            sigma_a = delayed_ring_sums(self.rt.tree, self.a_hist, 0.0, [t - 1])
+            return estimate_is_hierarchical(sigma_a[0], self.rt.weights_uncomp)
+        prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
+        return estimate_is_oracle(self.ctx.phi, prev)
 
     def run_frame(self) -> FrameMetrics:
-        """Advance one frame: occupancy, sensing, exchange, decision, metrics."""
+        """Advance one frame: decision from the estimates, then metrics."""
         self.t += 1
         t = self.t
         ctx, cfg = self.ctx, self.ctx.config
         b = self.b_seq[t]
-        bhat = self.bhat_seq[t]
 
         if self.uncoordinated:
             a = control.uncoordinated_traffic(self.grid_value, ctx.m, self.a_max)
         else:
-            ip_est = self._estimate_ip(t, bhat)
-            is_est = self._estimate_is(t)
-            a = control.optimal_traffic(ip_est, is_est, ctx.m, ctx.phi_diag,
-                                        ctx.model, self.params, self.a_max)
+            a = control.optimal_traffic(self.ip_seq[t], self._estimate_is(t),
+                                        ctx.m, ctx.phi_diag, ctx.model,
+                                        self.params, self.a_max)
         a = np.asarray(a, dtype=float)
 
         ip_true = b.astype(float) @ ctx.coupling
@@ -573,7 +615,7 @@ class Simulation:
                                         ctx.phi_diag, self.params)
             throughput = float(np.mean(thr))
 
-        self.prev_traffic = a
+        self.a_hist[t] = a
         return FrameMetrics(t=t, su_throughput=throughput, inr_linear=inr_lin,
                             inr_db=float(lin_to_db(inr_lin)), utility=util,
                             traffic=a.copy(), pu_success_rate=pu_rate)

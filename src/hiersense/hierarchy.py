@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import NetworkTopology, _phi_array
+from .topology import NetworkTopology, _phi_array, coupling_matrix
 
 UNREACHABLE = math.inf
 
@@ -90,6 +90,7 @@ class AggregationTree:
         self.delta.setflags(write=False)
         self.cluster_of.setflags(write=False)
         self._ring_cache: dict[int, list[np.ndarray]] = {}
+        self._fusion_plan: list[tuple[np.ndarray, ...]] | None = None
 
     # ------------------------------------------------------------------ queries
 
@@ -140,6 +141,21 @@ class AggregationTree:
         for i in range(self.n_cells):
             sizes[i] = [len(r) for r in self.ring_sets(i)]
         return sizes
+
+    def fusion_plan(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per level >= 1: flattened child ids, their edge delays, and where
+        each cluster's children start; the order in which aggregates fuse."""
+        if self._fusion_plan is None:
+            self._fusion_plan = []
+            for lvl in range(1, self.depth + 1):
+                idx, lag, seg = [], [], []
+                for node in self.levels[lvl]:
+                    seg.append(len(idx))
+                    idx.extend(node.children)
+                    lag.extend(node.child_delays)
+                self._fusion_plan.append(tuple(np.asarray(v, dtype=int)
+                                               for v in (idx, lag, seg)))
+        return self._fusion_plan
 
     def ring_masks(self) -> list[np.ndarray]:
         """Boolean (N, N) masks R_L[i, j] = (j is at h-distance L from i)."""
@@ -245,14 +261,6 @@ class AggregationTree:
             return cls.from_dict(json.load(fh))
 
 
-def h_distance(tree: AggregationTree, i: int, j: int):
-    return tree.h_distance(i, j)
-
-
-def ring_sets(tree: AggregationTree, i: int) -> list[np.ndarray]:
-    return tree.ring_sets(i)
-
-
 def gamma_metric(phi, cluster_n, cluster_m, delays, edge_delay: int, mu: float
                  ) -> float:
     """Aggregation benefit of merging two disjoint clusters.
@@ -261,8 +269,7 @@ def gamma_metric(phi, cluster_n, cluster_m, delays, edge_delay: int, mu: float
     member sets, then discounts the whole by mu**edge_delay for the extra
     hop the merge introduces.
     """
-    phi_arr = _phi_array(phi)
-    w = phi_arr / np.diag(phi_arr)[None, :]
+    w = coupling_matrix(phi)
     n_idx = np.asarray(sorted(cluster_n), dtype=int)
     m_idx = np.asarray(sorted(cluster_m), dtype=int)
     if np.intersect1d(n_idx, m_idx).size:
@@ -304,8 +311,7 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
     dist = topology.distance_matrix
     use_gamma = rng is None
     if use_gamma:
-        phi_arr = _phi_array(phi)
-        w = phi_arr / np.diag(phi_arr)[None, :]
+        w = coupling_matrix(phi)
     mu = float(mu)
 
     levels = [[ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]]

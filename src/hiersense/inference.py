@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import MultiScaleEstimate
 from .dynamics import OccupancyModel
 from .hierarchy import AggregationTree
 from .sensing import SensorModel
-from .topology import _phi_array
+from .topology import _phi_array, coupling_matrix
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,9 @@ class DelayCompensatedWeights:
 
 def compute_weights(tree: AggregationTree, phi, mu: float
                     ) -> DelayCompensatedWeights:
-    phi_arr = _phi_array(phi)
-    if phi_arr.shape[0] != tree.n_cells:
+    if _phi_array(phi).shape[0] != tree.n_cells:
         raise ValueError("phi and tree disagree on the cell count")
-    w = phi_arr / np.diag(phi_arr)[None, :]
+    w = coupling_matrix(phi)
     mu = float(mu)
     phi_tot = w.sum(axis=0)
     masks = tree.ring_masks()
@@ -78,11 +76,13 @@ def estimate_ip(sigma, weights: DelayCompensatedWeights, model: OccupancyModel
                 ) -> np.ndarray:
     """Estimated licensed-user interference per cell (affine in the aggregates).
 
+    ``sigma`` is one frame's (n_cells, depth+1) aggregates or a stack of
+    frames with a leading frame axis; the result has the same leading axes.
     Empty or unreachable rings contribute no correction, leaving those cells
     at their steady-state prior inside phi_tot.
     """
-    sig = sigma.sigma if isinstance(sigma, MultiScaleEstimate) else np.asarray(sigma)
-    if sig.shape != weights.phi_del.shape:
+    sig = np.asarray(sigma)
+    if sig.shape[-2:] != weights.phi_del.shape:
         raise ValueError("sigma and weights disagree on shape")
     pi_b = float(model.pi_b)
     size = weights.ring_size
@@ -90,16 +90,14 @@ def estimate_ip(sigma, weights: DelayCompensatedWeights, model: OccupancyModel
         raise ValueError("aggregates must lie within ring bounds")
     with np.errstate(invalid="ignore"):
         corr = np.where(size > 0, sig / np.maximum(size, 1) - pi_b, 0.0)
-    ip = pi_b * weights.phi_tot + (corr * weights.phi_del).sum(axis=1)
+    ip = pi_b * weights.phi_tot + (corr * weights.phi_del).sum(axis=-1)
     return np.maximum(ip, 0.0)
 
 
 def estimate_is_oracle(phi, prev_traffic) -> np.ndarray:
     """SU interference from the previous frame's committed traffic."""
-    phi_arr = _phi_array(phi)
-    w = phi_arr / np.diag(phi_arr)[None, :]
     a = np.asarray(prev_traffic, dtype=float)
-    return a @ w - a  # drop the own-cell term (weight 1 on the diagonal)
+    return a @ coupling_matrix(phi) - a  # drop the own-cell term (weight 1)
 
 
 def estimate_is_hierarchical(sigma_traffic, weights_uncompensated:
@@ -110,22 +108,12 @@ def estimate_is_hierarchical(sigma_traffic, weights_uncompensated:
     applied (the weights must be built with mu = 1) and the prior is zero:
     unreachable cells simply contribute nothing.
     """
-    sig = sigma_traffic.sigma if isinstance(sigma_traffic, MultiScaleEstimate) \
-        else np.asarray(sigma_traffic)
+    sig = np.asarray(sigma_traffic)
     w = weights_uncompensated
     size = w.ring_size
     avg = np.where(size > 0, sig / np.maximum(size, 1), 0.0)
     # ring 0 is the cell itself, excluded from the mutual-interference sum
     return (avg[:, 1:] * w.phi_del[:, 1:]).sum(axis=1)
-
-
-def estimate_is(mode: str, **kwargs) -> np.ndarray:
-    if mode == "oracle":
-        return estimate_is_oracle(kwargs["phi"], kwargs["prev_traffic"])
-    if mode == "hierarchical":
-        return estimate_is_hierarchical(kwargs["sigma_traffic"],
-                                        kwargs["weights_uncompensated"])
-    raise ValueError(f"unknown is mode {mode!r}")
 
 
 @dataclass

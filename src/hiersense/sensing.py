@@ -32,14 +32,6 @@ class SensorModel:
         return self.eps_f == 0.0 and self.eps_m == 0.0
 
 
-@dataclass
-class LocalBelief:
-    """Running prior/posterior pair of one cell head."""
-
-    prior: float
-    posterior: float = float("nan")
-
-
 def sample_detection_count(model: SensorModel, b, m, rng):
     """Number of SUs (out of m) reporting 'occupied' given true occupancy b."""
     b = np.asarray(b)

@@ -187,10 +187,6 @@ class NetworkTopology:
             return cls.from_dict(json.load(fh))
 
 
-def is_los(topology: NetworkTopology, i: int, j: int) -> bool:
-    return topology.is_los(i, j)
-
-
 def _grid_boundary_segments(k: int, sx: float, sy: float):
     """All interior boundary segments of a k x k grid.
 
@@ -288,12 +284,17 @@ class InterferenceMatrix:
         return self.phi.shape[0]
 
     def coupling(self) -> np.ndarray:
-        """W[j, i] = phi[j, i] / phi[i, i]: interference weight of cell j at cell i."""
-        return self.phi / np.diag(self.phi)[None, :]
+        return coupling_matrix(self.phi)
 
 
 def _phi_array(phi) -> np.ndarray:
     return phi.phi if isinstance(phi, InterferenceMatrix) else np.asarray(phi, dtype=float)
+
+
+def coupling_matrix(phi) -> np.ndarray:
+    """W[j, i] = phi[j, i] / phi[i, i]: interference weight of cell j at cell i."""
+    phi_arr = _phi_array(phi)
+    return phi_arr / np.diag(phi_arr)[None, :]
 
 
 def pathloss_db(params: PathlossParams, distance_m, los) -> np.ndarray:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from hiersense.cli import main
+from hiersense.cli import load_config, main
+from hiersense.harness import prepare_trial
 
 CONFIG = """
 topology: {kind: grid, n_cells: 16, area: [400, 400], n_blockages: 1}
@@ -46,6 +47,16 @@ class TestBuildTree:
                          "-o", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_rt_tree_matches_the_sweep(self, tmp_path, config_path):
+        # the tree slot (index 1) and the trial both enter the RT seed stream
+        override = ["-D", "schemes=[{name: unc, kind: uncoordinated}, "
+                          "{name: rt, kind: rt, gamma_delay: 0.02}]"]
+        out = tmp_path / "tree.json"
+        assert main(["build-tree", "--config", config_path, "-o", str(out),
+                     "--trial", "1"] + override) == 0
+        ctx = prepare_trial(load_config(config_path, override[1:]), 1)
+        assert json.loads(out.read_text()) == ctx.runtimes[1].tree.to_dict()
 
     def test_budget_override_gives_flat_forest(self, tmp_path, config_path,
                                                capsys):
@@ -104,6 +115,20 @@ class TestSweep:
         code = main(["sweep", "--config", config_path, "-o", str(out),
                      "-D", "experiment.frames=0"])
         assert code == 2
+
+    @pytest.mark.parametrize("override, path", [
+        ("schemes=[{name: ibt, kind: ibt, c_mx: 5}]", "schemes[0].c_mx"),
+        ("pathloss={alpah: 3}", "pathloss.alpah"),
+        ("experiment.lamda_grid=[0.01]", "experiment.lamda_grid"),
+    ])
+    def test_unknown_key_named_with_exit_code_2(self, tmp_path, config_path,
+                                                capsys, override, path):
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", config_path, "-o", str(out),
+                     "-D", override])
+        assert code == 2
+        assert f"{path}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shipped_example_config_loads(self, tmp_path):
         out = tmp_path / "rows.csv"

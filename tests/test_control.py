@@ -220,7 +220,7 @@ class TestBaselines:
         phi = random_phi(rng, 5)
         delays = np.zeros((5, 5), dtype=int)
         b_hist = rng.integers(0, 2, size=(4, 5))
-        got = ctl.full_nsi_ip(phi, delays, b_hist, 3, paper_model)
+        got = ctl.full_nsi_ip(phi, delays, b_hist, paper_model)[3]
         expect = b_hist[3].astype(float) @ phi.coupling()
         assert np.allclose(got, expect, atol=1e-12)
 
@@ -230,7 +230,7 @@ class TestBaselines:
         delays = np.array([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
         b_hist = rng.integers(0, 2, size=(6, 3))
         t = 5
-        got = ctl.full_nsi_ip(phi, delays, b_hist, t, paper_model)
+        got = ctl.full_nsi_ip(phi, delays, b_hist, paper_model)[t]
         for i in range(3):
             expect = 0.0
             for j in range(3):
@@ -243,7 +243,7 @@ class TestBaselines:
         delays = np.full((3, 3), 10, dtype=int)
         np.fill_diagonal(delays, 0)
         b_hist = np.ones((2, 3), dtype=int)
-        got = ctl.full_nsi_ip(phi, delays, b_hist, 1, paper_model)
+        got = ctl.full_nsi_ip(phi, delays, b_hist, paper_model)[1]
         w = phi.coupling()
         expect = w.diagonal() * 1.0 + 0.05 * (w.sum(axis=0) - w.diagonal())
         assert np.allclose(got, expect, atol=1e-12)
@@ -254,13 +254,11 @@ class TestBaselines:
         dist = (dist + dist.T) / 2
         np.fill_diagonal(dist, 0.0)
         b = rng.integers(0, 2, 5)
-        w_in, w_out = ctl.radius_masked_weights(phi, dist, math.inf)
-        got = ctl.radius_nsi_ip(w_in, w_out, b, paper_model)
+        got = ctl.radius_nsi_ip(phi, dist, math.inf, b, paper_model)
         exact = b.astype(float) @ phi.coupling()
         assert np.allclose(got, exact, atol=1e-12)
         # zero radius: own cell only, prior elsewhere
-        w_in0, w_out0 = ctl.radius_masked_weights(phi, dist, 0.0)
-        got0 = ctl.radius_nsi_ip(w_in0, w_out0, b, paper_model)
+        got0 = ctl.radius_nsi_ip(phi, dist, 0.0, b, paper_model)
         w = phi.coupling()
         expect0 = b * w.diagonal() + 0.05 * (w.sum(axis=0) - w.diagonal())
         assert np.allclose(got0, expect0, atol=1e-12)
@@ -297,15 +295,6 @@ class TestBaselines:
         b_hat = rng.integers(0, 2, 8).astype(float)
         got = ctl.consensus_ip(mixer, b_hat, phi_tot)
         assert np.allclose(got, b_hat.mean() * phi_tot, atol=1e-6)
-
-    def test_dispatcher(self, paper_model, rng):
-        phi = random_phi(rng, 3)
-        got = ctl.baseline_ip_estimate(
-            "radius_nsi", phi=phi, distance_matrix=np.zeros((3, 3)),
-            radius=1.0, b=np.array([1, 0, 1]), model=paper_model)
-        assert got.shape == (3,)
-        with pytest.raises(ValueError):
-            ctl.baseline_ip_estimate("nope")
 
 
 class TestUpperBoundByFullKnowledge:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiersense import (OccupancyModel, OccupancyState, PopulationModel,
-                       k_step_marginal, sample_steady_state,
-                       sample_su_population, step_occupancy)
+from hiersense import (ConfigError, ExperimentConfig, OccupancyModel,
+                       OccupancyState, SchemeSpec, k_step_marginal,
+                       prepare_trial, sample_steady_state, step_occupancy)
 
 
 class TestOccupancyModel:
@@ -139,21 +139,26 @@ class TestKStepMarginal:
         assert abs(lhs - rhs) < 1e-14
 
 
+def population_config(mode, m=10):
+    return ExperimentConfig(n_cells=4, area=(200.0, 200.0),
+                            schemes=(SchemeSpec("unc", "uncoordinated"),),
+                            frames=2, trials=1, population_mode=mode,
+                            m_per_cell=m)
+
+
 class TestPopulation:
-    def test_constant_mode(self, rng):
-        pop = sample_su_population(PopulationModel("constant", 10), 8, 3, rng)
-        assert (pop.m == 10).all() and not pop.dense
+    def test_constant_mode(self):
+        ctx = prepare_trial(population_config("constant", 10), 0)
+        assert (ctx.m == 10).all()
 
-    def test_dense_mode_is_unbounded_marker(self, rng):
-        pop = sample_su_population(PopulationModel("dense"), 8, 0, rng)
-        assert pop.dense and np.isinf(pop.m).all()
-
-    def test_stationary_across_time(self, rng):
-        model = PopulationModel("constant", 3)
-        a = sample_su_population(model, 5, 0, rng)
-        b = sample_su_population(model, 5, 999, rng)
-        assert np.array_equal(a.m, b.m)
+    def test_dense_mode_is_unbounded_marker(self):
+        ctx = prepare_trial(population_config("dense"), 0)
+        assert np.isinf(ctx.m).all()
 
     def test_rejects_empty_cells(self):
-        with pytest.raises(ValueError):
-            PopulationModel("constant", 0)
+        with pytest.raises(ConfigError, match="population.m"):
+            population_config("constant", 0).validate()
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ConfigError, match="population.mode"):
+            population_config("sparse").validate()

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hiersense import (ConfigError, ExperimentConfig, SchemeSpec, Simulation,
-                       eval_fading_success, run_experiment, throughput_lb)
+from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
+                       SchemeSpec, Simulation, control, delayed_ring_sums,
+                       estimate_ip, eval_fading_success, run_experiment,
+                       throughput_lb)
 from hiersense.harness import FadingLayout, prepare_trial, run_trial_point
+from hiersense.inference import estimate_is_hierarchical
 from hiersense import ControlParams
 
 
@@ -50,6 +53,10 @@ class TestConfig:
         assert cfg.n_cells == 16
         assert cfg.schemes[0].c_max == math.inf
         assert cfg.resolved_a_max() == pytest.approx(0.5)
+
+    def test_unknown_is_mode_rejected(self):
+        with pytest.raises(ConfigError, match="is_mode"):
+            small_config(is_mode="psychic").validate()
 
     def test_fading_requires_constant_population(self):
         cfg = small_config(eval_mode="fading_mc", population_mode="dense")
@@ -115,7 +122,7 @@ class TestFrameLoop:
                            trials=1)
         ctx = prepare_trial(cfg, 0)
         sim = Simulation(ctx, ctx.runtimes[0], 0.25, 0)
-        assert sim.exchange is None and sim.traffic_exchange is None
+        assert sim.ip_seq is None
         metrics = sim.run_frame()
         assert (metrics.traffic == 0.25 * cfg.resolved_a_max()).all()
         assert math.isnan(metrics.utility)
@@ -250,3 +257,75 @@ class TestSweepOutput:
         summary = res.summary()
         for row in summary:
             assert row["n_trials"] == 3
+
+
+class TestAllFramesEstimate:
+    """The all-frames estimators against the per-frame exchange protocol."""
+
+    SCHEMES = (SchemeSpec("ibt", "ibt", gamma_delay=0.02),
+               SchemeSpec("rt", "rt", gamma_delay=0.02),
+               # depth-2 forest of 7 roots: 12 (cell, level) rings are empty
+               SchemeSpec("forest", "ibt", gamma_delay=0.02, c_max=60.0),
+               SchemeSpec("full", "full_nsi", gamma_delay=0.02))
+
+    @staticmethod
+    def assert_rel(got, expect, tol=1e-12):
+        got, expect = np.asarray(got), np.asarray(expect)
+        assert np.all(np.abs(got - expect)
+                      <= tol * np.maximum(np.abs(got), np.abs(expect)))
+
+    @pytest.fixture(params=["noiseless", "noisy"])
+    def ctx(self, request):
+        noise = dict(eps_f=0.05, eps_m=0.1, population_mode="constant",
+                     m_per_cell=5) if request.param == "noisy" else {}
+        cfg = small_config(schemes=self.SCHEMES, is_mode="hierarchical",
+                           trials=1, frames=30, master_seed=4, **noise)
+        ctx = prepare_trial(cfg, 0)
+        assert request.param == "noiseless" \
+            or (ctx.bhat_seq != np.rint(ctx.bhat_seq)).any()
+        return ctx
+
+    def test_trees_match_the_exchange_every_frame(self, ctx):
+        pi_b = float(ctx.model.pi_b)
+        assert (ctx.runtimes[2].weights.ring_size == 0).any()
+        for rt in ctx.runtimes[:3]:
+            assert rt.warmup > 0  # delays reach past frame 0
+            sigma_all = delayed_ring_sums(rt.tree, ctx.bhat_seq, pi_b,
+                                          np.arange(ctx.t_total))
+            ip_all = estimate_ip(sigma_all, rt.weights, ctx.model)
+            sim = Simulation(ctx, rt, 0.01, 0)
+            for _ in range(ctx.t_total):
+                sim.run_frame()
+            occupancy = HierarchicalExchange(rt.tree, pi_b)
+            traffic = HierarchicalExchange(rt.tree, 0.0)
+            for t in range(ctx.t_total):
+                occupancy.advance_frame(ctx.bhat_seq[t], t)
+                # fused in the exchange's order: equal bit for bit
+                assert np.array_equal(sigma_all[t], occupancy.sigma_all(t))
+                expect = estimate_ip(occupancy.sigma_all(t), rt.weights,
+                                     ctx.model)
+                self.assert_rel(ip_all[t], expect)
+                self.assert_rel(sim.ip_seq[t], expect)
+                # the traffic exchange is fed the previous commitment
+                prev = sim.a_hist[t - 1] if t else np.zeros(ctx.config.n_cells)
+                traffic.advance_frame(prev, t)
+                self.assert_rel(sim._estimate_is(t), estimate_is_hierarchical(
+                    traffic.sigma_all(t), rt.weights_uncomp))
+
+    def test_full_nsi_matches_per_frame_definition(self, ctx):
+        rt = ctx.runtimes[3]
+        delays = rt.delay_matrix
+        assert delays.max() > 0
+        w = ctx.phi.coupling()
+        pi_b, mu = float(ctx.model.pi_b), float(ctx.model.mu)
+        got = control.full_nsi_ip(ctx.phi, delays, ctx.b_seq, ctx.model)
+        n = ctx.config.n_cells
+        for t in range(ctx.t_total):
+            expect = np.zeros(n)
+            for i in range(n):
+                for j in range(n):
+                    d = delays[j, i]
+                    p = pi_b if t < d else \
+                        pi_b + mu ** d * (ctx.b_seq[t - d, j] - pi_b)
+                    expect[i] += w[j, i] * p
+            self.assert_rel(got[t], expect)

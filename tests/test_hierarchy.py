@@ -6,8 +6,7 @@ import pytest
 
 from hiersense import (AggregationTree, InterferenceMatrix, build_ibt,
                        build_random_tree, build_topology, compute_phi,
-                       compute_weights, gamma_metric, h_distance, pair_cost,
-                       ring_sets)
+                       compute_weights, gamma_metric, pair_cost)
 from tests.conftest import random_phi
 
 
@@ -40,24 +39,24 @@ class TestManualTree:
         assert (np.diff(fig_tree.delta, axis=0) >= 0).all()
 
     def test_h_distance_examples(self, fig_tree):
-        assert h_distance(fig_tree, 0, 0) == 0
-        assert h_distance(fig_tree, 0, 1) == 1
-        assert h_distance(fig_tree, 0, 4) == 1
-        assert h_distance(fig_tree, 0, 2) == 2
-        assert h_distance(fig_tree, 0, 7) == 2
+        assert fig_tree.h_distance(0, 0) == 0
+        assert fig_tree.h_distance(0, 1) == 1
+        assert fig_tree.h_distance(0, 4) == 1
+        assert fig_tree.h_distance(0, 2) == 2
+        assert fig_tree.h_distance(0, 7) == 2
         for i in range(8):
             for j in range(8):
-                assert h_distance(fig_tree, i, j) == h_distance(fig_tree, j, i)
+                assert fig_tree.h_distance(i, j) == fig_tree.h_distance(j, i)
 
     def test_ring_sets_examples(self, fig_tree):
-        rings = ring_sets(fig_tree, 0)
+        rings = fig_tree.ring_sets(0)
         assert rings[0].tolist() == [0]
         assert rings[1].tolist() == [1, 4, 5]
         assert rings[2].tolist() == [2, 3, 6, 7]
 
     def test_rings_partition_reachable_cells(self, fig_tree):
         for i in range(8):
-            rings = ring_sets(fig_tree, i)
+            rings = fig_tree.ring_sets(i)
             combined = np.concatenate(rings)
             assert sorted(combined.tolist()) == list(range(8))
             assert len(set(combined.tolist())) == 8
@@ -65,11 +64,11 @@ class TestManualTree:
     def test_single_cell_tree(self):
         tree = AggregationTree.from_nested(1, [0])
         assert tree.depth == 0
-        assert ring_sets(tree, 0)[0].tolist() == [0]
+        assert tree.ring_sets(0)[0].tolist() == [0]
 
     def test_out_of_range_ids(self, fig_tree):
         with pytest.raises(IndexError):
-            h_distance(fig_tree, 0, 8)
+            fig_tree.h_distance(0, 8)
 
     def test_mixed_leaf_depths_rejected(self):
         with pytest.raises(ValueError):
@@ -197,7 +196,7 @@ class TestBuildIbt:
         tree = build_ibt(topo, phi, 0.9, c_max=1e-9)
         assert tree.depth == 0
         assert tree.cost_per_cell == 0.0
-        assert h_distance(tree, 0, 1) == math.inf
+        assert tree.h_distance(0, 1) == math.inf
 
     def test_four_cell_line_pairs_neighbors(self):
         from hiersense.topology import NetworkTopology, PathlossParams

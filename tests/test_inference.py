@@ -5,7 +5,7 @@ import pytest
 
 from hiersense import (AggregationTree, HierarchicalExchange,
                        InterferenceMatrix, SensorModel,
-                       compute_weights, estimate_ip, estimate_is,
+                       compute_weights, estimate_ip,
                        exact_belief, marginal_occupancy, sample_steady_state,
                        step_occupancy)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
@@ -191,9 +191,8 @@ class TestEstimateIp:
 class TestEstimateIs:
     def test_oracle_examples(self, rng):
         phi = InterferenceMatrix(np.array([[4.0, 1.0], [1.0, 4.0]]))
-        assert estimate_is("oracle", phi=phi,
-                           prev_traffic=np.zeros(2)).tolist() == [0.0, 0.0]
-        got = estimate_is("oracle", phi=phi, prev_traffic=np.array([0.0, 1.0]))
+        assert estimate_is_oracle(phi, np.zeros(2)).tolist() == [0.0, 0.0]
+        got = estimate_is_oracle(phi, np.array([0.0, 1.0]))
         assert got[0] == pytest.approx(0.25)
         assert got[1] == pytest.approx(0.0)
 
@@ -224,10 +223,6 @@ class TestEstimateIs:
                 expect += (traffic[ring].mean()
                            * sum(coupling[j, i] for j in ring))
             assert abs(got[i] - expect) < 1e-12
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            estimate_is("psychic")
 
 
 class TestExactBelief:

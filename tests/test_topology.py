@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hiersense import (Blockage, NetworkTopology, PathlossParams,
-                       build_topology, compute_phi, db_to_lin, is_los)
+                       build_topology, compute_phi, db_to_lin)
 from hiersense.topology import _segment_hits_rect
 
 
@@ -77,7 +77,7 @@ class TestBuildTopology:
 class TestLineOfSight:
     def test_self_is_los(self, grid16):
         topo, _ = grid16
-        assert is_los(topo, 3, 3)
+        assert topo.is_los(3, 3)
 
     def test_blockage_between_adjacent_cells(self):
         # 2x2 grid, blockage dropped exactly on the boundary between 0 and 1
@@ -86,13 +86,13 @@ class TestLineOfSight:
         topo = NetworkTopology([[50.0, 50.0], [150.0, 50.0],
                                 [50.0, 150.0], [150.0, 150.0]],
                                (200.0, 200.0), 50.0, [blk])
-        assert not is_los(topo, 0, 1)
-        assert is_los(topo, 0, 2)  # vertical segment at x=50 misses the rect
+        assert not topo.is_los(0, 1)
+        assert topo.is_los(0, 2)  # vertical segment at x=50 misses the rect
 
     def test_out_of_range_ids(self, grid16):
         topo, _ = grid16
         with pytest.raises(IndexError):
-            is_los(topo, 0, 99)
+            topo.is_los(0, 99)
 
     def test_segment_rect_oracle(self, rng):
         # dense point sampling: strictly interior points imply a hit
