@@ -100,6 +100,10 @@ class ExperimentConfig:
             errors.append("trials: must be >= 1")
         if self.extra_warmup < 0:
             errors.append("extra_warmup: must be >= 0")
+        if self.n_cells < 1:
+            errors.append("topology.n_cells: must be >= 1")
+        if self.n_blockages < 0:
+            errors.append("topology.n_blockages: must be >= 0")
         if not self.schemes:
             errors.append("schemes: at least one scheme is required")
         names = [s.name for s in self.schemes]
@@ -183,33 +187,38 @@ class ExperimentConfig:
         schemes = tuple(_scheme_from_dict(s, f"schemes[{k}]")
                         for k, s in enumerate(raw.pop("schemes", ())))
         area = topo.pop("area", (800.0, 800.0))
+        if not isinstance(area, (list, tuple)) or len(area) != 2:
+            raise ConfigError(f"topology.area: must be a pair [width, height], "
+                              f"got {area!r}")
         kwargs = dict(
             topology_kind=topo.pop("kind", "grid"),
-            n_cells=int(topo.pop("n_cells", 64)),
-            area=(float(area[0]), float(area[1])),
-            n_blockages=int(topo.pop("n_blockages", 0)),
-            cell_radius=topo.pop("cell_radius", None),
-            pathloss=PathlossParams(**_pop_fields(pl, PathlossParams)),
-            nu1=float(occ.pop("nu1", 0.005)),
-            nu0=float(occ.pop("nu0", 0.095)),
-            mu=occ.pop("mu", None),
-            pi_b=occ.pop("pi_b", None),
-            eps_f=float(sen.pop("eps_f", 0.0)),
-            eps_m=float(sen.pop("eps_m", 0.0)),
+            n_cells=_pop_number(topo, "n_cells", 64, "topology", int),
+            area=tuple(_number(v, f"topology.area[{k}]")
+                       for k, v in enumerate(area)),
+            n_blockages=_pop_number(topo, "n_blockages", 0, "topology", int),
+            cell_radius=_pop_number(topo, "cell_radius", None, "topology"),
+            pathloss=PathlossParams(**_pop_fields(pl, PathlossParams, "pathloss")),
+            nu1=_pop_number(occ, "nu1", 0.005, "occupancy"),
+            nu0=_pop_number(occ, "nu0", 0.095, "occupancy"),
+            mu=_pop_number(occ, "mu", None, "occupancy"),
+            pi_b=_pop_number(occ, "pi_b", None, "occupancy"),
+            eps_f=_pop_number(sen, "eps_f", 0.0, "sensing"),
+            eps_m=_pop_number(sen, "eps_m", 0.0, "sensing"),
             population_mode=pop.pop("mode", "dense"),
-            m_per_cell=int(pop.pop("m", 10)),
-            a_max=pop.pop("a_max", None),
-            sinr_th_db=float(ctl.pop("sinr_th_db", 5.0)),
+            m_per_cell=_pop_number(pop, "m", 10, "population", int),
+            a_max=_pop_number(pop, "a_max", None, "population"),
+            sinr_th_db=_pop_number(ctl, "sinr_th_db", 5.0, "control"),
             schemes=schemes,
-            lambda_grid=tuple(float(x) for x in exp.pop("lambda_grid", (1.0,))),
-            ptx_grid=tuple(float(x) for x in exp.pop("ptx_grid", (0.01,))),
-            frames=int(exp.pop("frames", 300)),
-            trials=int(exp.pop("trials", 20)),
-            master_seed=int(exp.pop("master_seed", 1)),
+            lambda_grid=_numbers(exp.pop("lambda_grid", (1.0,)),
+                                 "experiment.lambda_grid"),
+            ptx_grid=_numbers(exp.pop("ptx_grid", (0.01,)), "experiment.ptx_grid"),
+            frames=_pop_number(exp, "frames", 300, "experiment", int),
+            trials=_pop_number(exp, "trials", 20, "experiment", int),
+            master_seed=_pop_number(exp, "master_seed", 1, "experiment", int),
             eval_mode=exp.pop("eval_mode", "analytic_lb"),
             is_mode=exp.pop("is_mode", "oracle"),
-            extra_warmup=int(exp.pop("extra_warmup", 0)),
-            hop_distance_m=exp.pop("hop_distance_m", None),
+            extra_warmup=_pop_number(exp, "extra_warmup", 0, "experiment", int),
+            hop_distance_m=_pop_number(exp, "hop_distance_m", None, "experiment"),
         )
         _reject_unknown(raw, "")
         for name, left in zip(names, sections):
@@ -224,9 +233,44 @@ def _section(node, path: str) -> dict:
     return dict(node)
 
 
-def _pop_fields(node: dict, spec_cls) -> dict:
-    return {f.name: node.pop(f.name) for f in fields(spec_cls)
-            if f.name in node}
+def _number(value, path: str, kind=float):
+    """``value`` as a float (or a whole int); a ConfigError naming ``path``
+    otherwise, rather than a truncated or late-failing value."""
+    try:
+        out = kind(_maybe_inf(value))
+        if kind is int and out != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: must be {what}, got {value!r}") from None
+    return out
+
+
+def _pop_number(node: dict, key: str, default, section: str, kind=float):
+    """Pop ``key`` as a number; None stays None (an unset optional)."""
+    value = node.pop(key, default)
+    return None if value is None else _number(value, f"{section}.{key}", kind)
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
+
+
+_NUMBER_TYPES = {"float": float, "int": int}
+
+
+def _pop_fields(node: dict, spec_cls, path: str) -> dict:
+    """The dataclass fields present in ``node``; numeric fields converted."""
+    out = {}
+    for f in fields(spec_cls):
+        if f.name in node:
+            value = node.pop(f.name)
+            if f.type in _NUMBER_TYPES:
+                value = _number(value, f"{path}.{f.name}", _NUMBER_TYPES[f.type])
+            out[f.name] = value
+    return out
 
 
 def _reject_unknown(left: dict, prefix: str) -> None:
@@ -237,7 +281,7 @@ def _reject_unknown(left: dict, prefix: str) -> None:
 
 def _scheme_from_dict(entry, path: str) -> SchemeSpec:
     entry = _section(entry, path)
-    known = {k: _maybe_inf(v) for k, v in _pop_fields(entry, SchemeSpec).items()}
+    known = _pop_fields(entry, SchemeSpec, path)
     _reject_unknown(entry, path + ".")
     for key in ("name", "kind"):
         if key not in known:
@@ -334,22 +378,31 @@ def _simulate_sensing(model: OccupancyModel, sensor: SensorModel, m,
 
 
 def _fill_cells_uniform(centers, area, quota, rng, max_batches=20000):
-    """quota uniform points per Voronoi cell via batched rejection sampling."""
+    """quota uniform points per Voronoi cell via batched rejection sampling.
+
+    A drawn point is kept while its cell is short: its rank among the
+    batch's points in that cell, plus the points already placed there, is
+    below the quota.  Points come out grouped by cell, in the order kept.
+    """
     n = len(centers)
-    placed = [[] for _ in range(n)]
-    need = n * quota
+    placed = np.zeros(n, dtype=int)
+    kept_pts, kept_cell = [], []
     for _ in range(max_batches):
         pts = np.column_stack([rng.uniform(0, area[0], 512),
                                rng.uniform(0, area[1], 512)])
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         owner = d2.argmin(axis=1)
-        for p, cell in zip(pts, owner):
-            if len(placed[cell]) < quota:
-                placed[cell].append(p)
-                need -= 1
-        if need == 0:
-            return np.array([p for cell in placed for p in cell]), \
-                np.repeat(np.arange(n), quota)
+        by_cell = np.argsort(owner, kind="stable")
+        grouped = owner[by_cell]
+        rank = np.empty_like(owner)
+        rank[by_cell] = np.arange(len(owner)) - np.searchsorted(grouped, grouped)
+        keep = placed[owner] + rank < quota
+        kept_pts.append(pts[keep])
+        kept_cell.append(owner[keep])
+        placed += np.bincount(owner[keep], minlength=n)
+        if (placed == quota).all():
+            order = np.argsort(np.concatenate(kept_cell), kind="stable")
+            return np.concatenate(kept_pts)[order], np.repeat(np.arange(n), quota)
     raise RuntimeError("failed to place SUs uniformly per cell; degenerate cells?")
 
 
@@ -577,7 +630,7 @@ class Simulation:
             sigma_a = delayed_ring_sums(self.rt.tree, self.a_hist, 0.0, [t - 1])
             return estimate_is_hierarchical(sigma_a[0], self.rt.weights_uncomp)
         prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
-        return estimate_is_oracle(self.ctx.phi, prev)
+        return estimate_is_oracle(self.ctx.coupling, prev)
 
     def run_frame(self) -> FrameMetrics:
         """Advance one frame: decision from the estimates, then metrics."""

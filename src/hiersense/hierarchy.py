@@ -24,6 +24,7 @@ import numpy as np
 from .topology import NetworkTopology, _phi_array, coupling_matrix
 
 UNREACHABLE = math.inf
+_SCAN_CHUNK = 4096  # greedy pairs screened per vector step
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,9 @@ class AggregationTree:
 
     def ring_size_matrix(self) -> np.ndarray:
         """(n_cells, depth+1) ring cardinalities |D_i^(L)|."""
-        sizes = np.zeros((self.n_cells, self.depth + 1), dtype=int)
-        for i in range(self.n_cells):
-            sizes[i] = [len(r) for r in self.ring_sets(i)]
-        return sizes
+        # |D_i^(L)| = |cluster_L(i)| - |cluster_{L-1}(i)|
+        within = np.stack([np.bincount(ids)[ids] for ids in self.cluster_of], axis=1)
+        return np.diff(within, axis=1, prepend=0)
 
     def fusion_plan(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per level >= 1: flattened child ids, their edge delays, and where
@@ -326,10 +326,7 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
             break
         members = [np.asarray(c.members, dtype=int) for c in cur]
         heads = np.array([c.head_site for c in cur], dtype=int)
-
-        head_d = np.sqrt(((centers[heads][:, None, :]
-                           - centers[heads][None, :, :]) ** 2).sum(-1))
-        delay_mat = np.ceil(gamma_delay * head_d).astype(int)
+        delay_mat = np.ceil(gamma_delay * dist[np.ix_(heads, heads)]).astype(int)
 
         # worst-case pair distance, two row-wise max reductions
         to_cell = np.stack([dist[m].max(axis=0) for m in members])
@@ -341,30 +338,50 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
             break  # no feasible pair at this level: budget exhausted or done
 
         if use_gamma:
-            ind = np.zeros((n, n_cells))
-            for k, m in enumerate(members):
-                ind[k, m] = 1.0
-            pair_sum = ind @ ((mu ** delta)[:, None] * w) @ ind.T
+            pair_sum = (mu ** delta)[:, None] * w
+            if n < n_cells:  # level 0 is all singletons: the sums are the cells
+                ind = np.zeros((n, n_cells))
+                for k, m in enumerate(members):
+                    ind[k, m] = 1.0
+                pair_sum = ind @ pair_sum @ ind.T
             gamma_mat = (mu ** delay_mat) * (pair_sum + pair_sum.T)
 
+        rows, cols = np.triu_indices(n, 1)
+        if use_gamma:
+            # descending benefit, row-major among ties: the first argmax
+            order = np.argsort(-gamma_mat[rows, cols], kind="stable")
+            rows, cols = rows[order], cols[order]
+        cost = cost_mat[rows, cols]
         alive = np.ones(n, dtype=bool)
         merges = []
-        while True:
-            valid = triu & (c_cell + cost_mat <= c_max) \
-                & alive[:, None] & alive[None, :]
-            if not valid.any():
-                break
-            if use_gamma:
-                flat = np.where(valid, gamma_mat, -np.inf)
-                pick = int(np.argmax(flat))  # first max in row-major order
-            else:
-                options = np.flatnonzero(valid.ravel())
-                pick = int(options[rng.integers(len(options))])
-            a, b = divmod(pick, n)
-            merges.append((a, b, float(gamma_mat[a, b]) if use_gamma else None,
-                           float(cost_mat[a, b]), int(delay_mat[a, b])))
-            c_cell += cost_mat[a, b]
-            alive[a] = alive[b] = False
+        if use_gamma:
+            # one scan: a pair skipped for a merged cluster or the budget
+            # stays infeasible, since clusters stay merged and c_cell only
+            # grows; so each chunk drops those pairs before the exact loop
+            for lo in range(0, len(rows), _SCAN_CHUNK):
+                part = slice(lo, lo + _SCAN_CHUNK)
+                r, c, k = rows[part], cols[part], cost[part]
+                ok = alive[r] & alive[c] & (c_cell + k <= c_max)
+                for a, b, ab_cost in zip(r[ok].tolist(), c[ok].tolist(),
+                                         k[ok].tolist()):
+                    if alive[a] and alive[b] and c_cell + ab_cost <= c_max:
+                        merges.append((a, b, float(gamma_mat[a, b]), ab_cost,
+                                       int(delay_mat[a, b])))
+                        c_cell += ab_cost
+                        alive[a] = alive[b] = False
+        else:
+            # feasible pairs in row-major order, filtered after each merge
+            keep = c_cell + cost <= c_max
+            rows, cols, cost = rows[keep], cols[keep], cost[keep]
+            while len(rows):
+                k = int(rng.integers(len(rows)))
+                a, b = int(rows[k]), int(cols[k])
+                merges.append((a, b, None, float(cost[k]), int(delay_mat[a, b])))
+                c_cell += cost[k]
+                alive[a] = alive[b] = False
+                keep = (rows != a) & (rows != b) & (cols != a) & (cols != b) \
+                    & (c_cell + cost <= c_max)
+                rows, cols, cost = rows[keep], cols[keep], cost[keep]
 
         nxt: list[ClusterNode] = []
         lvl = len(levels)

@@ -94,10 +94,13 @@ def estimate_ip(sigma, weights: DelayCompensatedWeights, model: OccupancyModel
     return np.maximum(ip, 0.0)
 
 
-def estimate_is_oracle(phi, prev_traffic) -> np.ndarray:
-    """SU interference from the previous frame's committed traffic."""
+def estimate_is_oracle(coupling, prev_traffic) -> np.ndarray:
+    """SU interference from the previous frame's committed traffic.
+
+    ``coupling`` is ``topology.coupling_matrix(phi)``, built once per trial.
+    """
     a = np.asarray(prev_traffic, dtype=float)
-    return a @ coupling_matrix(phi) - a  # drop the own-cell term (weight 1)
+    return a @ coupling - a  # drop the own-cell term (weight 1)
 
 
 def estimate_is_hierarchical(sigma_traffic, weights_uncompensated:

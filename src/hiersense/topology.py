@@ -54,30 +54,56 @@ class Blockage:
         return (cx - hx, cy - hy, cx + hx, cy + hy)
 
 
-def _segment_hits_rect(p, q, rect) -> bool:
-    """True if the segment p->q passes through the rectangle's open interior.
+def _los_matrix(centers, rects) -> np.ndarray:
+    """(N, N) flags: True where the segment between two centers is clear.
 
-    Liang-Barsky clipping; grazing a face or corner does not count, so a
-    blockage lying exactly along a line of cell centers does not obstruct
-    links running along that line.
+    A segment is blocked when it passes through a rectangle's open interior,
+    found by Liang-Barsky clipping of every pair (i < j, segment from i to j)
+    against one rectangle at a time.  Grazing a face or corner does not
+    count, so a blockage lying exactly along a line of cell centers does not
+    obstruct links running along that line.
     """
-    xmin, ymin, xmax, ymax = rect
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    t0, t1 = 0.0, 1.0
-    for delta, lo, hi, start in ((dx, xmin, xmax, p[0]), (dy, ymin, ymax, p[1])):
-        if delta == 0.0:
-            if start < lo or start > hi:
-                return False
-        else:
-            ta, tb = (lo - start) / delta, (hi - start) / delta
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
-            if t0 > t1:
-                return False
+    n = len(centers)
+    los = np.ones((n, n), dtype=bool)
+    if not rects or n < 2:
+        return los
+    iu, ju = np.triu_indices(n, 1)
+    x, y = centers[:, 0], centers[:, 1]
+    # the clipped midpoint lies within a few ulps of the segment's bounding
+    # box, so a pair whose ends share a side outside the padded rectangle
+    # (Cohen-Sutherland outcodes) cannot be blocked by it
+    pad = 1e-9 * (1.0 + float(np.abs(centers).max()))
+    for rect in rects:
+        xmin, ymin, xmax, ymax = rect
+        code = ((x < xmin - pad) | (x > xmax + pad) << 1
+                | (y < ymin - pad) << 2 | (y > ymax + pad) << 3).astype(np.uint8)
+        near = np.flatnonzero((code[iu] & code[ju]) == 0)
+        i, j = iu[near], ju[near]
+        hit = _clip_hits(x[i], y[i], x[j], y[j], rect)
+        los[i[hit], j[hit]] = los[j[hit], i[hit]] = False
+    return los
+
+
+def _clip_hits(px, py, qx, qy, rect) -> np.ndarray:
+    """Per segment (px, py) -> (qx, qy): True if it passes through the open
+    interior of ``rect`` = (xmin, ymin, xmax, ymax)."""
+    dx, dy = qx - px, qy - py
+    t0, t1 = np.zeros(len(px)), np.ones(len(px))
+    for start, delta, lo, hi in ((px, dx, rect[0], rect[2]),
+                                 (py, dy, rect[1], rect[3])):
+        # a segment parallel to this axis is not clipped by it; its midpoint
+        # keeps the start coordinate, which the interior test below rejects
+        # when it lies outside (lo, hi)
+        flat = delta == 0.0
+        step = np.where(flat, 1.0, delta)
+        ta, tb = (lo - start) / step, (hi - start) / step
+        enter, leave = np.minimum(ta, tb), np.maximum(ta, tb)
+        enter[flat], leave[flat] = -np.inf, np.inf
+        t0, t1 = np.maximum(t0, enter), np.minimum(t1, leave)
     tm = (t0 + t1) / 2.0
-    x, y = p[0] + tm * dx, p[1] + tm * dy
-    return xmin < x < xmax and ymin < y < ymax
+    x, y = px + tm * dx, py + tm * dy
+    # t0 only grows and t1 only shrinks, so one t0 <= t1 test covers both axes
+    return (t0 <= t1) & (rect[0] < x) & (x < rect[2]) & (rect[1] < y) & (y < rect[3])
 
 
 @dataclass(frozen=True)
@@ -131,15 +157,7 @@ class NetworkTopology:
         diff = centers[:, None, :] - centers[None, :, :]
         self.distance_matrix = np.sqrt((diff ** 2).sum(axis=-1))
 
-        rects = [b.bounds() for b in self.blockages]
-        los = np.ones((self.cell_count, self.cell_count), dtype=bool)
-        for i in range(self.cell_count):
-            for j in range(i + 1, self.cell_count):
-                for rect in rects:
-                    if _segment_hits_rect(centers[i], centers[j], rect):
-                        los[i, j] = los[j, i] = False
-                        break
-        self.los_matrix = los
+        self.los_matrix = _los_matrix(centers, [b.bounds() for b in self.blockages])
 
         # guard against accidental mutation: trials share one topology
         self.cell_centers.setflags(write=False)

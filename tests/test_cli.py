@@ -130,6 +130,25 @@ class TestSweep:
         assert f"{path}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, path", [
+        ("experiment.lambda_grid=0.01", "experiment.lambda_grid"),
+        ("experiment.ptx_grid=0.01", "experiment.ptx_grid"),
+        ("topology.area=800", "topology.area"),
+        ("schemes=[{name: a, kind: ibt, c_max: abc}]", "schemes[0].c_max"),
+        ("topology.n_blockages=-1", "topology.n_blockages"),
+        ("experiment.frames=2.5", "experiment.frames"),
+    ])
+    def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
+                                              override, path):
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", "configs/sweep_small.yaml",
+                     "-o", str(out), "-D", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_shipped_example_config_loads(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["sweep", "--config", "configs/sweep_small.yaml",

@@ -7,7 +7,8 @@ from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        SchemeSpec, Simulation, control, delayed_ring_sums,
                        estimate_ip, eval_fading_success, run_experiment,
                        throughput_lb)
-from hiersense.harness import FadingLayout, prepare_trial, run_trial_point
+from hiersense.harness import (FadingLayout, _fill_cells_uniform,
+                               prepare_trial, run_trial_point)
 from hiersense.inference import estimate_is_hierarchical
 from hiersense import ControlParams
 
@@ -235,6 +236,50 @@ class TestFadingEvaluation:
                                     SchemeSpec("unc", "uncoordinated")))
         res = run_experiment(cfg)
         assert len(res.rows) == 2
+
+
+def _fill_cells_per_point(centers, area, quota, rng, max_batches=20000):
+    """Oracle of the batched SU placement: accepts point by point."""
+    n = len(centers)
+    placed = [[] for _ in range(n)]
+    need = n * quota
+    for _ in range(max_batches):
+        pts = np.column_stack([rng.uniform(0, area[0], 512),
+                               rng.uniform(0, area[1], 512)])
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        owner = d2.argmin(axis=1)
+        for p, cell in zip(pts, owner):
+            if len(placed[cell]) < quota:
+                placed[cell].append(p)
+                need -= 1
+        if need == 0:
+            return np.array([p for cell in placed for p in cell]), \
+                np.repeat(np.arange(n), quota)
+    raise RuntimeError("failed to place SUs uniformly per cell; degenerate cells?")
+
+
+class TestFillCellsMatchesPointLoop:
+    @pytest.mark.parametrize("n_cells, quota, seed", [
+        (16, 4, 0), (16, 40, 1), (30, 10, 2), (64, 25, 3)])
+    def test_same_points_order_and_draws(self, n_cells, quota, seed):
+        area = (500.0, 500.0)
+        centers = np.random.default_rng(seed).uniform(0, 500.0, (n_cells, 2))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts, cells = _fill_cells_uniform(centers, area, quota, rng)
+        ref_pts, ref_cells = _fill_cells_per_point(centers, area, quota, ref_rng)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(cells, ref_cells)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_same_error_and_draws_when_a_cell_stays_short(self):
+        # two batches of 512 cannot give three uneven cells 300 points each
+        centers = np.array([[100.0, 100.0], [400.0, 400.0], [400.0, 401.0]])
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for fill, gen in ((_fill_cells_uniform, rng),
+                          (_fill_cells_per_point, ref_rng)):
+            with pytest.raises(RuntimeError, match="failed to place SUs"):
+                fill(centers, (500.0, 500.0), 300, gen, max_batches=2)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSweepOutput:

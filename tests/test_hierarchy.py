@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hiersense import (AggregationTree, InterferenceMatrix, build_ibt,
-                       build_random_tree, build_topology, compute_phi,
-                       compute_weights, gamma_metric, pair_cost)
+from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
+                       build_ibt, build_random_tree, build_topology,
+                       compute_phi, compute_weights, gamma_metric, pair_cost)
+from hiersense.hierarchy import ClusterNode, MergeRecord, _head_site
+from hiersense.topology import coupling_matrix
 from tests.conftest import random_phi
 
 
@@ -297,6 +299,149 @@ class TestBuildRandomTree:
             total += pair_cost(topo, tree.levels[rec.level][k1].members,
                                tree.levels[rec.level][k2].members)
         assert abs(total - tree.cost_per_cell) < 1e-9
+
+
+def _agglomerate_by_argmax(topology, phi, mu, gamma_delay, c_max, rng=None):
+    """Oracle of the tree builders: rebuilds the feasibility mask for every
+    merge, then takes the first argmax (IBT) or a uniform draw among the
+    feasible pairs in row-major order (RT)."""
+    n_cells = topology.cell_count
+    centers = topology.cell_centers
+    dist = topology.distance_matrix
+    use_gamma = rng is None
+    if use_gamma:
+        w = coupling_matrix(phi)
+    mu = float(mu)
+    levels = [[ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]]
+    delta = np.zeros(n_cells)
+    c_cell = 0.0
+    merge_log = []
+    while True:
+        cur = levels[-1]
+        n = len(cur)
+        if n <= 1:
+            break
+        members = [np.asarray(c.members, dtype=int) for c in cur]
+        heads = np.array([c.head_site for c in cur], dtype=int)
+        head_d = np.sqrt(((centers[heads][:, None, :]
+                           - centers[heads][None, :, :]) ** 2).sum(-1))
+        delay_mat = np.ceil(gamma_delay * head_d).astype(int)
+        to_cell = np.stack([dist[m].max(axis=0) for m in members])
+        cost_mat = np.stack([to_cell[:, m].max(axis=1) for m in members]).T
+        cost_mat /= n_cells
+        triu = np.triu(np.ones((n, n), dtype=bool), 1)
+        if not (triu & (c_cell + cost_mat <= c_max)).any():
+            break
+        if use_gamma:
+            ind = np.zeros((n, n_cells))
+            for k, m in enumerate(members):
+                ind[k, m] = 1.0
+            pair_sum = ind @ ((mu ** delta)[:, None] * w) @ ind.T
+            gamma_mat = (mu ** delay_mat) * (pair_sum + pair_sum.T)
+        alive = np.ones(n, dtype=bool)
+        merges = []
+        while True:
+            valid = triu & (c_cell + cost_mat <= c_max) \
+                & alive[:, None] & alive[None, :]
+            if not valid.any():
+                break
+            if use_gamma:
+                pick = int(np.argmax(np.where(valid, gamma_mat, -np.inf)))
+            else:
+                options = np.flatnonzero(valid.ravel())
+                pick = int(options[rng.integers(len(options))])
+            a, b = divmod(pick, n)
+            merges.append((a, b, float(gamma_mat[a, b]) if use_gamma else None,
+                           float(cost_mat[a, b]), int(delay_mat[a, b])))
+            c_cell += cost_mat[a, b]
+            alive[a] = alive[b] = False
+        nxt = []
+        lvl = len(levels)
+        for a, b, g, cost, edge in merges:
+            mem = tuple(sorted(cur[a].members + cur[b].members))
+            node = ClusterNode(lvl, len(nxt), mem, (a, b), (edge, edge),
+                               _head_site(mem, centers))
+            merge_log.append(MergeRecord(lvl - 1, node.index, g, cost))
+            nxt.append(node)
+            delta[list(mem)] += edge
+        for k in np.flatnonzero(alive):
+            nxt.append(ClusterNode(lvl, len(nxt), cur[k].members, (int(k),),
+                                   (0,), cur[k].head_site))
+        levels.append(nxt)
+    return AggregationTree(levels, n_cells, c_cell, merge_log)
+
+
+def _tree_json(tree) -> str:
+    return json.dumps(tree.to_dict(), sort_keys=True, indent=1)
+
+
+def _mid_level_budget(tree, level):
+    """A budget that runs out halfway through the merges of ``level``."""
+    costs = [r.cost for r in tree.merge_log]
+    before = sum(1 for r in tree.merge_log if r.level < level)
+    at = sum(1 for r in tree.merge_log if r.level == level)
+    return float(sum(costs[:before + at // 2]))
+
+
+LAYOUTS = {
+    "grid-ties": lambda: build_topology("grid", 64, (800.0, 800.0), 0, 4),
+    "grid-blocked": lambda: build_topology("grid", 64, (800.0, 800.0), 12, 1),
+    "grid-odd": lambda: build_topology("grid", 49, (700.0, 700.0), 6, 2),
+    "random": lambda: build_topology("random", 50, (700.0, 700.0), 0, 3),
+}
+
+
+class TestOneScanMatchesArgmaxLoop:
+    """The one-scan builders give byte-identical trees to the mask loop."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("gamma_delay", [0.0, 0.02])
+    def test_ibt(self, layout, gamma_delay):
+        topo = LAYOUTS[layout]()
+        phi = compute_phi(topo, PathlossParams())
+        free = build_ibt(topo, phi, 0.9, gamma_delay)
+        assert _tree_json(free) == _tree_json(
+            _agglomerate_by_argmax(topo, phi, 0.9, gamma_delay, math.inf))
+        for level in (0, 1):
+            c_max = _mid_level_budget(free, level)
+            tree = build_ibt(topo, phi, 0.9, gamma_delay, c_max)
+            assert len(tree.merge_log) < len(free.merge_log)
+            assert _tree_json(tree) == _tree_json(
+                _agglomerate_by_argmax(topo, phi, 0.9, gamma_delay, c_max))
+
+    def test_ibt_zero_memory_ties(self):
+        # mu = 0 with delays zeroes most benefits: long runs of exact ties
+        topo = LAYOUTS["grid-ties"]()
+        phi = compute_phi(topo, PathlossParams())
+        assert _tree_json(build_ibt(topo, phi, 0.0, 0.02)) == _tree_json(
+            _agglomerate_by_argmax(topo, phi, 0.0, 0.02, math.inf))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("gamma_delay, c_max", [
+        (0.0, math.inf), (0.02, math.inf), (0.0, 150.0), (0.02, 60.0)])
+    def test_rt_same_tree_and_draws(self, layout, gamma_delay, c_max):
+        topo = LAYOUTS[layout]()
+        for seed in (0, 7):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            tree = build_random_tree(topo, gamma_delay, c_max, rng)
+            ref = _agglomerate_by_argmax(topo, None, 0.0, gamma_delay, c_max,
+                                         ref_rng)
+            assert _tree_json(tree) == _tree_json(ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestRingSizes:
+    def test_closed_form_matches_ring_sets(self, fig_tree):
+        topo = LAYOUTS["grid-blocked"]()
+        phi = compute_phi(topo, PathlossParams())
+        trees = [fig_tree, build_ibt(topo, phi, 0.9, 0.02),
+                 build_ibt(topo, phi, 0.9, 0.0, 200.0),
+                 build_random_tree(topo, 0.02, math.inf,
+                                   np.random.default_rng(3))]
+        for tree in trees:
+            expect = np.array([[len(r) for r in tree.ring_sets(i)]
+                               for i in range(tree.n_cells)])
+            assert np.array_equal(tree.ring_size_matrix(), expect)
 
 
 class TestSerialization:

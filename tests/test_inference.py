@@ -191,16 +191,17 @@ class TestEstimateIp:
 class TestEstimateIs:
     def test_oracle_examples(self, rng):
         phi = InterferenceMatrix(np.array([[4.0, 1.0], [1.0, 4.0]]))
-        assert estimate_is_oracle(phi, np.zeros(2)).tolist() == [0.0, 0.0]
-        got = estimate_is_oracle(phi, np.array([0.0, 1.0]))
+        assert estimate_is_oracle(phi.coupling(), np.zeros(2)).tolist() \
+            == [0.0, 0.0]
+        got = estimate_is_oracle(phi.coupling(), np.array([0.0, 1.0]))
         assert got[0] == pytest.approx(0.25)
         assert got[1] == pytest.approx(0.0)
 
     def test_oracle_excludes_own_cell(self, rng):
         phi = random_phi(rng, 5)
         a = rng.uniform(0, 2, 5)
-        got = estimate_is_oracle(phi, a)
         coupling = phi.coupling()
+        got = estimate_is_oracle(coupling, a)
         for i in range(5):
             expect = sum(coupling[j, i] * a[j] for j in range(5) if j != i)
             assert abs(got[i] - expect) < 1e-12

@@ -5,7 +5,43 @@ import pytest
 
 from hiersense import (Blockage, NetworkTopology, PathlossParams,
                        build_topology, compute_phi, db_to_lin)
-from hiersense.topology import _segment_hits_rect
+from hiersense.topology import _los_matrix
+
+
+def _segment_hits_rect(p, q, rect) -> bool:
+    """Scalar oracle: True if the segment p->q passes through the
+    rectangle's open interior (Liang-Barsky; grazing does not count)."""
+    xmin, ymin, xmax, ymax = rect
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    t0, t1 = 0.0, 1.0
+    for delta, lo, hi, start in ((dx, xmin, xmax, p[0]), (dy, ymin, ymax, p[1])):
+        if delta == 0.0:
+            if start < lo or start > hi:
+                return False
+        else:
+            ta, tb = (lo - start) / delta, (hi - start) / delta
+            if ta > tb:
+                ta, tb = tb, ta
+            t0, t1 = max(t0, ta), min(t1, tb)
+            if t0 > t1:
+                return False
+    tm = (t0 + t1) / 2.0
+    x, y = p[0] + tm * dx, p[1] + tm * dy
+    return xmin < x < xmax and ymin < y < ymax
+
+
+def _los_loop(centers, rects) -> np.ndarray:
+    """Scalar oracle of the LOS matrix: every pair against every rectangle."""
+    centers = np.asarray(centers, dtype=float)
+    n = len(centers)
+    los = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for rect in rects:
+                if _segment_hits_rect(centers[i], centers[j], rect):
+                    los[i, j] = los[j, i] = False
+                    break
+    return los
 
 
 class TestBuildTopology:
@@ -116,6 +152,52 @@ class TestLineOfSight:
         assert not _segment_hits_rect((2.0, 0.0), (2.0, 6.0),
                                       (2.0, 1.0, 5.0, 4.0))
         assert _segment_hits_rect((1.0, 2.0), (6.0, 2.5), (2.0, 1.0, 5.0, 4.0))
+
+
+class TestLosMatchesScalarOracle:
+    """The array LOS matrix equals the pairwise scalar loop exactly."""
+
+    RECTS = [(2.0, 1.0, 5.0, 4.0), (0.0, 3.0, 6.0, 3.5), (3.0, 0.0, 3.0 + 1e-9, 6.0)]
+
+    def test_lattice_axis_parallel_grazing_and_inside(self):
+        # integer lattice: axis-parallel segments, segments along faces and
+        # through corners, endpoints on faces and strictly inside rectangles
+        xs, ys = np.meshgrid(np.arange(7.0), np.arange(7.0))
+        centers = np.column_stack([xs.ravel(), ys.ravel()])
+        for k in range(len(self.RECTS)):
+            rects = self.RECTS[:k + 1]
+            expect = _los_loop(centers, rects)
+            assert not expect.all()
+            assert np.array_equal(_los_matrix(centers, rects), expect)
+
+    def test_corner_and_face_points(self):
+        rect = (2.0, 1.0, 5.0, 4.0)
+        centers = [(2.0, 1.0), (5.0, 4.0), (2.0, 4.0), (5.0, 1.0), (3.5, 1.0),
+                   (3.5, 4.0), (2.0, 2.5), (5.0, 2.5), (3.5, 2.5), (0.0, 0.0),
+                   (7.0, 5.0), (1.0, 5.0), (6.0, 0.0)]
+        expect = _los_loop(centers, [rect])
+        assert np.array_equal(_los_matrix(np.array(centers), [rect]), expect)
+        assert not expect[0, 1]  # corner to corner through the interior
+        assert expect[0, 2]      # along the left face
+
+    def test_random_points_and_rectangles(self, rng):
+        for _ in range(5):
+            centers = rng.uniform(0, 10, (40, 2))
+            lo = rng.uniform(0, 8, (4, 2))
+            size = rng.uniform(0.2, 3, (4, 2))
+            rects = [tuple(np.concatenate([a, a + b]).tolist())
+                     for a, b in zip(lo, size)]
+            assert np.array_equal(_los_matrix(centers, rects),
+                                  _los_loop(centers, rects))
+
+    @pytest.mark.parametrize("n, blockages, seed", [
+        (16, 5, 3), (64, 12, 0), (64, 12, 1), (100, 16, 2), (256, 16, 5)])
+    def test_grid_layouts(self, n, blockages, seed):
+        topo = build_topology("grid", n, (1600.0, 1600.0), blockages, seed)
+        rects = [b.bounds() for b in topo.blockages]
+        expect = _los_loop(topo.cell_centers, rects)
+        assert not expect.all()
+        assert np.array_equal(topo.los_matrix, expect)
 
 
 class TestComputePhi:
