@@ -4,12 +4,12 @@ Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 ``build_ibt``, ``build_random_tree`` and ``compute_weights`` on square grids
 with 0, 12 and 16 blockages, for two source trees in one run: a parent
 revision (extracted with ``git archive``) and the working tree's ``src/``.
-Each repetition runs one worker process per side, alternating parent and
-change, so host load hits both sides alike.  Every worker also hashes the
-LOS matrix and the tree JSON, and the run records whether both sides built
-identical outputs.
+Each repetition runs one worker process per side, and the side that runs
+first alternates between repetitions, so host load and cache warmth hit
+both sides alike.  Every worker also hashes the LOS matrix and the tree
+JSON, and the run records whether both sides built identical outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --reps 3 --out BENCH_5.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_5.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (64, 256, 1024)
 BLOCKAGES = (0, 12, 16)
+REPS = 3
 CELL_SIDE_M = 133.3
 MU = 0.9
 GAMMA_DELAY = 0.005
@@ -47,7 +48,7 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-def worker(sizes, blockages) -> list[dict]:
+def worker() -> list[dict]:
     """Time every stage once per (N, B); runs inside one side's process."""
     import numpy as np
     from hiersense import (NetworkTopology, PathlossParams, build_ibt,
@@ -55,8 +56,8 @@ def worker(sizes, blockages) -> list[dict]:
                            compute_weights)
 
     rows = []
-    for n in sizes:
-        for b in blockages:
+    for n in SIZES:
+        for b in BLOCKAGES:
             side = CELL_SIDE_M * n ** 0.5
             layout = build_topology("grid", n, (side, side), b, rng_seed=0)
             topo, los_s = _timed(NetworkTopology, layout.cell_centers,
@@ -77,11 +78,9 @@ def worker(sizes, blockages) -> list[dict]:
     return rows
 
 
-def _run_side(src: Path, sizes, blockages) -> list[dict]:
+def _run_side(src: Path) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src), **PINNED_ENV)
-    cmd = [sys.executable, __file__, "--worker",
-           "--sizes", ",".join(map(str, sizes)),
-           "--blockages", ",".join(map(str, blockages))]
+    cmd = [sys.executable, __file__, "--worker"]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True,
                          text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -101,10 +100,10 @@ def _machine() -> dict:
             "numpy": numpy.__version__, "blas_threads": 1}
 
 
-def _summary(runs, sizes, blockages) -> dict:
+def _summary(runs) -> dict:
     out = {}
-    for n in sizes:
-        for b in blockages:
+    for n in SIZES:
+        for b in BLOCKAGES:
             key = f"N={n},B={b}"
             out[key] = {}
             for stage in STAGES:
@@ -120,16 +119,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent-rev", default="HEAD",
                     help="git revision timed as the parent side")
-    ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    ap.add_argument("--blockages", default=",".join(map(str, BLOCKAGES)))
     ap.add_argument("--out", default="BENCH_5.json")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    sizes = tuple(int(x) for x in args.sizes.split(","))
-    blockages = tuple(int(x) for x in args.blockages.split(","))
     if args.worker:
-        print(json.dumps(worker(sizes, blockages)))
+        print(json.dumps(worker()))
         return 0
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent_rev],
@@ -143,9 +137,10 @@ def main(argv=None) -> int:
         sides = {"parent": tmp / "src", "change": ROOT / "src"}
         load_before = os.getloadavg()
         runs = []
-        for rep in range(args.reps):
-            for side, src in sides.items():
-                rows = _run_side(src, sizes, blockages)
+        for rep in range(REPS):
+            order = list(sides.items())[::1 if rep % 2 == 0 else -1]
+            for side, src in order:
+                rows = _run_side(src)
                 runs.append({"side": side, "rep": rep, "rows": rows,
                              "loadavg_1m": os.getloadavg()[0]})
                 print(f"rep {rep} {side}: done", file=sys.stderr)
@@ -156,18 +151,18 @@ def main(argv=None) -> int:
     digests = {side: {(r["n"], r["blockages"]): r["output_sha256"]
                       for run in runs if run["side"] == side
                       for r in run["rows"]} for side in sides}
-    summary = _summary(runs, sizes, blockages)
-    largest = max(sizes)
+    summary = _summary(runs)
+    largest = max(SIZES)
     targets = {}
     for stage, limit in TARGETS.items():
         worst = max(summary[f"N={largest},B={b}"][stage]["change"]
-                    for b in blockages)
+                    for b in BLOCKAGES)
         targets[f"{stage} < {limit} s at N={largest}"] = {
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
         "what": "trial set-up stage times, parent vs change, grid layouts",
         "parent_rev": rev,
-        "params": {"sizes": sizes, "blockages": blockages, "reps": args.reps,
+        "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
                    "rt_seed": 0},

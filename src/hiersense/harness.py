@@ -237,9 +237,9 @@ def _number(value, path: str, kind=float):
     """``value`` as a float (or a whole int); a ConfigError naming ``path``
     otherwise, rather than a truncated or late-failing value."""
     try:
-        out = kind(_maybe_inf(value))
-        if kind is int and out != float(value):
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
+        out = kind(_maybe_inf(value))
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{path}: must be {what}, got {value!r}") from None

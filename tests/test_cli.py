@@ -149,6 +149,17 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_seed_beyond_float_precision_accepted(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", "configs/sweep_small.yaml",
+                     "-o", str(out),
+                     "-D", f"experiment.master_seed={2 ** 53 + 1}",
+                     "-D", "experiment.trials=1",
+                     "-D", "experiment.frames=5",
+                     "-D", "experiment.lambda_grid=[0.05]",
+                     "-D", "experiment.ptx_grid=[0.01]"])
+        assert code == 0
+
     def test_shipped_example_config_loads(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["sweep", "--config", "configs/sweep_small.yaml",

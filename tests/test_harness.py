@@ -55,6 +55,11 @@ class TestConfig:
         assert cfg.schemes[0].c_max == math.inf
         assert cfg.resolved_a_max() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 127 + 3])
+    def test_seed_beyond_float_precision_kept_exactly(self, seed):
+        cfg = ExperimentConfig.from_dict({"experiment": {"master_seed": seed}})
+        assert cfg.master_seed == seed
+
     def test_unknown_is_mode_rejected(self):
         with pytest.raises(ConfigError, match="is_mode"):
             small_config(is_mode="psychic").validate()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hiersense import hierarchy
 from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
                        build_ibt, build_random_tree, build_topology,
                        compute_phi, compute_weights, gamma_metric, pair_cost)
@@ -388,6 +389,8 @@ LAYOUTS = {
     "grid-blocked": lambda: build_topology("grid", 64, (800.0, 800.0), 12, 1),
     "grid-odd": lambda: build_topology("grid", 49, (700.0, 700.0), 6, 2),
     "random": lambda: build_topology("random", 50, (700.0, 700.0), 0, 3),
+    # 4950 level-0 pairs: more than one greedy scan chunk
+    "grid-100": lambda: build_topology("grid", 100, (1000.0, 1000.0), 8, 5),
 }
 
 
@@ -408,6 +411,19 @@ class TestOneScanMatchesArgmaxLoop:
             assert len(tree.merge_log) < len(free.merge_log)
             assert _tree_json(tree) == _tree_json(
                 _agglomerate_by_argmax(topo, phi, 0.9, gamma_delay, c_max))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_ibt_small_scan_chunks(self, layout, monkeypatch):
+        # many chunks per level: each screens with the alive/budget state
+        # left by the merges of the chunks before it
+        monkeypatch.setattr(hierarchy, "_SCAN_CHUNK", 5)
+        topo = LAYOUTS[layout]()
+        phi = compute_phi(topo, PathlossParams())
+        free = build_ibt(topo, phi, 0.9, 0.02)
+        for c_max in (math.inf, _mid_level_budget(free, 0),
+                      _mid_level_budget(free, 1)):
+            assert _tree_json(build_ibt(topo, phi, 0.9, 0.02, c_max)) == \
+                _tree_json(_agglomerate_by_argmax(topo, phi, 0.9, 0.02, c_max))
 
     def test_ibt_zero_memory_ties(self):
         # mu = 0 with delays zeroes most benefits: long runs of exact ties
