@@ -2,14 +2,18 @@
 
 Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 ``build_ibt``, ``build_random_tree`` and ``compute_weights`` on square grids
-with 0, 12 and 16 blockages, for two source trees in one run: a parent
-revision (extracted with ``git archive``) and the working tree's ``src/``.
-Each repetition runs one worker process per side, and the side that runs
-first alternates between repetitions, so host load and cache warmth hit
-both sides alike.  Every worker also hashes the LOS matrix and the tree
-JSON, and the run records whether both sides built identical outputs.
+with 0, 12 and 16 blockages, and one per-frame stage: the mean
+``Simulation.run_frame`` time of an IBT scheme with hierarchical SU
+interference (``frame_s``, on a trial built by ``prepare_trial`` at the same
+N and blockage count).  Both sides run in one call: a parent revision
+(extracted with ``git archive``) and the working tree's ``src/``.  Each
+repetition runs one worker process per side, and the side that runs first
+alternates between repetitions, so host load and cache warmth hit both
+sides alike.  Every worker also hashes the LOS matrix, the tree JSON and
+the frame stage's traffic trajectory, and the run records whether both
+sides built identical outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_5.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_6.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -36,7 +40,10 @@ REPS = 3
 CELL_SIDE_M = 133.3
 MU = 0.9
 GAMMA_DELAY = 0.005
-STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s")
+FRAMES = 100  # measured frames of the frame stage, after the tree's warm-up
+LAMBDA = 0.01
+STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
+          "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
@@ -46,6 +53,29 @@ def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - t0
+
+
+def _frame_stage(n: int, blockages: int, side: float):
+    """Mean run_frame seconds of an IBT scheme with hierarchical SU
+    interference, and the bytes of its traffic trajectory."""
+    from hiersense import harness
+
+    cfg = harness.ExperimentConfig(
+        n_cells=n, area=(side, side), n_blockages=blockages,
+        schemes=(harness.SchemeSpec("ibt", "ibt", gamma_delay=GAMMA_DELAY),),
+        is_mode="hierarchical", frames=FRAMES, trials=1, master_seed=0,
+        lambda_grid=(LAMBDA,))
+    ctx = harness.prepare_trial(cfg, 0)
+    rt = ctx.runtimes[0]
+    if hasattr(harness, "scheme_ip_sequence"):
+        sim = harness.Simulation(ctx, rt, LAMBDA, 0,
+                                 harness.scheme_ip_sequence(ctx, rt))
+    else:  # revisions that build the estimate inside Simulation
+        sim = harness.Simulation(ctx, rt, LAMBDA, 0)
+    t0 = time.perf_counter()
+    for _ in range(ctx.t_total):
+        sim.run_frame()
+    return (time.perf_counter() - t0) / ctx.t_total, sim.a_hist.tobytes()
 
 
 def worker() -> list[dict]:
@@ -68,12 +98,15 @@ def worker() -> list[dict]:
             rt, rt_s = _timed(build_random_tree, topo, GAMMA_DELAY,
                               rng=np.random.default_rng(0))
             _, weights_s = _timed(compute_weights, ibt, phi, MU)
+            frame_s, traffic = _frame_stage(n, b, side)
             digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
             for tree in (ibt, rt):
                 digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+            digest.update(traffic)
             rows.append({"n": n, "blockages": b, "los_s": los_s,
                          "phi_s": phi_s, "build_ibt_s": ibt_s,
                          "build_rt_s": rt_s, "weights_s": weights_s,
+                         "frame_s": frame_s,
                          "output_sha256": digest.hexdigest()})
     return rows
 
@@ -119,7 +152,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent-rev", default="HEAD",
                     help="git revision timed as the parent side")
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", default="BENCH_6.json")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -160,12 +193,15 @@ def main(argv=None) -> int:
         targets[f"{stage} < {limit} s at N={largest}"] = {
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
-        "what": "trial set-up stage times, parent vs change, grid layouts",
+        "what": "trial set-up stage times and the hierarchical-IS frame "
+                "time, parent vs change, grid layouts",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
-                   "rt_seed": 0},
+                   "rt_seed": 0, "frame_stage": {
+                       "frames": FRAMES, "lambda": LAMBDA, "master_seed": 0,
+                       "is_mode": "hierarchical"}},
         "machine": _machine(),
         "host_load": {"loadavg_before": load_before,
                       "loadavg_after": load_after},

@@ -16,8 +16,10 @@ very first frame.
 
 That identity also gives the exchange's output in closed form:
 :func:`delayed_ring_sums` computes the multi-scale estimates of any set of
-frames directly from the local-value history, without buffers.  The sweep
-uses it; the exchange remains the protocol model and the test oracle.
+frames directly from the local-value history, without buffers, and
+:class:`RunningRingSums` keeps the same per-level aggregates across frames
+for a history committed one frame at a time.  The sweep uses these; the
+exchange remains the protocol model and the test oracle.
 """
 
 from __future__ import annotations
@@ -167,27 +169,106 @@ def delayed_ring_sums(tree: AggregationTree, x, pre: float, frames
     """
     x = np.asarray(x, dtype=float)
     frames = np.asarray(frames, dtype=int)
-    pre = float(pre)
-    # level L is read at most reach[L] frames before the earliest request
-    edge_max = (tree.delta[1:] - tree.delta[:-1]).max(axis=1, initial=0)
-    reach = np.append(np.cumsum(edge_max[::-1])[::-1], 0)
-    start = frames.min() - reach
+    layout = _AggregateLayout(tree)
+    origin = frames.min() - layout.reach[0]
     stop = frames.max() + 1
-    tau = np.arange(start[0], stop)
-    agg = [np.where((tau < 0)[:, None], pre, x[np.maximum(tau, 0)])]
-    for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(), start=1):
-        tau = np.arange(start[lvl], stop)
-        vals = agg[-1][tau[:, None] - lag[None, :] - start[lvl - 1], idx]
-        size = np.bincount(tree.cluster_of[lvl], minlength=len(seg))
-        agg.append(np.where((tau < 0)[:, None], size * pre,
-                            np.add.reduceat(vals, seg, axis=1)))
+    agg = layout.empty(origin, stop, float(pre))
+    first = max(origin, 0)
+    agg[first - origin:, :tree.n_cells] = x[first:max(stop, first)]
+    for t in range(first, stop):
+        layout.fuse(agg, origin, t)
+    return layout.ring_sums(agg, origin, frames)
 
-    sigma = np.empty((len(frames), tree.n_cells, tree.depth + 1))
-    sigma[:, :, 0] = agg[0][frames - start[0]]
-    for lvl in range(1, tree.depth + 1):
-        own = agg[lvl][frames - start[lvl]][:, tree.cluster_of[lvl]]
-        edge = tree.delta[lvl] - tree.delta[lvl - 1]
-        sub = agg[lvl - 1][frames[:, None] - edge[None, :] - start[lvl - 1],
-                           tree.cluster_of[lvl - 1][None, :]]
-        sigma[:, :, lvl] = own - sub
-    return sigma
+
+class RunningRingSums:
+    """:func:`delayed_ring_sums` of a history that grows one frame at a time.
+
+    Keeps every level's aggregate of every committed frame, in the layout
+    ``delayed_ring_sums`` builds.  Committing frame t fuses only row t (one
+    gather and one reduceat per level), and the ring sums of any frame from
+    -1 to the last committed one are read from stored rows, equal bit for
+    bit to ``delayed_ring_sums`` over the committed history with ``pre`` 0:
+    values before frame 0 read as zero, as traffic does.
+    """
+
+    def __init__(self, tree: AggregationTree, n_frames: int):
+        self._layout = _AggregateLayout(tree)
+        self._origin = -1 - self._layout.reach[0]
+        self._agg = self._layout.empty(self._origin, n_frames, 0.0)
+        self._n_cells = tree.n_cells
+        self.t = -1
+
+    def commit(self, values) -> None:
+        """Append the next frame's local values and fuse its aggregates."""
+        t = self.t + 1
+        self._agg[t - self._origin, :self._n_cells] = values
+        self._layout.fuse(self._agg, self._origin, t)
+        self.t = t
+
+    def ring_sums(self, frame: int) -> np.ndarray:
+        """(n_cells, depth+1) ring sums at ``frame``, like one frame of
+        ``delayed_ring_sums``."""
+        if not -1 <= frame <= self.t:
+            raise ValueError(f"frame {frame} is not committed (last is {self.t})")
+        return self._layout.ring_sums(self._agg, self._origin,
+                                      np.array([frame]))[0]
+
+
+class _AggregateLayout:
+    """Every level's aggregates side by side in one (frames, clusters) array.
+
+    Row r of an array with origin o holds frame o + r; level L's clusters
+    are the columns ``columns[L]``, and frames before 0 hold the cluster
+    size times the pre-start value.  Gathers are flat offsets from the row
+    of the frame being fused or read.
+    """
+
+    def __init__(self, tree: AggregationTree):
+        sizes = [len(level) for level in tree.levels]
+        self.width = width = sum(sizes)
+        off = np.concatenate(([0], np.cumsum(sizes)))
+        self.columns = [slice(off[lvl], off[lvl + 1])
+                        for lvl in range(len(sizes))]
+        self.size = np.concatenate([np.bincount(ids, minlength=k) for ids, k
+                                    in zip(tree.cluster_of, sizes)])
+        edge = tree.delta[1:] - tree.delta[:-1]
+        # level L is read at most reach[L] frames before a requested frame,
+        # so its rows are needed from frame origin + lead[L] on
+        edge_max = edge.max(axis=1, initial=0)
+        self.reach = np.append(np.cumsum(edge_max[::-1])[::-1], 0)
+        lead = self.reach[0] - self.reach
+        # level L fuses its children's aggregates at their edge delays
+        self.plan = [(lead[lvl], -lag * width + off[lvl - 1] + idx, seg,
+                      self.columns[lvl])
+                     for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(),
+                                                            start=1)]
+        # ring L of a cell: its level-L head's aggregate now, minus its
+        # level-(L-1) head's aggregate one edge delay earlier
+        self.own = np.ascontiguousarray((off[:-1, None] + tree.cluster_of).T)
+        self.sub = np.ascontiguousarray(
+            (-edge * width + off[:-2, None] + tree.cluster_of[:-1]).T)
+
+    def empty(self, origin: int, stop: int, pre: float) -> np.ndarray:
+        """Rows for frames origin .. stop-1 with the pre-start rows filled."""
+        agg = np.empty((stop - origin, self.width))
+        agg[:max(-origin, 0)] = self.size * pre
+        return agg
+
+    def fuse(self, agg, origin: int, t: int) -> None:
+        """Fuse frame t >= 0 of every level >= 1 from the level below, in
+        the exchange's order: one gather and one reduceat per level."""
+        flat = agg.reshape(-1)
+        row = t - origin
+        at = row * self.width
+        for lead, base, seg, cols in self.plan:
+            if row >= lead:
+                flat[at + cols.start:at + cols.stop] = \
+                    np.add.reduceat(flat.take(base + at), seg)
+
+    def ring_sums(self, agg, origin: int, frames) -> np.ndarray:
+        """sigma[k, i, L] of the requested frames from the stored rows."""
+        flat = agg.reshape(-1)
+        at = ((frames - origin) * self.width)[:, None, None]
+        sigma = flat.take(at + self.own)
+        sigma[:, :, 1:] -= flat.take(at + self.sub)
+        return sigma

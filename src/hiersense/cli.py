@@ -19,7 +19,7 @@ from .aggregation import HierarchicalExchange
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .harness import (ConfigError, ExperimentConfig, Simulation,
                       prepare_scheme, prepare_trial, run_experiment,
-                      trial_topology)
+                      scheme_ip_sequence, trial_topology)
 from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
 from .topology import PathlossParams, build_topology, compute_phi
@@ -81,9 +81,13 @@ def cmd_simulate(args) -> int:
     spec = config.schemes[scheme_idx]
     grid = config.ptx_grid if spec.kind == "uncoordinated" else config.lambda_grid
     gval = args.grid_value if args.grid_value is not None else grid[0]
+    # a grid point draws from its own evaluation stream; off-grid values
+    # share the first point's
+    grid_idx = grid.index(gval) if gval in grid else 0
     ctx = prepare_trial(config, args.trial)
     runtime = ctx.runtimes[scheme_idx]
-    sim = Simulation(ctx, runtime, gval, 0)
+    sim = Simulation(ctx, runtime, gval, grid_idx,
+                     scheme_ip_sequence(ctx, runtime))
     trace_fh = open(args.trace, "w", newline="") if args.trace else None
     trace = csv.writer(trace_fh) if trace_fh else None
     if trace:

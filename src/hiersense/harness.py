@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import control
-from .aggregation import delayed_ring_sums
+from .aggregation import RunningRingSums, delayed_ring_sums
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
@@ -538,14 +538,19 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     apu = np.flatnonzero(np.asarray(b) == 1)
     su_counts = np.zeros(n_cells)
     n_act, n_apu = len(act), len(apu)
+    # every link gain of the frame in one draw, in the block order
+    # SU->SU, PU->SU, SU->PU, PU->PU
+    gains = rng.exponential(size=(n_act + n_apu) ** 2)
+    ss, sp = n_act * n_act, n_act * n_apu
+    g_ss, g_ps = gains[:ss], gains[ss:ss + sp]
+    g_sp, g_pp = gains[ss + sp:ss + 2 * sp], gains[ss + 2 * sp:]
 
     if n_act:
-        g_ss = rng.exponential(size=(n_act, n_act))
-        sub = layout.pl_su_su[np.ix_(act, act)] * g_ss
+        sub = _block(layout.pl_su_su, act, act) * g_ss.reshape(n_act, n_act)
         own = np.diag(sub)
         i_su = sub.sum(axis=0) - own
-        i_pu = (layout.pl_pu_su[np.ix_(apu, act)]
-                * rng.exponential(size=(n_apu, n_act))).sum(axis=0)
+        i_pu = (_block(layout.pl_pu_su, apu, act)
+                * g_ps.reshape(n_apu, n_act)).sum(axis=0)
         sinr = own / (1.0 + i_su + i_pu)
         ok = act[sinr > sinr_th]
         su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
@@ -553,10 +558,9 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     pu_rate = math.nan
     inr = 0.0
     if n_apu:
-        i_sp = (layout.pl_su_pu[np.ix_(act, apu)]
-                * rng.exponential(size=(n_act, n_apu))).sum(axis=0)
-        g_pp = rng.exponential(size=(n_apu, n_apu))
-        sub = layout.pl_pu_pu[np.ix_(apu, apu)] * g_pp
+        i_sp = (_block(layout.pl_su_pu, act, apu)
+                * g_sp.reshape(n_act, n_apu)).sum(axis=0)
+        sub = _block(layout.pl_pu_pu, apu, apu) * g_pp.reshape(n_apu, n_apu)
         own = np.diag(sub)
         i_pp = sub.sum(axis=0) - own
         pu_rate = float((own / (1.0 + i_sp + i_pp) > sinr_th).mean())
@@ -564,25 +568,35 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     return su_counts, pu_rate, inr
 
 
-def _ip_sequence(ctx: TrialContext, rt: SchemeRuntime, b_seq, bhat_seq
-                 ) -> np.ndarray:
+def _block(matrix, rows, cols) -> np.ndarray:
+    """matrix[np.ix_(rows, cols)], gathered with take."""
+    return matrix.take(rows, axis=0).take(cols, axis=1)
+
+
+def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
+                       ) -> np.ndarray | None:
     """(frames, n_cells) licensed-user interference estimate of every frame.
 
-    Tree schemes read their sensed occupancy through the delayed rings; the
-    NSI baselines read true bits and consensus averages the sensed values.
+    It depends on the exogenous occupancy history alone, not on the grid
+    value, so one array serves every grid point of a (trial, scheme).  Tree
+    schemes read their sensed occupancy through the delayed rings; the NSI
+    baselines read true bits and consensus averages the sensed values.
+    Uncoordinated access estimates nothing (None).
     """
     kind, model = rt.spec.kind, ctx.model
+    if kind == "uncoordinated":
+        return None
     if rt.tree is not None:
-        sigma = delayed_ring_sums(rt.tree, bhat_seq, float(model.pi_b),
-                                  np.arange(len(bhat_seq)))
+        sigma = delayed_ring_sums(rt.tree, ctx.bhat_seq, float(model.pi_b),
+                                  np.arange(ctx.t_total))
         return estimate_ip(sigma, rt.weights, model)
     if kind == "full_nsi":
-        return control.full_nsi_ip(ctx.phi, rt.delay_matrix, b_seq, model)
+        return control.full_nsi_ip(ctx.phi, rt.delay_matrix, ctx.b_seq, model)
     if kind == "radius_nsi":
         return control.radius_nsi_ip(ctx.phi, ctx.topology.distance_matrix,
-                                     rt.spec.radius, b_seq, model)
+                                     rt.spec.radius, ctx.b_seq, model)
     if kind == "consensus":
-        return control.consensus_ip(rt.mixer, bhat_seq,
+        return control.consensus_ip(rt.mixer, ctx.bhat_seq,
                                     ctx.coupling.sum(axis=0))
     raise AssertionError(kind)
 
@@ -590,45 +604,43 @@ def _ip_sequence(ctx: TrialContext, rt: SchemeRuntime, b_seq, bhat_seq
 class Simulation:
     """Frame-by-frame execution of one (trial, scheme, grid point) cell.
 
-    The licensed-user interference estimate depends only on the exogenous
-    occupancy history, so every frame's is computed up front (``ip_seq``);
-    only the SU-interference estimate waits for the committed traffic.
+    ``ip_seq`` is the scheme's licensed-user interference estimate of every
+    frame (:func:`scheme_ip_sequence`); only the SU-interference estimate
+    waits for the committed traffic.  Under hierarchical IS the per-level
+    aggregates of that traffic are kept across frames, so each frame fuses
+    just its own row.
     """
 
     def __init__(self, ctx: TrialContext, runtime: SchemeRuntime,
-                 grid_value: float, grid_idx: int, b_sequence=None):
+                 grid_value: float, grid_idx: int, ip_seq):
         self.ctx = ctx
         self.rt = runtime
         self.grid_value = float(grid_value)
         cfg = ctx.config
         self.uncoordinated = runtime.spec.kind == "uncoordinated"
+        if (ip_seq is None) != self.uncoordinated:
+            raise ValueError("ip_seq must be given exactly for coordinated "
+                             "schemes")
+        self.ip_seq = ip_seq
         lam = 1.0 if self.uncoordinated else self.grid_value
         self.params = control.ControlParams(lam=lam,
                                             sinr_th=cfg.sinr_th_linear())
         self.a_max = cfg.resolved_a_max()
-        if b_sequence is None:
-            self.b_seq = ctx.b_seq
-            self.bhat_seq = ctx.bhat_seq
-        else:
-            self.b_seq = np.asarray(b_sequence, dtype=np.int8)
-            if not ctx.sensor.noiseless:
-                raise ValueError("overriding the occupancy sequence requires "
-                                 "noiseless sensing")
-            self.bhat_seq = self.b_seq.astype(float)
-        self.ip_seq = None if self.uncoordinated else \
-            _ip_sequence(ctx, runtime, self.b_seq, self.bhat_seq)
+        self._pi_b = float(ctx.model.pi_b)
         # committed traffic per frame; frames not yet run (and t < 0) read 0
-        self.a_hist = np.zeros((len(self.b_seq), cfg.n_cells))
+        self.a_hist = np.zeros((ctx.t_total, cfg.n_cells))
+        self._traffic = None if runtime.weights_uncomp is None else \
+            RunningRingSums(runtime.tree, ctx.t_total)
         scheme_idx = [s.name for s in cfg.schemes].index(runtime.spec.name)
         self._eval_rng = _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
                                    grid_idx)
         self.t = -1
 
     def _estimate_is(self, t):
-        if self.rt.weights_uncomp is not None:
+        if self._traffic is not None:
             # traffic decided this frame is unknown; read the last commitment
-            sigma_a = delayed_ring_sums(self.rt.tree, self.a_hist, 0.0, [t - 1])
-            return estimate_is_hierarchical(sigma_a[0], self.rt.weights_uncomp)
+            return estimate_is_hierarchical(self._traffic.ring_sums(t - 1),
+                                            self.rt.weights_uncomp)
         prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
         return estimate_is_oracle(self.ctx.coupling, prev)
 
@@ -637,7 +649,7 @@ class Simulation:
         self.t += 1
         t = self.t
         ctx, cfg = self.ctx, self.ctx.config
-        b = self.b_seq[t]
+        b = ctx.b_seq[t]
 
         if self.uncoordinated:
             a = control.uncoordinated_traffic(self.grid_value, ctx.m, self.a_max)
@@ -649,7 +661,6 @@ class Simulation:
 
         ip_true = b.astype(float) @ ctx.coupling
         is_true = a @ ctx.coupling - a
-        inr_lin, _ = control.network_inr(a, b, ctx.phi, ctx.model)
         if self.uncoordinated:
             util = math.nan  # no cost weight is defined for fixed-probability access
         else:
@@ -658,17 +669,20 @@ class Simulation:
 
         pu_rate = math.nan
         if cfg.eval_mode == "fading_mc":
-            counts, pu_rate, inr_meas = eval_fading_success(
-                ctx.fading, a, ctx.m, b, cfg.sinr_th_linear(),
-                float(ctx.model.pi_b), self._eval_rng)
+            # the measured INR stands in for the analytic one
+            counts, pu_rate, inr_lin = eval_fading_success(
+                ctx.fading, a, ctx.m, b, self.params.sinr_th, self._pi_b,
+                self._eval_rng)
             throughput = float(counts.mean())
-            inr_lin = inr_meas
         else:
+            inr_lin, _ = control.network_inr(a, b, ctx.phi, ctx.model)
             thr = control.throughput_lb(a, ctx.m, ip_true, is_true,
                                         ctx.phi_diag, self.params)
             throughput = float(np.mean(thr))
 
         self.a_hist[t] = a
+        if self._traffic is not None:
+            self._traffic.commit(a)
         return FrameMetrics(t=t, su_throughput=throughput, inr_linear=inr_lin,
                             inr_db=float(lin_to_db(inr_lin)), utility=util,
                             traffic=a.copy(), pu_success_rate=pu_rate)
@@ -761,11 +775,12 @@ class SweepResult:
 
 
 def run_trial_point(ctx: TrialContext, scheme_idx: int, grid_value: float,
-                    grid_idx: int) -> tuple[list[FrameMetrics], SweepRow]:
+                    grid_idx: int, ip_seq
+                    ) -> tuple[list[FrameMetrics], SweepRow]:
     """All frames of one (trial, scheme, grid) cell plus its summary row."""
     cfg = ctx.config
     rt = ctx.runtimes[scheme_idx]
-    sim = Simulation(ctx, rt, grid_value, grid_idx)
+    sim = Simulation(ctx, rt, grid_value, grid_idx, ip_seq)
     frames = [sim.run_frame() for _ in range(ctx.t_total)]
     measured = frames[ctx.warmup:]
     thr = float(np.mean([f.su_throughput for f in measured]))
@@ -786,11 +801,14 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     for trial in range(config.trials):
         ctx = prepare_trial(config, trial)
         for scheme_idx, spec in enumerate(config.schemes):
+            ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[scheme_idx])
             grid = config.ptx_grid if spec.kind == "uncoordinated" \
                 else config.lambda_grid
             for grid_idx, gval in enumerate(grid):
-                _, row = run_trial_point(ctx, scheme_idx, gval, grid_idx)
+                _, row = run_trial_point(ctx, scheme_idx, gval, grid_idx,
+                                         ip_seq)
                 rows.append(row)
+            del ip_seq  # one scheme's estimate alive at a time
     order = {s.name: k for k, s in enumerate(config.schemes)}
     rows.sort(key=lambda r: (order[r.scheme], r.lambda_or_ptx, r.seed))
     return SweepResult(rows=rows)

@@ -5,8 +5,9 @@ import pytest
 
 from hiersense import (AggregationTree, BufferUnderrunError,
                        HierarchicalExchange, OccupancyModel, build_ibt,
-                       build_topology, compute_phi, sample_steady_state,
-                       step_occupancy)
+                       build_topology, compute_phi, delayed_ring_sums,
+                       sample_steady_state, step_occupancy)
+from hiersense.aggregation import RunningRingSums
 from hiersense.topology import PathlossParams
 
 
@@ -205,3 +206,64 @@ class TestTrace:
         for lvl, _, _ in rows:
             per_level[lvl] = per_level.get(lvl, 0) + 1
         assert per_level == {0: 4, 1: 2, 2: 1}
+
+
+class TestDelayedRingSums:
+    @pytest.mark.parametrize("frames", [[-3, -2], [-3, 1]])
+    def test_frames_before_start_read_pre(self, frames, rng):
+        tree = delayed_tree()
+        x = rng.random((6, 4))
+        sigma = delayed_ring_sums(tree, x, 0.05, frames)
+        for k, t in enumerate(frames):
+            # the same frame in a request that also reads committed rows
+            mixed = delayed_ring_sums(tree, x, 0.05, [t, 5])[0]
+            assert np.array_equal(sigma[k], mixed)
+            for i in range(4):
+                assert np.allclose(sigma[k, i], sigma_oracle(tree, x, 0.05, i, t),
+                                   rtol=0, atol=1e-12)
+
+
+def running_sums_tree(name):
+    if name == "delayed":
+        return delayed_tree()
+    if name == "single":
+        return AggregationTree.from_nested(1, [0])
+    topo = build_topology("grid", 16, (400.0, 400.0), 1, rng_seed=9)
+    phi = compute_phi(topo, PathlossParams())
+    c_max = {"ibt": math.inf, "forest": 60.0}[name]
+    return build_ibt(topo, phi, 0.9, gamma_delay=0.02, c_max=c_max)
+
+
+class TestRunningRingSums:
+    """Per-level aggregates kept across frames against both oracles."""
+
+    @pytest.mark.parametrize("name", ["delayed", "single", "ibt", "forest"])
+    def test_every_frame_matches_closed_form_and_exchange(self, name, rng):
+        tree = running_sums_tree(name)
+        if name == "forest":
+            assert (tree.ring_size_matrix() == 0).any()
+        if name in ("delayed", "ibt"):
+            assert tree.delta.max() > 1  # reads reach past frame 0
+        frames = 20
+        x = rng.random((frames, tree.n_cells))
+        running = RunningRingSums(tree, frames)
+        exchange = HierarchicalExchange(tree, 0.0)
+        # before any commit, frame -1 reads only pre-start zeros
+        assert np.array_equal(running.ring_sums(-1),
+                              np.zeros((tree.n_cells, tree.depth + 1)))
+        for t in range(frames):
+            running.commit(x[t])
+            exchange.advance_frame(x[t], t)
+            assert np.array_equal(running.ring_sums(t), exchange.sigma_all(t))
+            # every stored frame still reads as the closed form does
+            for f in range(-1, t + 1):
+                assert np.array_equal(
+                    running.ring_sums(f),
+                    delayed_ring_sums(tree, x[:t + 1], 0.0, [f])[0])
+
+    def test_uncommitted_frames_are_refused(self):
+        running = RunningRingSums(delayed_tree(), 5)
+        running.commit(np.ones(4))
+        for frame in (-2, 1):
+            with pytest.raises(ValueError, match="not committed"):
+                running.ring_sums(frame)

@@ -1,9 +1,13 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from hiersense import ControlParams, delayed_ring_sums, optimal_traffic
 from hiersense.cli import load_config, main
-from hiersense.harness import prepare_trial
+from hiersense.harness import prepare_trial, scheme_ip_sequence
+from hiersense.inference import estimate_is_hierarchical
 
 CONFIG = """
 topology: {kind: grid, n_cells: 16, area: [400, 400], n_blockages: 1}
@@ -19,6 +23,11 @@ experiment:
   lambda_grid: [0.01, 0.1]
   ptx_grid: [0.02]
 """
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -91,6 +100,60 @@ class TestSimulate:
         assert lines[0] == "frame,level,head,aggregate"
         # 16 cells + 8 + 4 + 2 + 1 nodes per frame, 15 frames
         assert len(lines) == 1 + 15 * 31
+
+
+    @pytest.mark.parametrize("scheme, grid_value", [("ibt", "0.003"),
+                                                    ("unc", "0.04")])
+    def test_fading_grid_point_uses_its_own_stream(self, tmp_path, config_path,
+                                                   scheme, grid_value):
+        # the second grid value: its evaluation draws are its own, so the
+        # measured frames average to the sweep's row exactly
+        fading = ["-D", "topology.kind=random", "-D", "topology.n_blockages=0",
+                  "-D", "population={mode: constant, m: 3}",
+                  "-D", "experiment.eval_mode=fading_mc",
+                  "-D", "experiment.lambda_grid=[0.001, 0.003]",
+                  "-D", "experiment.ptx_grid=[0.02, 0.04]"]
+        rows = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", config_path, "-o", str(rows)]
+                    + fading) == 0
+        frames = tmp_path / "frames.csv"
+        assert main(["simulate", "--config", config_path, "-o", str(frames),
+                     "--scheme", scheme, "--grid-value", grid_value]
+                    + fading) == 0
+        warmup = prepare_trial(load_config(config_path, fading[1::2]),
+                               0).warmup
+        measured = [float(r["su_throughput"])
+                    for r in read_rows(frames)][warmup:]
+        row = next(r for r in read_rows(rows) if r["scheme"] == scheme
+                   and float(r["lambda_or_ptx"]) == float(grid_value))
+        assert float(np.mean(measured)) == float(row["mean_su_throughput"])
+
+    def test_hierarchical_is_follows_the_closed_form(self, tmp_path,
+                                                     config_path):
+        override = ["-D", "experiment.is_mode=hierarchical",
+                    "-D", "schemes=[{name: ibt, kind: ibt, gamma_delay: 0.02}]"]
+        out = tmp_path / "frames.csv"
+        assert main(["simulate", "--config", config_path, "-o", str(out),
+                     "--scheme", "ibt", "--grid-value", "0.05"] + override) == 0
+        # reference decisions: SU interference from the closed-form ring
+        # sums of the traffic committed up to the previous frame
+        ctx = prepare_trial(load_config(config_path, override[1::2]), 0)
+        rt = ctx.runtimes[0]
+        assert ctx.warmup > 0
+        ip_seq = scheme_ip_sequence(ctx, rt)
+        params = ControlParams(lam=0.05, sinr_th=ctx.config.sinr_th_linear())
+        traffic = np.zeros((ctx.t_total, ctx.config.n_cells))
+        estimated = False
+        for t in range(ctx.t_total):
+            sigma = delayed_ring_sums(rt.tree, traffic, 0.0, [t - 1])[0]
+            is_ = estimate_is_hierarchical(sigma, rt.weights_uncomp)
+            estimated |= bool(is_.any())
+            traffic[t] = optimal_traffic(ip_seq[t], is_, ctx.m, ctx.phi_diag,
+                                         ctx.model, params,
+                                         ctx.config.resolved_a_max())
+        assert estimated
+        assert [r["mean_traffic"] for r in read_rows(out)] == \
+            [repr(float(a.mean())) for a in traffic]
 
 
 class TestSweep:

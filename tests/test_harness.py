@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        estimate_ip, eval_fading_success, run_experiment,
                        throughput_lb)
 from hiersense.harness import (FadingLayout, _fill_cells_uniform,
-                               prepare_trial, run_trial_point)
+                               prepare_trial, run_trial_point,
+                               scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical
 from hiersense import ControlParams
 
@@ -22,6 +24,17 @@ def small_config(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def simulation(ctx, rt, grid_value):
+    """A Simulation handed its scheme's licensed-user estimate."""
+    return Simulation(ctx, rt, grid_value, 0, scheme_ip_sequence(ctx, rt))
+
+
+def with_occupancy(ctx, b_seq):
+    """The trial with its occupancy replaced and sensed without noise."""
+    assert ctx.sensor.noiseless
+    return replace(ctx, b_seq=b_seq, bhat_seq=b_seq.astype(float))
 
 
 class TestConfig:
@@ -104,8 +117,8 @@ class TestFrameLoop:
         fork[10:] = 1 - fork[10:]  # flip every occupancy bit from frame 10 on
         runs = []
         for seq in (base, fork):
-            sim = Simulation(ctx, ctx.runtimes[scheme_idx], 0.002, 0,
-                             b_sequence=seq)
+            sim = simulation(with_occupancy(ctx, seq),
+                             ctx.runtimes[scheme_idx], 0.002)
             runs.append([sim.run_frame().traffic for _ in range(15)])
         for t in range(10):
             assert np.array_equal(runs[0][t], runs[1][t])
@@ -117,7 +130,7 @@ class TestFrameLoop:
         cfg = small_config(trials=1, frames=5)
         ctx = prepare_trial(cfg, 0)
         silent = np.zeros_like(ctx.b_seq)
-        sim = Simulation(ctx, ctx.runtimes[1], 1.0, 0, b_sequence=silent)
+        sim = simulation(with_occupancy(ctx, silent), ctx.runtimes[1], 1.0)
         for _ in range(5):
             metrics = sim.run_frame()
             assert (metrics.traffic == cfg.resolved_a_max()).all()
@@ -127,7 +140,7 @@ class TestFrameLoop:
         cfg = small_config(schemes=(SchemeSpec("unc", "uncoordinated"),),
                            trials=1)
         ctx = prepare_trial(cfg, 0)
-        sim = Simulation(ctx, ctx.runtimes[0], 0.25, 0)
+        sim = simulation(ctx, ctx.runtimes[0], 0.25)
         assert sim.ip_seq is None
         metrics = sim.run_frame()
         assert (metrics.traffic == 0.25 * cfg.resolved_a_max()).all()
@@ -136,7 +149,7 @@ class TestFrameLoop:
     def test_analytic_metric_is_bound_at_committed_values(self):
         cfg = small_config(trials=1, frames=8)
         ctx = prepare_trial(cfg, 0)
-        sim = Simulation(ctx, ctx.runtimes[0], 0.05, 0)
+        sim = simulation(ctx, ctx.runtimes[0], 0.05)
         for t in range(8):
             m = sim.run_frame()
             a = m.traffic
@@ -152,13 +165,13 @@ class TestFrameLoop:
         cfg = small_config(is_mode="hierarchical", trials=1, frames=10,
                            schemes=(SchemeSpec("ibt", "ibt"),))
         ctx = prepare_trial(cfg, 0)
-        _, row = run_trial_point(ctx, 0, 0.05, 0)
+        _, row = run_trial_point(ctx, 0, 0.05, 0,
+                                 scheme_ip_sequence(ctx, ctx.runtimes[0]))
         assert row.mean_su_throughput > 0
 
     def test_warmup_invariance(self):
         # discarding extra frames beyond the tree delay only moves the mean
         # within Monte Carlo noise
-        from dataclasses import replace
         cfg = small_config(trials=4, frames=150, lambda_grid=(0.05,),
                            schemes=(SchemeSpec("ibt", "ibt", gamma_delay=0.01),))
         vals = {}
@@ -241,6 +254,71 @@ class TestFadingEvaluation:
                                     SchemeSpec("unc", "uncoordinated")))
         res = run_experiment(cfg)
         assert len(res.rows) == 2
+
+
+def _eval_fading_by_blocks(layout, traffic, m, b, sinr_th, pi_b, rng):
+    """Oracle of eval_fading_success: one draw and one np.ix_ gather per
+    link block."""
+    n_cells = layout.pl_pu_pu.shape[0]
+    p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
+    act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
+    apu = np.flatnonzero(np.asarray(b) == 1)
+    su_counts = np.zeros(n_cells)
+    n_act, n_apu = len(act), len(apu)
+
+    if n_act:
+        g_ss = rng.exponential(size=(n_act, n_act))
+        sub = layout.pl_su_su[np.ix_(act, act)] * g_ss
+        own = np.diag(sub)
+        i_su = sub.sum(axis=0) - own
+        i_pu = (layout.pl_pu_su[np.ix_(apu, act)]
+                * rng.exponential(size=(n_apu, n_act))).sum(axis=0)
+        sinr = own / (1.0 + i_su + i_pu)
+        ok = act[sinr > sinr_th]
+        su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
+
+    pu_rate = math.nan
+    inr = 0.0
+    if n_apu:
+        i_sp = (layout.pl_su_pu[np.ix_(act, apu)]
+                * rng.exponential(size=(n_act, n_apu))).sum(axis=0)
+        g_pp = rng.exponential(size=(n_apu, n_apu))
+        sub = layout.pl_pu_pu[np.ix_(apu, apu)] * g_pp
+        own = np.diag(sub)
+        i_pp = sub.sum(axis=0) - own
+        pu_rate = float((own / (1.0 + i_sp + i_pp) > sinr_th).mean())
+        inr = float(i_sp.sum() / (n_cells * pi_b))
+    return su_counts, pu_rate, inr
+
+
+class TestFadingMatchesBlockOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_results_and_draws(self, seed):
+        cfg = small_config(topology_kind="random", n_blockages=0,
+                           population_mode="constant", m_per_cell=4,
+                           eval_mode="fading_mc", trials=1,
+                           master_seed=seed)
+        ctx = prepare_trial(cfg, 0)
+        n = cfg.n_cells
+        pick = np.random.default_rng(seed)
+        traffic = [ctx.m, np.zeros(n), pick.uniform(0, 4, n)]  # all, no SU
+        occupancy = [pick.integers(0, 2, n), np.zeros(n, dtype=int),
+                     np.ones(n, dtype=int)]  # no PU, every PU
+        rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
+        for _ in range(4):
+            traffic.append(pick.uniform(0, 1, n) * (pick.random(n) < 0.5))
+            occupancy.append((pick.random(n) < 0.2).astype(int))
+        for a in traffic:
+            for b in occupancy:
+                got = eval_fading_success(ctx.fading, a, ctx.m, b, 3.16, 0.05,
+                                          rng)
+                expect = _eval_fading_by_blocks(ctx.fading, a, ctx.m, b, 3.16,
+                                                0.05, ref_rng)
+                assert np.array_equal(got[0], expect[0])
+                assert got[1] == expect[1] or (math.isnan(got[1])
+                                               and math.isnan(expect[1]))
+                assert got[2] == expect[2]
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _fill_cells_per_point(centers, area, quota, rng, max_batches=20000):
@@ -343,7 +421,7 @@ class TestAllFramesEstimate:
             sigma_all = delayed_ring_sums(rt.tree, ctx.bhat_seq, pi_b,
                                           np.arange(ctx.t_total))
             ip_all = estimate_ip(sigma_all, rt.weights, ctx.model)
-            sim = Simulation(ctx, rt, 0.01, 0)
+            sim = simulation(ctx, rt, 0.01)
             for _ in range(ctx.t_total):
                 sim.run_frame()
             occupancy = HierarchicalExchange(rt.tree, pi_b)
@@ -356,11 +434,17 @@ class TestAllFramesEstimate:
                                      ctx.model)
                 self.assert_rel(ip_all[t], expect)
                 self.assert_rel(sim.ip_seq[t], expect)
-                # the traffic exchange is fed the previous commitment
+                # hierarchical IS reads the last commitment, from frame 0 on:
+                # the traffic exchange is fed the previous commitment, and
+                # the closed form reads frame t - 1 of the committed traffic
                 prev = sim.a_hist[t - 1] if t else np.zeros(ctx.config.n_cells)
                 traffic.advance_frame(prev, t)
-                self.assert_rel(sim._estimate_is(t), estimate_is_hierarchical(
-                    traffic.sigma_all(t), rt.weights_uncomp))
+                got = sim._estimate_is(t)
+                for sigma_a in (traffic.sigma_all(t), delayed_ring_sums(
+                        rt.tree, sim.a_hist, 0.0, [t - 1])[0]):
+                    assert np.array_equal(got, estimate_is_hierarchical(
+                        sigma_a, rt.weights_uncomp))
+            assert sim._estimate_is(ctx.t_total - 1).any()
 
     def test_full_nsi_matches_per_frame_definition(self, ctx):
         rt = ctx.runtimes[3]
