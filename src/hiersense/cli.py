@@ -17,8 +17,8 @@ import yaml
 from . import control, inference
 from .aggregation import HierarchicalExchange
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
-from .harness import (ConfigError, ExperimentConfig, Simulation,
-                      prepare_scheme, prepare_trial, run_experiment,
+from .harness import (ConfigError, ExperimentConfig, prepare_scheme,
+                      prepare_trial, run_experiment, run_trial_point,
                       scheme_ip_sequence, trial_topology)
 from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
@@ -68,6 +68,20 @@ def cmd_build_tree(args) -> int:
     return 0
 
 
+def _write_trace(path: str, ctx, tree) -> None:
+    """The sensed occupancy replayed through the exchange protocol."""
+    with open(path, "w", newline="") as fh:
+        trace = csv.writer(fh)
+        trace.writerow(["frame", "level", "head", "aggregate"])
+        if tree is None:
+            return
+        exchange = HierarchicalExchange(tree, float(ctx.model.pi_b))
+        for t, bhat in enumerate(ctx.bhat_seq):
+            exchange.advance_frame(bhat, t)
+            for lvl, head, value in exchange.trace_rows(t):
+                trace.writerow([t, lvl, head, repr(value)])
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config, args.override)
     config.validate()
@@ -78,32 +92,17 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 2
     scheme_idx = names.index(name)
-    spec = config.schemes[scheme_idx]
-    grid = config.ptx_grid if spec.kind == "uncoordinated" else config.lambda_grid
+    grid = config.grid(config.schemes[scheme_idx])
     gval = args.grid_value if args.grid_value is not None else grid[0]
     # a grid point draws from its own evaluation stream; off-grid values
     # share the first point's
     grid_idx = grid.index(gval) if gval in grid else 0
     ctx = prepare_trial(config, args.trial)
     runtime = ctx.runtimes[scheme_idx]
-    sim = Simulation(ctx, runtime, gval, grid_idx,
-                     scheme_ip_sequence(ctx, runtime))
-    trace_fh = open(args.trace, "w", newline="") if args.trace else None
-    trace = csv.writer(trace_fh) if trace_fh else None
-    if trace:
-        trace.writerow(["frame", "level", "head", "aggregate"])
-    # the trace replays the sensed occupancy through the exchange protocol
-    exchange = HierarchicalExchange(runtime.tree, float(ctx.model.pi_b)) \
-        if trace and runtime.tree is not None else None
-    frames = []
-    for t in range(ctx.t_total):
-        frames.append(sim.run_frame())
-        if exchange is not None:
-            exchange.advance_frame(ctx.bhat_seq[t], t)
-            for lvl, head, value in exchange.trace_rows(t):
-                trace.writerow([t, lvl, head, repr(value)])
-    if trace_fh:
-        trace_fh.close()
+    frames, row = run_trial_point(ctx, scheme_idx, gval, grid_idx,
+                                  scheme_ip_sequence(ctx, runtime))
+    if args.trace:
+        _write_trace(args.trace, ctx, runtime.tree)
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -112,12 +111,11 @@ def cmd_simulate(args) -> int:
         for f in frames:
             writer.writerow([f.t, repr(f.su_throughput), repr(f.inr_db),
                              repr(f.utility), repr(float(f.traffic.mean()))])
-    measured = frames[ctx.warmup:]
-    thr = float(np.mean([f.su_throughput for f in measured]))
     print(f"per-frame metrics written to {args.output}")
     if args.trace:
         print(f"aggregate trace written to {args.trace}")
-    print(f"scheme={name} grid={gval} mean throughput={thr:.6g}")
+    print(f"scheme={name} grid={gval} "
+          f"mean throughput={row.mean_su_throughput:.6g}")
     return 0
 
 
@@ -146,7 +144,6 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
 
     if config is not None:
         try:
-            config.occupancy_model()
             config.validate()
             _check("config", True, "configuration is consistent", failures)
         except (ConfigError, ValueError) as exc:

@@ -32,8 +32,29 @@ from .topology import (InterferenceMatrix, NetworkTopology, PathlossParams,
                        build_topology, compute_phi, db_to_lin, lin_to_db,
                        pathloss_db)
 
-SCHEME_KINDS = ("ibt", "rt", "full_nsi", "radius_nsi", "uncoordinated",
-                "consensus")
+# the keys each scheme kind reads besides its name and kind
+SCHEME_KEYS = {"ibt": ("gamma_delay", "c_max"), "rt": ("gamma_delay", "c_max"),
+               "full_nsi": ("gamma_delay",), "radius_nsi": ("radius",),
+               "consensus": ("degree", "rounds"), "uncoordinated": ()}
+SCHEME_KINDS = tuple(SCHEME_KEYS)
+
+# each flat config section: its YAML keys and the ExperimentConfig fields
+# they set
+_SECTION_KEYS = {
+    "topology": dict(kind="topology_kind", n_cells="n_cells", area="area",
+                     n_blockages="n_blockages", cell_radius="cell_radius"),
+    "occupancy": dict(nu1="nu1", nu0="nu0", mu="mu", pi_b="pi_b"),
+    "sensing": dict(eps_f="eps_f", eps_m="eps_m"),
+    "population": dict(mode="population_mode", m="m_per_cell", a_max="a_max"),
+    "control": dict(sinr_th_db="sinr_th_db"),
+    "experiment": dict(lambda_grid="lambda_grid", ptx_grid="ptx_grid",
+                       frames="frames", trials="trials",
+                       master_seed="master_seed", eval_mode="eval_mode",
+                       is_mode="is_mode", extra_warmup="extra_warmup",
+                       hop_distance_m="hop_distance_m"),
+}
+_YAML_PATH = {name: f"{section}.{key}" for section, keys in _SECTION_KEYS.items()
+              for key, name in keys.items()}
 
 
 class ConfigError(ValueError):
@@ -42,7 +63,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One control scheme in a sweep; unused knobs are ignored per kind."""
+    """One control scheme in a sweep; a config entry may set only the knobs
+    its kind reads (``SCHEME_KEYS``)."""
 
     name: str
     kind: str
@@ -91,62 +113,66 @@ class ExperimentConfig:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        errors = []
+        errors = []  # (field name or section, message)
         if self.topology_kind not in ("grid", "random"):
-            errors.append("topology_kind: must be 'grid' or 'random'")
+            errors.append(("topology_kind", "must be 'grid' or 'random'"))
         if self.frames < 1:
-            errors.append("frames: must be >= 1")
+            errors.append(("frames", "must be >= 1"))
         if self.trials < 1:
-            errors.append("trials: must be >= 1")
+            errors.append(("trials", "must be >= 1"))
+        if self.master_seed < 0:
+            errors.append(("master_seed", "must be >= 0"))
         if self.extra_warmup < 0:
-            errors.append("extra_warmup: must be >= 0")
+            errors.append(("extra_warmup", "must be >= 0"))
         if self.n_cells < 1:
-            errors.append("topology.n_cells: must be >= 1")
+            errors.append(("n_cells", "must be >= 1"))
         if self.n_blockages < 0:
-            errors.append("topology.n_blockages: must be >= 0")
+            errors.append(("n_blockages", "must be >= 0"))
         if not self.schemes:
-            errors.append("schemes: at least one scheme is required")
+            errors.append(("schemes", "at least one scheme is required"))
         names = [s.name for s in self.schemes]
         if len(set(names)) != len(names):
-            errors.append("schemes: names must be unique")
+            errors.append(("schemes", "names must be unique"))
         needs_lambda = any(s.kind != "uncoordinated" for s in self.schemes)
         needs_ptx = any(s.kind == "uncoordinated" for s in self.schemes)
         if needs_lambda and not self.lambda_grid:
-            errors.append("lambda_grid: must be non-empty")
+            errors.append(("lambda_grid", "must be non-empty"))
         if needs_ptx and not self.ptx_grid:
-            errors.append("ptx_grid: must be non-empty")
+            errors.append(("ptx_grid", "must be non-empty"))
         if any(l <= 0 for l in self.lambda_grid):
-            errors.append("lambda_grid: entries must be positive")
+            errors.append(("lambda_grid", "entries must be positive"))
         if any(not 0 <= p <= 1 for p in self.ptx_grid):
-            errors.append("ptx_grid: entries must lie in [0, 1]")
+            errors.append(("ptx_grid", "entries must lie in [0, 1]"))
         if self.nu1 + self.nu0 <= 0:
-            errors.append("occupancy: nu1 + nu0 must be positive")
+            errors.append(("occupancy", "nu1 + nu0 must be positive"))
         try:
             self.occupancy_model()
         except ValueError as exc:
-            errors.append(f"occupancy: {exc}")
+            errors.append(("occupancy", str(exc)))
         try:
             self.sensor_model()
         except ValueError as exc:
-            errors.append(f"sensing: {exc}")
+            errors.append(("sensing", str(exc)))
         if self.eval_mode not in ("analytic_lb", "fading_mc"):
-            errors.append("eval_mode: must be 'analytic_lb' or 'fading_mc'")
+            errors.append(("eval_mode", "must be 'analytic_lb' or 'fading_mc'"))
         if self.is_mode not in ("oracle", "hierarchical"):
-            errors.append("is_mode: must be 'oracle' or 'hierarchical'")
+            errors.append(("is_mode", "must be 'oracle' or 'hierarchical'"))
         if self.eval_mode == "fading_mc":
             if self.population_mode != "constant":
-                errors.append("eval_mode: fading_mc needs a constant population "
-                              "(per-user access draws)")
+                errors.append(("eval_mode", "fading_mc needs a constant "
+                               "population (per-user access draws)"))
             if self.topology_kind == "grid" and self.n_blockages > 0:
-                errors.append("eval_mode: fading_mc with blockages is not modeled")
+                errors.append(("eval_mode",
+                               "fading_mc with blockages is not modeled"))
         if self.population_mode not in ("constant", "dense"):
-            errors.append(f"population.mode: unknown mode "
-                          f"{self.population_mode!r} (constant or dense)")
+            errors.append(("population_mode", f"unknown mode "
+                           f"{self.population_mode!r} (constant or dense)"))
         elif self.population_mode == "constant" and self.m_per_cell < 1:
-            errors.append("population.m: a constant population needs >= 1 SU "
-                          "per cell")
+            errors.append(("m_per_cell", "a constant population needs >= 1 "
+                           "SU per cell"))
         if errors:
-            raise ConfigError("; ".join(errors))
+            raise ConfigError("; ".join(f"{_YAML_PATH.get(name, name)}: {msg}"
+                                        for name, msg in errors))
 
     # ---------------------------------------------------------------- derived
 
@@ -170,59 +196,29 @@ class ExperimentConfig:
             return float(self.hop_distance_m)
         return float(self.area[0]) / math.sqrt(self.n_cells)
 
+    def grid(self, spec: SchemeSpec) -> tuple[float, ...]:
+        """A scheme's sweep values: access probabilities or cost weights."""
+        return self.ptx_grid if spec.kind == "uncoordinated" else self.lambda_grid
+
     # ------------------------------------------------------------------- I/O
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from its YAML mapping; unknown keys are errors.
-
-        Every key read is popped from a copy of its section, so whatever is
-        left over is reported by its dotted path.
-        """
+        """Build a config from its YAML mapping; unknown keys are errors, and
+        a missing key keeps its field's default."""
         raw = _section(raw, "config")
-        names = ("topology", "occupancy", "sensing", "population", "control",
-                 "experiment", "pathloss")
-        sections = [_section(raw.pop(name, {}), name) for name in names]
-        topo, occ, sen, pop, ctl, exp, pl = sections
-        schemes = tuple(_scheme_from_dict(s, f"schemes[{k}]")
-                        for k, s in enumerate(raw.pop("schemes", ())))
-        area = topo.pop("area", (800.0, 800.0))
-        if not isinstance(area, (list, tuple)) or len(area) != 2:
-            raise ConfigError(f"topology.area: must be a pair [width, height], "
-                              f"got {area!r}")
-        kwargs = dict(
-            topology_kind=topo.pop("kind", "grid"),
-            n_cells=_pop_number(topo, "n_cells", 64, "topology", int),
-            area=tuple(_number(v, f"topology.area[{k}]")
-                       for k, v in enumerate(area)),
-            n_blockages=_pop_number(topo, "n_blockages", 0, "topology", int),
-            cell_radius=_pop_number(topo, "cell_radius", None, "topology"),
-            pathloss=PathlossParams(**_pop_fields(pl, PathlossParams, "pathloss")),
-            nu1=_pop_number(occ, "nu1", 0.005, "occupancy"),
-            nu0=_pop_number(occ, "nu0", 0.095, "occupancy"),
-            mu=_pop_number(occ, "mu", None, "occupancy"),
-            pi_b=_pop_number(occ, "pi_b", None, "occupancy"),
-            eps_f=_pop_number(sen, "eps_f", 0.0, "sensing"),
-            eps_m=_pop_number(sen, "eps_m", 0.0, "sensing"),
-            population_mode=pop.pop("mode", "dense"),
-            m_per_cell=_pop_number(pop, "m", 10, "population", int),
-            a_max=_pop_number(pop, "a_max", None, "population"),
-            sinr_th_db=_pop_number(ctl, "sinr_th_db", 5.0, "control"),
-            schemes=schemes,
-            lambda_grid=_numbers(exp.pop("lambda_grid", (1.0,)),
-                                 "experiment.lambda_grid"),
-            ptx_grid=_numbers(exp.pop("ptx_grid", (0.01,)), "experiment.ptx_grid"),
-            frames=_pop_number(exp, "frames", 300, "experiment", int),
-            trials=_pop_number(exp, "trials", 20, "experiment", int),
-            master_seed=_pop_number(exp, "master_seed", 1, "experiment", int),
-            eval_mode=exp.pop("eval_mode", "analytic_lb"),
-            is_mode=exp.pop("is_mode", "oracle"),
-            extra_warmup=_pop_number(exp, "extra_warmup", 0, "experiment", int),
-            hop_distance_m=_pop_number(exp, "hop_distance_m", None, "experiment"),
-        )
+        kwargs = {}
+        for name, keys in _SECTION_KEYS.items():
+            kwargs.update(_pop_fields(raw.pop(name, {}), cls, name, keys))
+        kwargs["pathloss"] = PathlossParams(**_pop_fields(
+            raw.pop("pathloss", {}), PathlossParams, "pathloss"))
+        if "schemes" in raw:
+            schemes = raw.pop("schemes")
+            if not isinstance(schemes, (list, tuple)):
+                raise ConfigError("schemes: must be a list of mappings")
+            kwargs["schemes"] = tuple(_scheme_from_dict(s, f"schemes[{k}]")
+                                      for k, s in enumerate(schemes))
         _reject_unknown(raw, "")
-        for name, left in zip(names, sections):
-            _reject_unknown(left, name + ".")
         return cls(**kwargs)
 
 
@@ -233,43 +229,52 @@ def _section(node, path: str) -> dict:
     return dict(node)
 
 
-def _number(value, path: str, kind=float):
-    """``value`` as a float (or a whole int); a ConfigError naming ``path``
-    otherwise, rather than a truncated or late-failing value."""
-    try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        out = kind(_maybe_inf(value))
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: must be {what}, got {value!r}") from None
+def _pop_fields(node, spec_cls, path: str, keys=None) -> dict:
+    """The fields of ``spec_cls`` that the mapping ``node`` sets, each parsed
+    by its annotation; ``keys`` maps YAML keys to field names (default: the
+    field names themselves).  A key left over is an error."""
+    node = _section(node, path)
+    types = {f.name: f.type for f in fields(spec_cls)}
+    keys = keys or {name: name for name in types}
+    out = {name: _parse(node.pop(key), types[name], f"{path}.{key}")
+           for key, name in keys.items() if key in node}
+    _reject_unknown(node, path + ".")
     return out
 
 
-def _pop_number(node: dict, key: str, default, section: str, kind=float):
-    """Pop ``key`` as a number; None stays None (an unset optional)."""
-    value = node.pop(key, default)
-    return None if value is None else _number(value, f"{section}.{key}", kind)
+_SCALARS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "str": (str, "a string")}
 
 
-def _numbers(value, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{path}[{k}]") for k, v in enumerate(value))
-
-
-_NUMBER_TYPES = {"float": float, "int": int}
-
-
-def _pop_fields(node: dict, spec_cls, path: str) -> dict:
-    """The dataclass fields present in ``node``; numeric fields converted."""
-    out = {}
-    for f in fields(spec_cls):
-        if f.name in node:
-            value = node.pop(f.name)
-            if f.type in _NUMBER_TYPES:
-                value = _number(value, f"{path}.{f.name}", _NUMBER_TYPES[f.type])
-            out[f.name] = value
+def _parse(value, annotation: str, path: str):
+    """``value`` read as a field annotated ``int``, ``float``, ``str``,
+    ``tuple[float, ...]``, ``tuple[float, float]`` or ``X | None``; a
+    ConfigError naming ``path`` otherwise."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple["):
+        items = annotation[len("tuple["):-1].split(", ")
+        size = None if items[-1] == "..." else len(items)
+        if not isinstance(value, (list, tuple)) \
+                or size not in (None, len(value)):
+            what = "a list of" if size is None else f"a list of {size}"
+            raise ConfigError(f"{path}: must be {what} numbers, got {value!r}")
+        return tuple(_parse(v, items[0], f"{path}[{k}]")
+                     for k, v in enumerate(value))
+    kind, what = _SCALARS[annotation]
+    if kind is float and isinstance(value, str) and value.lower() == ".inf":
+        value = math.inf
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    # a bool, NaN or a value the conversion changes (2.5 to an int, 5 to a
+    # string) is rejected rather than run; numeric strings convert
+    changed = out != value and kind is not float and not isinstance(value, str)
+    if out is None or out != out or isinstance(value, bool) or changed:
+        raise ConfigError(f"{path}: must be {what}, got {value!r}")
     return out
 
 
@@ -280,19 +285,17 @@ def _reject_unknown(left: dict, prefix: str) -> None:
 
 
 def _scheme_from_dict(entry, path: str) -> SchemeSpec:
-    entry = _section(entry, path)
     known = _pop_fields(entry, SchemeSpec, path)
-    _reject_unknown(entry, path + ".")
     for key in ("name", "kind"):
         if key not in known:
             raise ConfigError(f"{path}.{key}: required")
-    return SchemeSpec(**known)
-
-
-def _maybe_inf(v):
-    if isinstance(v, str) and v.lower() in ("inf", ".inf", "infinity"):
-        return math.inf
-    return v
+    spec = SchemeSpec(**known)
+    unread = [key for key in known if key not in
+              ("name", "kind", *SCHEME_KEYS[spec.kind])]
+    if unread:
+        raise ConfigError("; ".join(f"{path}.{key}: unknown key for kind "
+                                    f"{spec.kind!r}" for key in unread))
+    return spec
 
 
 def _seed_rng(*entropy) -> np.random.Generator:
@@ -802,9 +805,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         ctx = prepare_trial(config, trial)
         for scheme_idx, spec in enumerate(config.schemes):
             ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[scheme_idx])
-            grid = config.ptx_grid if spec.kind == "uncoordinated" \
-                else config.lambda_grid
-            for grid_idx, gval in enumerate(grid):
+            for grid_idx, gval in enumerate(config.grid(spec)):
                 _, row = run_trial_point(ctx, scheme_idx, gval, grid_idx,
                                          ip_seq)
                 rows.append(row)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from hiersense import ControlParams, delayed_ring_sums, optimal_traffic
 from hiersense.cli import load_config, main
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(str(p.relative_to(ROOT)) for pattern in
+                         ("configs/*.yaml", "perfbench/workloads/*.yaml")
+                         for p in ROOT.glob(pattern))
 
 CONFIG = """
 topology: {kind: grid, n_cells: 16, area: [400, 400], n_blockages: 1}
@@ -183,6 +189,7 @@ class TestSweep:
         ("schemes=[{name: ibt, kind: ibt, c_mx: 5}]", "schemes[0].c_mx"),
         ("pathloss={alpah: 3}", "pathloss.alpah"),
         ("experiment.lamda_grid=[0.01]", "experiment.lamda_grid"),
+        ("schemes=[{name: c, kind: consensus, c_max: 3}]", "schemes[0].c_max"),
     ])
     def test_unknown_key_named_with_exit_code_2(self, tmp_path, config_path,
                                                 capsys, override, path):
@@ -200,6 +207,17 @@ class TestSweep:
         ("schemes=[{name: a, kind: ibt, c_max: abc}]", "schemes[0].c_max"),
         ("topology.n_blockages=-1", "topology.n_blockages"),
         ("experiment.frames=2.5", "experiment.frames"),
+        ("experiment.frames=null", "experiment.frames"),
+        ("topology.n_cells=null", "topology.n_cells"),
+        ("experiment.lambda_grid=[.nan]", "experiment.lambda_grid[0]"),
+        ("control.sinr_th_db=.nan", "control.sinr_th_db"),
+        ("population.a_max=.nan", "population.a_max"),
+        ("schemes=[{name: a, kind: ibt, gamma_delay: .nan}]",
+         "schemes[0].gamma_delay"),
+        ("experiment.trials=true", "experiment.trials"),
+        ("experiment.master_seed=-1", "experiment.master_seed"),
+        ("experiment.frames=0", "experiment.frames"),
+        ("topology.kind=hex", "topology.kind"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):
@@ -223,10 +241,10 @@ class TestSweep:
                      "-D", "experiment.ptx_grid=[0.01]"])
         assert code == 0
 
-    def test_shipped_example_config_loads(self, tmp_path):
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_shipped_example_config_loads(self, tmp_path, config):
         out = tmp_path / "rows.csv"
-        code = main(["sweep", "--config", "configs/sweep_small.yaml",
-                     "-o", str(out),
+        code = main(["sweep", "--config", str(ROOT / config), "-o", str(out),
                      "-D", "experiment.trials=1",
                      "-D", "experiment.frames=5",
                      "-D", "experiment.lambda_grid=[0.05]",

@@ -68,6 +68,9 @@ class TestConfig:
         assert cfg.schemes[0].c_max == math.inf
         assert cfg.resolved_a_max() == pytest.approx(0.5)
 
+    def test_missing_keys_take_the_field_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
     @pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 127 + 3])
     def test_seed_beyond_float_precision_kept_exactly(self, seed):
         cfg = ExperimentConfig.from_dict({"experiment": {"master_seed": seed}})
