@@ -6,7 +6,7 @@ per cell from the resulting multi-scale view of the network.
 """
 
 from .aggregation import (BufferUnderrunError, HierarchicalExchange,
-                          RunningRingSums, delayed_ring_sums)
+                          RunningRingSums)
 from .control import (ControlParams, exact_throughput, network_inr,
                       optimal_traffic, throughput_lb, utility)
 from .dynamics import (OccupancyModel, OccupancyState, k_step_marginal,

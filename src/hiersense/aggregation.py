@@ -14,12 +14,11 @@ expectation (cluster size times the configured steady value), which keeps the
 telescoping identity between aggregates and delayed locals exact from the
 very first frame.
 
-That identity also gives the exchange's output in closed form:
-:func:`delayed_ring_sums` computes the multi-scale estimates of any set of
-frames directly from the local-value history, without buffers, and
-:class:`RunningRingSums` keeps the same per-level aggregates across frames
-for a history committed one frame at a time.  The sweep uses these; the
-exchange remains the protocol model and the test oracle.
+:class:`RunningRingSums` keeps the same per-level aggregates for every
+frame of a history committed frame by frame or in blocks, without a
+bounded window, and reads any committed frame's multi-scale estimates from
+them.  The sweep uses it, for sensed occupancy and for committed traffic;
+the exchange remains the protocol model and the test oracle.
 """
 
 from __future__ import annotations
@@ -156,119 +155,62 @@ class HierarchicalExchange:
         return worst
 
 
-def delayed_ring_sums(tree: AggregationTree, x, pre: float, frames
-                      ) -> np.ndarray:
-    """Multi-scale estimates of every cell at the given frames, in closed form.
-
-    Returns sigma[k, i, L] = sum over the cells j at h-distance L from i of
-    x[frames[k] - delta_L(j), j], with x before frame 0 read as ``pre``: what
-    an exchange fed the rows of ``x`` (steady value ``pre``) returns from
-    ``sigma_all(frames[k])``.  Aggregates are fused level by level in the
-    exchange's order, over just the frames the requested ones read, so the
-    two agree bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    frames = np.asarray(frames, dtype=int)
-    layout = _AggregateLayout(tree)
-    origin = frames.min() - layout.reach[0]
-    stop = frames.max() + 1
-    agg = layout.empty(origin, stop, float(pre))
-    first = max(origin, 0)
-    agg[first - origin:, :tree.n_cells] = x[first:max(stop, first)]
-    for t in range(first, stop):
-        layout.fuse(agg, origin, t)
-    return layout.ring_sums(agg, origin, frames)
-
-
 class RunningRingSums:
-    """:func:`delayed_ring_sums` of a history that grows one frame at a time.
+    """Every level's aggregate of every frame of a local-value history.
 
-    Keeps every level's aggregate of every committed frame, in the layout
-    ``delayed_ring_sums`` builds.  Committing frame t fuses only row t (one
-    gather and one reduceat per level), and the ring sums of any frame from
-    -1 to the last committed one are read from stored rows, equal bit for
-    bit to ``delayed_ring_sums`` over the committed history with ``pre`` 0:
-    values before frame 0 read as zero, as traffic does.
+    Row r of one (frames, clusters) array holds frame r - 1 - reach (reach:
+    the sum over levels of the longest edge delay), each level's clusters
+    after those of the level below; gathers are flat offsets from a row.
+    Rows before frame 0 hold the cluster size times ``pre``, each cell's
+    pre-start value.  Committing a frame fuses its row in the exchange's
+    order, one gather and one reduceat per level, so the ring sums of a
+    committed frame equal the exchange's ``sigma_all`` bit for bit.
     """
 
-    def __init__(self, tree: AggregationTree, n_frames: int):
-        self._layout = _AggregateLayout(tree)
-        self._origin = -1 - self._layout.reach[0]
-        self._agg = self._layout.empty(self._origin, n_frames, 0.0)
+    def __init__(self, tree: AggregationTree, n_frames: int, pre: float = 0.0):
+        size = np.array([len(c.members) for lv in tree.levels for c in lv])
+        self._width = width = len(size)
+        off = np.cumsum([0] + [len(level) for level in tree.levels])
+        self._origin = -1 - tree.total_edge_delay_sum
+        self._agg = np.empty((n_frames - self._origin, width))
+        self._agg[:-self._origin] = size * float(pre)
+        self._flat = self._agg.reshape(-1)
+        # level L fuses its children's aggregates at their edge delays
+        self._plan = [(-lag * width + off[lvl - 1] + idx, seg, off[lvl],
+                       off[lvl + 1])
+                      for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(),
+                                                            start=1)]
+        # ring L of a cell: its level-L head's aggregate now, minus its
+        # level-(L-1) head's aggregate one edge delay earlier
+        edge = tree.delta[1:] - tree.delta[:-1]
+        self._own = np.ascontiguousarray((off[:-1, None] + tree.cluster_of).T)
+        self._sub = np.ascontiguousarray(
+            (-edge * width + off[:-2, None] + tree.cluster_of[:-1]).T)
         self._n_cells = tree.n_cells
         self.t = -1
 
     def commit(self, values) -> None:
-        """Append the next frame's local values and fuse its aggregates."""
-        t = self.t + 1
-        self._agg[t - self._origin, :self._n_cells] = values
-        self._layout.fuse(self._agg, self._origin, t)
-        self.t = t
-
-    def ring_sums(self, frame: int) -> np.ndarray:
-        """(n_cells, depth+1) ring sums at ``frame``, like one frame of
-        ``delayed_ring_sums``."""
-        if not -1 <= frame <= self.t:
-            raise ValueError(f"frame {frame} is not committed (last is {self.t})")
-        return self._layout.ring_sums(self._agg, self._origin,
-                                      np.array([frame]))[0]
-
-
-class _AggregateLayout:
-    """Every level's aggregates side by side in one (frames, clusters) array.
-
-    Row r of an array with origin o holds frame o + r; level L's clusters
-    are the columns ``columns[L]``, and frames before 0 hold the cluster
-    size times the pre-start value.  Gathers are flat offsets from the row
-    of the frame being fused or read.
-    """
-
-    def __init__(self, tree: AggregationTree):
-        sizes = [len(level) for level in tree.levels]
-        self.width = width = sum(sizes)
-        off = np.concatenate(([0], np.cumsum(sizes)))
-        self.columns = [slice(off[lvl], off[lvl + 1])
-                        for lvl in range(len(sizes))]
-        self.size = np.concatenate([np.bincount(ids, minlength=k) for ids, k
-                                    in zip(tree.cluster_of, sizes)])
-        edge = tree.delta[1:] - tree.delta[:-1]
-        # level L is read at most reach[L] frames before a requested frame,
-        # so its rows are needed from frame origin + lead[L] on
-        edge_max = edge.max(axis=1, initial=0)
-        self.reach = np.append(np.cumsum(edge_max[::-1])[::-1], 0)
-        lead = self.reach[0] - self.reach
-        # level L fuses its children's aggregates at their edge delays
-        self.plan = [(lead[lvl], -lag * width + off[lvl - 1] + idx, seg,
-                      self.columns[lvl])
-                     for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(),
-                                                            start=1)]
-        # ring L of a cell: its level-L head's aggregate now, minus its
-        # level-(L-1) head's aggregate one edge delay earlier
-        self.own = np.ascontiguousarray((off[:-1, None] + tree.cluster_of).T)
-        self.sub = np.ascontiguousarray(
-            (-edge * width + off[:-2, None] + tree.cluster_of[:-1]).T)
-
-    def empty(self, origin: int, stop: int, pre: float) -> np.ndarray:
-        """Rows for frames origin .. stop-1 with the pre-start rows filled."""
-        agg = np.empty((stop - origin, self.width))
-        agg[:max(-origin, 0)] = self.size * pre
-        return agg
-
-    def fuse(self, agg, origin: int, t: int) -> None:
-        """Fuse frame t >= 0 of every level >= 1 from the level below, in
-        the exchange's order: one gather and one reduceat per level."""
-        flat = agg.reshape(-1)
-        row = t - origin
-        at = row * self.width
-        for lead, base, seg, cols in self.plan:
-            if row >= lead:
-                flat[at + cols.start:at + cols.stop] = \
+        """Append the next frame's local values, (n_cells,), or the next
+        frames', (frames, n_cells), and fuse their aggregates."""
+        block = np.atleast_2d(values)
+        first = self.t + 1 - self._origin
+        self._agg[first:first + len(block), :self._n_cells] = block
+        flat = self._flat
+        for row in range(first, first + len(block)):
+            at = row * self._width
+            for base, seg, start, stop in self._plan:
+                flat[at + start:at + stop] = \
                     np.add.reduceat(flat.take(base + at), seg)
+        self.t += len(block)
 
-    def ring_sums(self, agg, origin: int, frames) -> np.ndarray:
-        """sigma[k, i, L] of the requested frames from the stored rows."""
-        flat = agg.reshape(-1)
-        at = ((frames - origin) * self.width)[:, None, None]
-        sigma = flat.take(at + self.own)
-        sigma[:, :, 1:] -= flat.take(at + self.sub)
+    def ring_sums(self, frames) -> np.ndarray:
+        """(n_cells, depth+1) ring sums at a frame, or (frames, n_cells,
+        depth+1) at an array of frames, each from -1 to the last commit."""
+        frames = np.asarray(frames, dtype=int)
+        if (frames < -1).any() or (frames > self.t).any():
+            raise ValueError(f"frame {frames.tolist()} not committed "
+                             f"(last is {self.t})")
+        at = ((frames - self._origin) * self._width)[..., None, None]
+        sigma = self._flat.take(at + self._own)
+        sigma[..., 1:] -= self._flat.take(at + self._sub)
         return sigma

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import control
-from .aggregation import RunningRingSums, delayed_ring_sums
+from .aggregation import RunningRingSums
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
@@ -75,10 +75,15 @@ class SchemeSpec:
     rounds: int = 10
 
     def __post_init__(self):
+        errors = _nan_errors(self)
         if self.kind not in SCHEME_KINDS:
-            raise ConfigError(f"schemes[].kind: unknown kind {self.kind!r}")
+            errors.append(("kind", f"must be one of {', '.join(SCHEME_KINDS)}"
+                           f", got {self.kind!r}"))
         if self.gamma_delay < 0:
-            raise ConfigError("schemes[].gamma_delay: must be >= 0")
+            errors.append(("gamma_delay", "must be >= 0"))
+        if errors:
+            raise ConfigError("; ".join(f"schemes[].{name}: {msg}"
+                                        for name, msg in errors))
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ class ExperimentConfig:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        errors = []  # (field name or section, message)
+        # (field name or section, message)
+        errors = _nan_errors(self) + _nan_errors(self.pathloss, "pathloss.")
         if self.topology_kind not in ("grid", "random"):
             errors.append(("topology_kind", "must be 'grid' or 'random'"))
         if self.frames < 1:
@@ -278,6 +284,14 @@ def _parse(value, annotation: str, path: str):
     return out
 
 
+def _nan_errors(spec, prefix: str = "") -> list[tuple[str, str]]:
+    """(name, message) for each field of ``spec`` holding NaN, alone or in
+    a tuple, which the YAML reader rejects too."""
+    return [(prefix + name, "must not be NaN") for name, v in vars(spec).items()
+            if any(isinstance(x, float) and math.isnan(x)
+                   for x in (v if isinstance(v, tuple) else (v,)))]
+
+
 def _reject_unknown(left: dict, prefix: str) -> None:
     if left:
         raise ConfigError("; ".join(f"{prefix}{key}: unknown key"
@@ -289,7 +303,10 @@ def _scheme_from_dict(entry, path: str) -> SchemeSpec:
     for key in ("name", "kind"):
         if key not in known:
             raise ConfigError(f"{path}.{key}: required")
-    spec = SchemeSpec(**known)
+    try:
+        spec = SchemeSpec(**known)
+    except ConfigError as exc:
+        raise ConfigError(str(exc).replace("schemes[].", f"{path}.")) from None
     unread = [key for key in known if key not in
               ("name", "kind", *SCHEME_KEYS[spec.kind])]
     if unread:
@@ -590,9 +607,10 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
     if kind == "uncoordinated":
         return None
     if rt.tree is not None:
-        sigma = delayed_ring_sums(rt.tree, ctx.bhat_seq, float(model.pi_b),
-                                  np.arange(ctx.t_total))
-        return estimate_ip(sigma, rt.weights, model)
+        occupancy = RunningRingSums(rt.tree, ctx.t_total, float(model.pi_b))
+        occupancy.commit(ctx.bhat_seq)
+        return estimate_ip(occupancy.ring_sums(np.arange(ctx.t_total)),
+                           rt.weights, model)
     if kind == "full_nsi":
         return control.full_nsi_ip(ctx.phi, rt.delay_matrix, ctx.b_seq, model)
     if kind == "radius_nsi":

@@ -107,10 +107,6 @@ class AggregationTree:
         per_level = (self.delta[1:] - self.delta[:-1]).max(axis=1)
         return int(per_level.sum())
 
-    def edge_delay(self, i: int, level: int) -> int:
-        """Delay between cell i's level-(level-1) head and its level-`level` head."""
-        return int(self.delta[level, i] - self.delta[level - 1, i])
-
     def h_distance(self, i: int, j: int):
         """Smallest level whose cluster contains both cells; inf if none does."""
         n = self.n_cells

@@ -113,8 +113,8 @@ def estimate_is_hierarchical(sigma_traffic, weights_uncompensated:
     """
     sig = np.asarray(sigma_traffic)
     w = weights_uncompensated
-    size = w.ring_size
-    avg = np.where(size > 0, sig / np.maximum(size, 1), 0.0)
+    # an empty ring's sum and phi_del are both exactly zero
+    avg = sig / np.maximum(w.ring_size, 1)
     # ring 0 is the cell itself, excluded from the mutual-interference sum
     return (avg[:, 1:] * w.phi_del[:, 1:]).sum(axis=1)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hiersense import (AggregationTree, BufferUnderrunError,
-                       HierarchicalExchange, OccupancyModel, build_ibt,
-                       build_topology, compute_phi, delayed_ring_sums,
+                       HierarchicalExchange, OccupancyModel, RunningRingSums,
+                       build_ibt, build_topology, compute_phi,
                        sample_steady_state, step_occupancy)
-from hiersense.aggregation import RunningRingSums
 from hiersense.topology import PathlossParams
 
 
@@ -208,21 +207,6 @@ class TestTrace:
         assert per_level == {0: 4, 1: 2, 2: 1}
 
 
-class TestDelayedRingSums:
-    @pytest.mark.parametrize("frames", [[-3, -2], [-3, 1]])
-    def test_frames_before_start_read_pre(self, frames, rng):
-        tree = delayed_tree()
-        x = rng.random((6, 4))
-        sigma = delayed_ring_sums(tree, x, 0.05, frames)
-        for k, t in enumerate(frames):
-            # the same frame in a request that also reads committed rows
-            mixed = delayed_ring_sums(tree, x, 0.05, [t, 5])[0]
-            assert np.array_equal(sigma[k], mixed)
-            for i in range(4):
-                assert np.allclose(sigma[k, i], sigma_oracle(tree, x, 0.05, i, t),
-                                   rtol=0, atol=1e-12)
-
-
 def running_sums_tree(name):
     if name == "delayed":
         return delayed_tree()
@@ -249,21 +233,50 @@ class TestRunningRingSums:
         running = RunningRingSums(tree, frames)
         exchange = HierarchicalExchange(tree, 0.0)
         # before any commit, frame -1 reads only pre-start zeros
-        assert np.array_equal(running.ring_sums(-1),
-                              np.zeros((tree.n_cells, tree.depth + 1)))
+        expect = [np.zeros((tree.n_cells, tree.depth + 1))]
+        assert np.array_equal(running.ring_sums(-1), expect[0])
         for t in range(frames):
             running.commit(x[t])
             exchange.advance_frame(x[t], t)
-            assert np.array_equal(running.ring_sums(t), exchange.sigma_all(t))
-            # every stored frame still reads as the closed form does
-            for f in range(-1, t + 1):
-                assert np.array_equal(
-                    running.ring_sums(f),
-                    delayed_ring_sums(tree, x[:t + 1], 0.0, [f])[0])
+            expect.append(exchange.sigma_all(t))
+            # every stored frame still reads what the exchange returned
+            assert np.array_equal(running.ring_sums(np.arange(-1, t + 1)),
+                                  expect)
+        for i in range(tree.n_cells):
+            assert np.allclose(running.ring_sums(frames - 1)[i],
+                               sigma_oracle(tree, x, 0.0, i, frames - 1),
+                               rtol=0, atol=1e-12)
+
+    def test_frames_before_start_read_pre(self, rng):
+        tree = delayed_tree()
+        x = rng.random((6, 4))
+        running = RunningRingSums(tree, 6, pre=0.05)
+        running.commit(x)
+        frames = np.arange(-1, 6)
+        sigma = running.ring_sums(frames)
+        for k, t in enumerate(frames):
+            assert np.array_equal(sigma[k], running.ring_sums(t))
+            for i in range(4):
+                assert np.allclose(sigma[k, i], sigma_oracle(tree, x, 0.05, i, t),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["delayed", "ibt", "forest"])
+    def test_block_commit_matches_row_commits(self, name, rng):
+        tree = running_sums_tree(name)
+        x = rng.random((12, tree.n_cells))
+        rows = RunningRingSums(tree, 12, pre=0.05)
+        for t in range(12):
+            rows.commit(x[t])
+        blocks = RunningRingSums(tree, 12, pre=0.05)
+        blocks.commit(x[:5])
+        blocks.commit(x[5:])
+        assert rows.t == blocks.t == 11
+        frames = np.arange(-1, 12)
+        assert np.array_equal(blocks.ring_sums(frames), rows.ring_sums(frames))
 
     def test_uncommitted_frames_are_refused(self):
         running = RunningRingSums(delayed_tree(), 5)
         running.commit(np.ones(4))
-        for frame in (-2, 1):
+        for frame in (-2, 1, [0, 1]):
             with pytest.raises(ValueError, match="not committed"):
                 running.ring_sums(frame)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiersense import ControlParams, delayed_ring_sums, optimal_traffic
+from hiersense import ControlParams, HierarchicalExchange, optimal_traffic
 from hiersense.cli import load_config, main
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
@@ -141,18 +141,21 @@ class TestSimulate:
         out = tmp_path / "frames.csv"
         assert main(["simulate", "--config", config_path, "-o", str(out),
                      "--scheme", "ibt", "--grid-value", "0.05"] + override) == 0
-        # reference decisions: SU interference from the closed-form ring
-        # sums of the traffic committed up to the previous frame
+        # reference decisions: SU interference from the ring sums of an
+        # exchange fed, at frame t, the traffic committed at frame t - 1
         ctx = prepare_trial(load_config(config_path, override[1::2]), 0)
         rt = ctx.runtimes[0]
         assert ctx.warmup > 0
         ip_seq = scheme_ip_sequence(ctx, rt)
         params = ControlParams(lam=0.05, sinr_th=ctx.config.sinr_th_linear())
         traffic = np.zeros((ctx.t_total, ctx.config.n_cells))
+        exchange = HierarchicalExchange(rt.tree, 0.0)
         estimated = False
         for t in range(ctx.t_total):
-            sigma = delayed_ring_sums(rt.tree, traffic, 0.0, [t - 1])[0]
-            is_ = estimate_is_hierarchical(sigma, rt.weights_uncomp)
+            prev = traffic[t - 1] if t else np.zeros(ctx.config.n_cells)
+            exchange.advance_frame(prev, t)
+            is_ = estimate_is_hierarchical(exchange.sigma_all(t),
+                                           rt.weights_uncomp)
             estimated |= bool(is_.any())
             traffic[t] = optimal_traffic(ip_seq[t], is_, ctx.m, ctx.phi_diag,
                                          ctx.model, params,
@@ -218,6 +221,9 @@ class TestSweep:
         ("experiment.master_seed=-1", "experiment.master_seed"),
         ("experiment.frames=0", "experiment.frames"),
         ("topology.kind=hex", "topology.kind"),
+        ("schemes=[{name: a, kind: nope}]", "schemes[0].kind"),
+        ("schemes=[{name: a, kind: ibt}, {name: b, kind: ibt, gamma_delay: -1}]",
+         "schemes[1].gamma_delay"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
-                       SchemeSpec, Simulation, control, delayed_ring_sums,
+                       RunningRingSums, SchemeSpec, Simulation, control,
                        estimate_ip, eval_fading_success, run_experiment,
                        throughput_lb)
 from hiersense.harness import (FadingLayout, _fill_cells_uniform,
@@ -75,6 +75,17 @@ class TestConfig:
     def test_seed_beyond_float_precision_kept_exactly(self, seed):
         cfg = ExperimentConfig.from_dict({"experiment": {"master_seed": seed}})
         assert cfg.master_seed == seed
+
+    def test_nan_rejected_in_python_built_configs(self):
+        cfg = ExperimentConfig(schemes=(SchemeSpec("a", "ibt"),),
+                               lambda_grid=(math.nan,), sinr_th_db=math.nan,
+                               n_cells=16, frames=2, trials=1)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert "experiment.lambda_grid: " in str(err.value)
+        assert "control.sinr_th_db: must not be NaN" in str(err.value)
+        with pytest.raises(ConfigError, match=r"schemes\[\]\.gamma_delay"):
+            SchemeSpec("a", "ibt", gamma_delay=math.nan)
 
     def test_unknown_is_mode_rejected(self):
         with pytest.raises(ConfigError, match="is_mode"):
@@ -421,8 +432,9 @@ class TestAllFramesEstimate:
         assert (ctx.runtimes[2].weights.ring_size == 0).any()
         for rt in ctx.runtimes[:3]:
             assert rt.warmup > 0  # delays reach past frame 0
-            sigma_all = delayed_ring_sums(rt.tree, ctx.bhat_seq, pi_b,
-                                          np.arange(ctx.t_total))
+            running = RunningRingSums(rt.tree, ctx.t_total, pi_b)
+            running.commit(ctx.bhat_seq)
+            sigma_all = running.ring_sums(np.arange(ctx.t_total))
             ip_all = estimate_ip(sigma_all, rt.weights, ctx.model)
             sim = simulation(ctx, rt, 0.01)
             for _ in range(ctx.t_total):
@@ -438,15 +450,13 @@ class TestAllFramesEstimate:
                 self.assert_rel(ip_all[t], expect)
                 self.assert_rel(sim.ip_seq[t], expect)
                 # hierarchical IS reads the last commitment, from frame 0 on:
-                # the traffic exchange is fed the previous commitment, and
-                # the closed form reads frame t - 1 of the committed traffic
+                # the traffic exchange is fed the previous commitment
                 prev = sim.a_hist[t - 1] if t else np.zeros(ctx.config.n_cells)
                 traffic.advance_frame(prev, t)
-                got = sim._estimate_is(t)
-                for sigma_a in (traffic.sigma_all(t), delayed_ring_sums(
-                        rt.tree, sim.a_hist, 0.0, [t - 1])[0]):
-                    assert np.array_equal(got, estimate_is_hierarchical(
-                        sigma_a, rt.weights_uncomp))
+                assert np.array_equal(sim._estimate_is(t),
+                                      estimate_is_hierarchical(
+                                          traffic.sigma_all(t),
+                                          rt.weights_uncomp))
             assert sim._estimate_is(ctx.t_total - 1).any()
 
     def test_full_nsi_matches_per_frame_definition(self, ctx):
