@@ -207,6 +207,29 @@ class TestTrace:
         assert per_level == {0: 4, 1: 2, 2: 1}
 
 
+class TestDelayedRingSums:
+    """Ring sums of delayed locals at frames whose reads reach before the
+    start, where every missing local reads as ``pre``."""
+
+    # frames0: frame -1 (all pre-start) and frame 0 (delayed rings pre-start);
+    # frames1: every readable frame, mixing pre-start and committed reads
+    @pytest.mark.parametrize("frames", [[-1, 0], list(range(-1, 6))])
+    def test_frames_before_start_read_pre(self, frames, rng):
+        tree = delayed_tree()
+        x = rng.random((6, 4))
+        running = RunningRingSums(tree, 6, pre=0.05)
+        running.commit(x)
+        sigma = running.ring_sums(frames)
+        for k, t in enumerate(frames):
+            # the same frame in a request that also reads committed rows
+            mixed = running.ring_sums([t, 5])[0]
+            assert np.array_equal(sigma[k], mixed)
+            assert np.array_equal(sigma[k], running.ring_sums(t))
+            for i in range(4):
+                assert np.allclose(sigma[k, i], sigma_oracle(tree, x, 0.05, i, t),
+                                   rtol=0, atol=1e-12)
+
+
 def running_sums_tree(name):
     if name == "delayed":
         return delayed_tree()
@@ -246,19 +269,6 @@ class TestRunningRingSums:
             assert np.allclose(running.ring_sums(frames - 1)[i],
                                sigma_oracle(tree, x, 0.0, i, frames - 1),
                                rtol=0, atol=1e-12)
-
-    def test_frames_before_start_read_pre(self, rng):
-        tree = delayed_tree()
-        x = rng.random((6, 4))
-        running = RunningRingSums(tree, 6, pre=0.05)
-        running.commit(x)
-        frames = np.arange(-1, 6)
-        sigma = running.ring_sums(frames)
-        for k, t in enumerate(frames):
-            assert np.array_equal(sigma[k], running.ring_sums(t))
-            for i in range(4):
-                assert np.allclose(sigma[k, i], sigma_oracle(tree, x, 0.05, i, t),
-                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["delayed", "ibt", "forest"])
     def test_block_commit_matches_row_commits(self, name, rng):
