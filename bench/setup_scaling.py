@@ -2,10 +2,11 @@
 
 Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 ``build_ibt``, ``build_random_tree`` and ``compute_weights`` on square grids
-with 0, 12 and 16 blockages, and one per-frame stage: the mean
-``Simulation.run_frame`` time of an IBT scheme with hierarchical SU
-interference (``frame_s``, on a trial built by ``prepare_trial`` at the same
-N and blockage count).  Both sides run in one call: a parent revision
+with 0, 12 and 16 blockages, and one per-frame stage: the ``run_trial_point``
+time of an IBT scheme with hierarchical SU interference divided by its
+frame count (``frame_s``: deciding and scoring every frame of one grid
+point, on a trial built by ``prepare_trial`` at the same N and blockage
+count).  Both sides run in one call: a parent revision
 (extracted with ``git archive``) and the working tree's ``src/``.  Each
 repetition runs one worker process per side, and the side that runs first
 alternates between repetitions, so host load and cache warmth hit both
@@ -56,8 +57,9 @@ def _timed(fn, *args, **kwargs):
 
 
 def _frame_stage(n: int, blockages: int, side: float):
-    """Mean run_frame seconds of an IBT scheme with hierarchical SU
-    interference, and the bytes of its traffic trajectory."""
+    """run_trial_point seconds per frame of an IBT scheme with hierarchical
+    SU interference, and the bytes of its traffic trajectory."""
+    import numpy as np
     from hiersense import harness
 
     cfg = harness.ExperimentConfig(
@@ -66,16 +68,16 @@ def _frame_stage(n: int, blockages: int, side: float):
         is_mode="hierarchical", frames=FRAMES, trials=1, master_seed=0,
         lambda_grid=(LAMBDA,))
     ctx = harness.prepare_trial(cfg, 0)
-    rt = ctx.runtimes[0]
-    if hasattr(harness, "scheme_ip_sequence"):
-        sim = harness.Simulation(ctx, rt, LAMBDA, 0,
-                                 harness.scheme_ip_sequence(ctx, rt))
-    else:  # revisions that build the estimate inside Simulation
-        sim = harness.Simulation(ctx, rt, LAMBDA, 0)
+    # revisions that build the estimate inside Simulation take no ip_seq
+    ip_seq = (harness.scheme_ip_sequence(ctx, ctx.runtimes[0]),) \
+        if hasattr(harness, "scheme_ip_sequence") else ()
     t0 = time.perf_counter()
-    for _ in range(ctx.t_total):
-        sim.run_frame()
-    return (time.perf_counter() - t0) / ctx.t_total, sim.a_hist.tobytes()
+    frames, _ = harness.run_trial_point(ctx, 0, LAMBDA, 0, *ip_seq)
+    seconds = time.perf_counter() - t0
+    # an array-form record, or one FrameMetrics per frame
+    traffic = frames.traffic if hasattr(frames, "traffic") \
+        else np.stack([f.traffic for f in frames])
+    return seconds / ctx.t_total, traffic.tobytes()
 
 
 def worker() -> list[dict]:
@@ -194,7 +196,8 @@ def main(argv=None) -> int:
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
         "what": "trial set-up stage times and the hierarchical-IS frame "
-                "time, parent vs change, grid layouts",
+                "time (run_trial_point per frame: decide and score), "
+                "parent vs change, grid layouts",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -108,9 +109,11 @@ def cmd_simulate(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["frame", "su_throughput", "inr_db", "utility",
                          "mean_traffic"])
-        for f in frames:
-            writer.writerow([f.t, repr(f.su_throughput), repr(f.inr_db),
-                             repr(f.utility), repr(float(f.traffic.mean()))])
+        for t in frames.t:
+            writer.writerow([t, repr(float(frames.su_throughput[t])),
+                             repr(float(frames.inr_db[t])),
+                             repr(float(frames.utility[t])),
+                             repr(float(frames.traffic[t].mean()))])
     print(f"per-frame metrics written to {args.output}")
     if args.trace:
         print(f"aggregate trace written to {args.trace}")
@@ -123,8 +126,9 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, args.override)
     result = run_experiment(config)
     result.write_csv(args.output)
-    summary_path = args.summary or (args.output.rsplit(".", 1)[0]
-                                    + "_summary.csv")
+    output = Path(args.output)
+    summary_path = args.summary or output.with_name(output.stem
+                                                    + "_summary.csv")
     result.write_summary_csv(summary_path)
     print(f"{len(result.rows)} rows written to {args.output}")
     print(f"summary written to {summary_path}")

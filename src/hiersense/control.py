@@ -140,17 +140,26 @@ def utility(a, ip, is_, m, phi_ii, model: OccupancyModel, params: ControlParams)
     return float(out) if np.ndim(out) == 0 else out
 
 
+def inr_contributions(a, phi_b, model: OccupancyModel):
+    """Per-cell INR contributions ``iota = a * phi_b / pi_b`` and their mean.
+
+    ``phi_b`` is ``phi @ b``: the coupling of each cell to the active
+    licensed users.  ``a`` and ``phi_b`` are one frame's vectors or
+    (frames, n_cells) blocks; the mean is taken per frame.
+    """
+    iota = np.asarray(a, dtype=float) * phi_b / float(model.pi_b)
+    return iota.sum(axis=-1) / iota.shape[-1], iota
+
+
 def network_inr(a, b, phi, model: OccupancyModel):
     """Average INR caused to active licensed users, plus per-cell contributions.
 
     Returns (inr_linear, iota) with inr defined as the mean of the per-cell
     contributions, making the decomposition identity exact by construction.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    phi_arr = _phi_array(phi)
-    iota = a * (phi_arr @ b) / float(model.pi_b)
-    return float(iota.sum() / len(a)), iota
+    phi_b = _phi_array(phi) @ np.asarray(b, dtype=float)
+    inr, iota = inr_contributions(a, phi_b, model)
+    return float(inr), iota
 
 
 # --------------------------------------------------------------------------

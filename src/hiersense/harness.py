@@ -6,10 +6,13 @@ scheme comparisons are paired.  RNG streams are derived from
 (master seed, trial index, grid index, ...) seed sequences, which makes runs
 reproducible regardless of execution order.
 
-Two evaluation modes: ``analytic_lb`` scores each frame's committed traffic
-with the closed-form throughput bound evaluated at the true network state,
-while ``fading_mc`` draws per-user Rayleigh channels and counts SINR
-threshold successes at the actual user positions.
+The frame loop only decides: each frame's traffic depends on the previous
+frame's.  Scoring reads the decisions and never feeds them, so it runs once
+the loop is done, over whole (frames, cells) blocks.  Two evaluation modes:
+``analytic_lb`` scores each frame's committed traffic with the closed-form
+throughput bound evaluated at the true network state, while ``fading_mc``
+draws per-user Rayleigh channels and counts SINR threshold successes at the
+actual user positions.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +153,13 @@ class ExperimentConfig:
             errors.append(("lambda_grid", "entries must be positive"))
         if any(not 0 <= p <= 1 for p in self.ptx_grid):
             errors.append(("ptx_grid", "entries must lie in [0, 1]"))
+        for name in ("lambda_grid", "ptx_grid"):
+            grid = getattr(self, name)
+            repeated = list(dict.fromkeys(v for v in grid if grid.count(v) > 1))
+            if repeated:
+                # the summary would merge repeated points into one row
+                errors.append((name, f"must be distinct values, got "
+                               f"{', '.join(map(repr, repeated))} more than once"))
         if self.nu1 + self.nu0 <= 0:
             errors.append(("occupancy", "nu1 + nu0 must be positive"))
         try:
@@ -368,6 +379,26 @@ class TrialContext:
     bhat_seq: np.ndarray
     fading: FadingLayout | None
 
+    @cached_property
+    def occupancy_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every frame's ``b @ coupling`` and ``phi @ b``; see
+        :func:`occupancy_products`.  Built on first use, after set-up, and
+        shared by every scheme and grid point of the trial."""
+        return occupancy_products(self.b_seq, self.coupling, self.phi.phi)
+
+
+def occupancy_products(b_seq, coupling, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, n_cells) rows of ``b @ coupling``, the true licensed-user
+    interference at each cell, and of ``phi @ b``, each cell's coupling to
+    the active licensed users.
+
+    One vector product per frame: a whole-block matrix product can differ
+    from them in the last bits.
+    """
+    rows = np.asarray(b_seq, dtype=float)
+    return (np.stack([b @ coupling for b in rows]),
+            np.stack([phi @ b for b in rows]))
+
 
 def _simulate_occupancy(model, n_cells, t_total, rng) -> np.ndarray:
     state = sample_steady_state(model, n_cells, rng)
@@ -533,14 +564,17 @@ def prepare_trial(config: ExperimentConfig, trial: int) -> TrialContext:
 
 
 @dataclass
-class FrameMetrics:
-    t: int
-    su_throughput: float
-    inr_linear: float
-    inr_db: float
-    utility: float
-    traffic: np.ndarray
-    pu_success_rate: float = math.nan
+class PointMetrics:
+    """Every frame's metrics of one (trial, scheme, grid point), frame axis
+    first; the per-cell values are averaged over the cells."""
+
+    t: np.ndarray                # (frames,) frame index
+    su_throughput: np.ndarray    # (frames,)
+    inr_linear: np.ndarray       # (frames,)
+    inr_db: np.ndarray           # (frames,)
+    utility: np.ndarray          # (frames,) NaN for uncoordinated access
+    traffic: np.ndarray          # (frames, n_cells) committed traffic
+    pu_success_rate: np.ndarray  # (frames,) NaN under analytic_lb
 
 
 def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
@@ -623,13 +657,13 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
 
 
 class Simulation:
-    """Frame-by-frame execution of one (trial, scheme, grid point) cell.
+    """The decision loop of one (trial, scheme, grid point) cell.
 
     ``ip_seq`` is the scheme's licensed-user interference estimate of every
     frame (:func:`scheme_ip_sequence`); only the SU-interference estimate
     waits for the committed traffic.  Under hierarchical IS the per-level
     aggregates of that traffic are kept across frames, so each frame fuses
-    just its own row.
+    just its own row.  :func:`score_frames` scores the decisions afterwards.
     """
 
     def __init__(self, ctx: TrialContext, runtime: SchemeRuntime,
@@ -647,14 +681,15 @@ class Simulation:
         self.params = control.ControlParams(lam=lam,
                                             sinr_th=cfg.sinr_th_linear())
         self.a_max = cfg.resolved_a_max()
-        self._pi_b = float(ctx.model.pi_b)
-        # committed traffic per frame; frames not yet run (and t < 0) read 0
+        # committed traffic and the true SU interference it causes, per
+        # frame; frames not yet run read 0
         self.a_hist = np.zeros((ctx.t_total, cfg.n_cells))
+        self.is_true = np.zeros((ctx.t_total, cfg.n_cells))
         self._traffic = None if runtime.weights_uncomp is None else \
             RunningRingSums(runtime.tree, ctx.t_total)
         scheme_idx = [s.name for s in cfg.schemes].index(runtime.spec.name)
-        self._eval_rng = _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
-                                   grid_idx)
+        self.eval_rng = _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
+                                  grid_idx)
         self.t = -1
 
     def _estimate_is(self, t):
@@ -662,16 +697,15 @@ class Simulation:
             # traffic decided this frame is unknown; read the last commitment
             return estimate_is_hierarchical(self._traffic.ring_sums(t - 1),
                                             self.rt.weights_uncomp)
-        prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
-        return estimate_is_oracle(self.ctx.coupling, prev)
+        # the oracle estimate is the last frame's true SU interference
+        return self.is_true[t - 1] if t > 0 else np.zeros(self.is_true.shape[1])
 
-    def run_frame(self) -> FrameMetrics:
-        """Advance one frame: decision from the estimates, then metrics."""
+    def run_frame(self) -> None:
+        """Advance one frame: decide its traffic from the estimates and
+        commit it."""
         self.t += 1
         t = self.t
-        ctx, cfg = self.ctx, self.ctx.config
-        b = ctx.b_seq[t]
-
+        ctx = self.ctx
         if self.uncoordinated:
             a = control.uncoordinated_traffic(self.grid_value, ctx.m, self.a_max)
         else:
@@ -679,34 +713,44 @@ class Simulation:
                                         ctx.m, ctx.phi_diag, ctx.model,
                                         self.params, self.a_max)
         a = np.asarray(a, dtype=float)
-
-        ip_true = b.astype(float) @ ctx.coupling
-        is_true = a @ ctx.coupling - a
-        if self.uncoordinated:
-            util = math.nan  # no cost weight is defined for fixed-probability access
-        else:
-            util = float(np.mean(control.utility(
-                a, ip_true, is_true, ctx.m, ctx.phi_diag, ctx.model, self.params)))
-
-        pu_rate = math.nan
-        if cfg.eval_mode == "fading_mc":
-            # the measured INR stands in for the analytic one
-            counts, pu_rate, inr_lin = eval_fading_success(
-                ctx.fading, a, ctx.m, b, self.params.sinr_th, self._pi_b,
-                self._eval_rng)
-            throughput = float(counts.mean())
-        else:
-            inr_lin, _ = control.network_inr(a, b, ctx.phi, ctx.model)
-            thr = control.throughput_lb(a, ctx.m, ip_true, is_true,
-                                        ctx.phi_diag, self.params)
-            throughput = float(np.mean(thr))
-
         self.a_hist[t] = a
+        self.is_true[t] = estimate_is_oracle(ctx.coupling, a)
         if self._traffic is not None:
             self._traffic.commit(a)
-        return FrameMetrics(t=t, su_throughput=throughput, inr_linear=inr_lin,
-                            inr_db=float(lin_to_db(inr_lin)), utility=util,
-                            traffic=a.copy(), pu_success_rate=pu_rate)
+
+
+def score_frames(sim: Simulation) -> PointMetrics:
+    """Score every decided frame of ``sim`` at the true network state.
+
+    The decisions never read the scores, so whole (frames, n_cells) blocks
+    are scored at once.  Under ``fading_mc`` the per-user draws still run
+    frame by frame, in frame order, on the grid point's own stream.
+    """
+    ctx, params = sim.ctx, sim.params
+    a, is_true = sim.a_hist, sim.is_true
+    ip_true, phi_b = ctx.occupancy_products
+    if sim.uncoordinated:
+        # no cost weight is defined for fixed-probability access
+        util = np.full(ctx.t_total, math.nan)
+    else:
+        util = control.utility(a, ip_true, is_true, ctx.m, ctx.phi_diag,
+                               ctx.model, params).mean(axis=1)
+    if ctx.config.eval_mode == "fading_mc":
+        # the measured INR stands in for the analytic one
+        counts, pu_rate, inr_lin = zip(*(
+            eval_fading_success(ctx.fading, a[t], ctx.m, ctx.b_seq[t],
+                                params.sinr_th, float(ctx.model.pi_b),
+                                sim.eval_rng) for t in range(ctx.t_total)))
+        throughput = np.array([c.mean() for c in counts])
+        pu_rate, inr_lin = np.array(pu_rate), np.array(inr_lin)
+    else:
+        inr_lin, _ = control.inr_contributions(a, phi_b, ctx.model)
+        throughput = control.throughput_lb(a, ctx.m, ip_true, is_true,
+                                           ctx.phi_diag, params).mean(axis=1)
+        pu_rate = np.full(ctx.t_total, math.nan)
+    return PointMetrics(t=np.arange(ctx.t_total), su_throughput=throughput,
+                        inr_linear=inr_lin, inr_db=lin_to_db(inr_lin),
+                        utility=util, traffic=a, pu_success_rate=pu_rate)
 
 
 # ----------------------------------------------------------------------------
@@ -796,17 +840,19 @@ class SweepResult:
 
 
 def run_trial_point(ctx: TrialContext, scheme_idx: int, grid_value: float,
-                    grid_idx: int, ip_seq
-                    ) -> tuple[list[FrameMetrics], SweepRow]:
-    """All frames of one (trial, scheme, grid) cell plus its summary row."""
+                    grid_idx: int, ip_seq) -> tuple[PointMetrics, SweepRow]:
+    """Every frame of one (trial, scheme, grid) cell, decided in frame order
+    and then scored, plus its summary row."""
     cfg = ctx.config
     rt = ctx.runtimes[scheme_idx]
     sim = Simulation(ctx, rt, grid_value, grid_idx, ip_seq)
-    frames = [sim.run_frame() for _ in range(ctx.t_total)]
-    measured = frames[ctx.warmup:]
-    thr = float(np.mean([f.su_throughput for f in measured]))
-    lin = float(np.mean([f.inr_linear for f in measured]))
-    util = float(np.mean([f.utility for f in measured]))
+    for _ in range(ctx.t_total):
+        sim.run_frame()
+    frames = score_frames(sim)
+    measured = slice(ctx.warmup, None)
+    thr = float(np.mean(frames.su_throughput[measured]))
+    lin = float(np.mean(frames.inr_linear[measured]))
+    util = float(np.mean(frames.utility[measured]))
     row = SweepRow(scheme=rt.spec.name, lambda_or_ptx=grid_value, seed=ctx.trial,
                    mean_su_throughput=thr, mean_inr_db=float(lin_to_db(lin)),
                    mean_utility=util, agg_cost_per_cell=rt.agg_cost_per_cell,

@@ -174,6 +174,19 @@ class TestSweep:
         summary = tmp_path / "rows_summary.csv"
         assert summary.exists()
 
+    def test_summary_next_to_an_output_without_extension(self, tmp_path,
+                                                         config_path,
+                                                         monkeypatch):
+        # the stem is the file name's, never a dotted directory's
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v2").mkdir()
+        assert main(["sweep", "--config", config_path,
+                     "-o", "run.v2/results"]) == 0
+        assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == \
+            ["results", "results_summary.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["config.yaml", "run.v2"]
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         blobs = []
         for name in ("r1.csv", "r2.csv"):
@@ -224,6 +237,8 @@ class TestSweep:
         ("schemes=[{name: a, kind: nope}]", "schemes[0].kind"),
         ("schemes=[{name: a, kind: ibt}, {name: b, kind: ibt, gamma_delay: -1}]",
          "schemes[1].gamma_delay"),
+        ("experiment.lambda_grid=[0.01,0.01]", "experiment.lambda_grid"),
+        ("experiment.ptx_grid=[0.02,0.01,0.02]", "experiment.ptx_grid"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):

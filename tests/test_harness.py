@@ -1,17 +1,18 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        RunningRingSums, SchemeSpec, Simulation, control,
-                       estimate_ip, eval_fading_success, run_experiment,
-                       throughput_lb)
+                       estimate_ip, eval_fading_success, harness,
+                       run_experiment, throughput_lb)
 from hiersense.harness import (FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
-from hiersense.inference import estimate_is_hierarchical
+from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
+from hiersense.topology import lin_to_db
 from hiersense import ControlParams
 
 
@@ -29,6 +30,13 @@ def small_config(**kw):
 def simulation(ctx, rt, grid_value):
     """A Simulation handed its scheme's licensed-user estimate."""
     return Simulation(ctx, rt, grid_value, 0, scheme_ip_sequence(ctx, rt))
+
+
+def run_point(ctx, scheme_idx, grid_value):
+    """Every frame's record of one grid point of the trial."""
+    ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[scheme_idx])
+    frames, _ = run_trial_point(ctx, scheme_idx, grid_value, 0, ip_seq)
+    return frames
 
 
 def with_occupancy(ctx, b_seq):
@@ -129,11 +137,8 @@ class TestFrameLoop:
         base = ctx.b_seq.copy()
         fork = base.copy()
         fork[10:] = 1 - fork[10:]  # flip every occupancy bit from frame 10 on
-        runs = []
-        for seq in (base, fork):
-            sim = simulation(with_occupancy(ctx, seq),
-                             ctx.runtimes[scheme_idx], 0.002)
-            runs.append([sim.run_frame().traffic for _ in range(15)])
+        runs = [run_point(with_occupancy(ctx, seq), scheme_idx, 0.002).traffic
+                for seq in (base, fork)]
         for t in range(10):
             assert np.array_equal(runs[0][t], runs[1][t])
         assert not np.array_equal(runs[0][12], runs[1][12])
@@ -144,11 +149,10 @@ class TestFrameLoop:
         cfg = small_config(trials=1, frames=5)
         ctx = prepare_trial(cfg, 0)
         silent = np.zeros_like(ctx.b_seq)
-        sim = simulation(with_occupancy(ctx, silent), ctx.runtimes[1], 1.0)
-        for _ in range(5):
-            metrics = sim.run_frame()
-            assert (metrics.traffic == cfg.resolved_a_max()).all()
-            assert metrics.inr_linear == 0.0
+        frames = run_point(with_occupancy(ctx, silent), 1, 1.0)
+        assert frames.traffic.shape == (5, 16)
+        assert (frames.traffic == cfg.resolved_a_max()).all()
+        assert (frames.inr_linear == 0.0).all()
 
     def test_uncoordinated_skips_estimation(self):
         cfg = small_config(schemes=(SchemeSpec("unc", "uncoordinated"),),
@@ -156,24 +160,23 @@ class TestFrameLoop:
         ctx = prepare_trial(cfg, 0)
         sim = simulation(ctx, ctx.runtimes[0], 0.25)
         assert sim.ip_seq is None
-        metrics = sim.run_frame()
-        assert (metrics.traffic == 0.25 * cfg.resolved_a_max()).all()
-        assert math.isnan(metrics.utility)
+        frames = run_point(ctx, 0, 0.25)
+        assert (frames.traffic == 0.25 * cfg.resolved_a_max()).all()
+        assert np.isnan(frames.utility).all()
 
     def test_analytic_metric_is_bound_at_committed_values(self):
         cfg = small_config(trials=1, frames=8)
         ctx = prepare_trial(cfg, 0)
-        sim = simulation(ctx, ctx.runtimes[0], 0.05)
+        frames = run_point(ctx, 0, 0.05)
         for t in range(8):
-            m = sim.run_frame()
-            a = m.traffic
+            a = frames.traffic[t]
             b = ctx.b_seq[t].astype(float)
             ip = b @ ctx.coupling
             is_ = a @ ctx.coupling - a
             expect = float(np.mean(throughput_lb(
                 a, ctx.m, ip, is_, ctx.phi_diag,
                 ControlParams(lam=0.05, sinr_th=cfg.sinr_th_linear()))))
-            assert m.su_throughput == expect
+            assert frames.su_throughput[t] == expect
 
     def test_hierarchical_is_mode_runs(self):
         cfg = small_config(is_mode="hierarchical", trials=1, frames=10,
@@ -206,6 +209,157 @@ class TestFrameLoop:
         assert len(res.rows) == 3
         radius_row = res.rows_for("radius")[0]
         assert radius_row.agg_cost_per_cell > 0
+
+
+@dataclass
+class FrameMetrics:
+    """One frame's metrics, as the frame-by-frame oracle scores them."""
+
+    t: int
+    su_throughput: float
+    inr_linear: float
+    inr_db: float
+    utility: float
+    traffic: np.ndarray
+    pu_success_rate: float = math.nan
+
+
+class FrameByFrame(Simulation):
+    """Oracle of the decision loop and the block scorer: each frame is
+    decided and then scored on its own, and the oracle SU-interference
+    estimate is recomputed from the last frame's committed traffic."""
+
+    def _estimate_is(self, t):
+        if self._traffic is not None:
+            return super()._estimate_is(t)
+        prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
+        return estimate_is_oracle(self.ctx.coupling, prev)
+
+    def run_frame(self) -> FrameMetrics:
+        self.t += 1
+        t = self.t
+        ctx, cfg = self.ctx, self.ctx.config
+        b = ctx.b_seq[t]
+
+        if self.uncoordinated:
+            a = control.uncoordinated_traffic(self.grid_value, ctx.m, self.a_max)
+        else:
+            a = control.optimal_traffic(self.ip_seq[t], self._estimate_is(t),
+                                        ctx.m, ctx.phi_diag, ctx.model,
+                                        self.params, self.a_max)
+        a = np.asarray(a, dtype=float)
+
+        ip_true = b.astype(float) @ ctx.coupling
+        is_true = a @ ctx.coupling - a
+        if self.uncoordinated:
+            util = math.nan
+        else:
+            util = float(np.mean(control.utility(
+                a, ip_true, is_true, ctx.m, ctx.phi_diag, ctx.model, self.params)))
+
+        pu_rate = math.nan
+        if cfg.eval_mode == "fading_mc":
+            counts, pu_rate, inr_lin = eval_fading_success(
+                ctx.fading, a, ctx.m, b, self.params.sinr_th,
+                float(ctx.model.pi_b), self.eval_rng)
+            throughput = float(counts.mean())
+        else:
+            inr_lin, _ = control.network_inr(a, b, ctx.phi, ctx.model)
+            thr = control.throughput_lb(a, ctx.m, ip_true, is_true,
+                                        ctx.phi_diag, self.params)
+            throughput = float(np.mean(thr))
+
+        self.a_hist[t] = a
+        if self._traffic is not None:
+            self._traffic.commit(a)
+        return FrameMetrics(t=t, su_throughput=throughput, inr_linear=inr_lin,
+                            inr_db=float(lin_to_db(inr_lin)), utility=util,
+                            traffic=a.copy(), pu_success_rate=pu_rate)
+
+
+class TestBlockScoringMatchesFrameOracle:
+    SCHEMES = (SchemeSpec("ibt", "ibt", gamma_delay=0.02),
+               SchemeSpec("rt", "rt", gamma_delay=0.02),
+               SchemeSpec("full", "full_nsi", gamma_delay=0.02),
+               SchemeSpec("radius", "radius_nsi", radius=120.0),
+               SchemeSpec("cons", "consensus", degree=3, rounds=4),
+               SchemeSpec("unc", "uncoordinated"))
+
+    @staticmethod
+    def same(x, y):
+        return np.array_equal(x, y, equal_nan=True)
+
+    @pytest.mark.parametrize("is_mode", ["oracle", "hierarchical"])
+    @pytest.mark.parametrize("eval_mode", ["analytic_lb", "fading_mc"])
+    def test_every_frame_equal_bit_for_bit(self, eval_mode, is_mode):
+        fading = dict(topology_kind="random", n_blockages=0,
+                      population_mode="constant", m_per_cell=3) \
+            if eval_mode == "fading_mc" else {}
+        # a busy spectrum (pi_b = 0.2) puts many active PUs in every frame
+        cfg = small_config(schemes=self.SCHEMES, eval_mode=eval_mode,
+                           is_mode=is_mode, trials=1, frames=25, nu1=0.02,
+                           nu0=0.08, extra_warmup=2, ptx_grid=(0.1, 0.6),
+                           **fading)
+        ctx = prepare_trial(cfg, 0)
+        assert ctx.warmup > 2  # the delayed schemes add warm-up frames
+        for k, spec in enumerate(cfg.schemes):
+            rt = ctx.runtimes[k]
+            ip_seq = scheme_ip_sequence(ctx, rt)
+            for g, gval in enumerate(cfg.grid(spec)):
+                sim = Simulation(ctx, rt, gval, g, ip_seq)
+                for _ in range(ctx.t_total):
+                    sim.run_frame()
+                got = harness.score_frames(sim)
+                oracle = FrameByFrame(ctx, rt, gval, g, ip_seq)
+                frames = [oracle.run_frame() for _ in range(ctx.t_total)]
+                assert np.array_equal(got.t, np.arange(ctx.t_total))
+                for t, f in enumerate(frames):
+                    assert np.array_equal(got.traffic[t], f.traffic)
+                    assert got.su_throughput[t] == f.su_throughput
+                    assert got.inr_linear[t] == f.inr_linear
+                    assert got.inr_db[t] == f.inr_db
+                    assert self.same(got.utility[t], f.utility)
+                    assert self.same(got.pu_success_rate[t], f.pu_success_rate)
+                # the scorer left the point's stream where the oracle did
+                assert sim.eval_rng.bit_generator.state \
+                    == oracle.eval_rng.bit_generator.state
+                _, row = run_trial_point(ctx, k, gval, g, ip_seq)
+                measured = frames[ctx.warmup:]
+                assert row.mean_su_throughput == float(np.mean(
+                    [f.su_throughput for f in measured]))
+                assert row.mean_inr_linear == float(np.mean(
+                    [f.inr_linear for f in measured]))
+                assert self.same(row.mean_utility, float(np.mean(
+                    [f.utility for f in measured])))
+
+
+class TestOccupancyProducts:
+    def test_rows_equal_the_per_frame_products(self):
+        # a busy spectrum (pi_b = 0.2): a whole-block product of this
+        # history differs from the per-frame ones in the last bits
+        ctx = prepare_trial(small_config(trials=1, nu1=0.02, nu0=0.08), 0)
+        ip_true, phi_b = ctx.occupancy_products
+        assert ip_true.shape == phi_b.shape == ctx.b_seq.shape
+        for t, b in enumerate(ctx.b_seq):
+            assert np.array_equal(ip_true[t], b.astype(float) @ ctx.coupling)
+            assert np.array_equal(phi_b[t], ctx.phi.phi @ b.astype(float))
+
+    def test_computed_once_per_trial(self, monkeypatch):
+        calls = []
+        products = harness.occupancy_products
+
+        def counted(*args):
+            calls.append(args)
+            return products(*args)
+
+        monkeypatch.setattr(harness, "occupancy_products", counted)
+        cfg = small_config(schemes=(SchemeSpec("ibt", "ibt"),
+                                    SchemeSpec("unc", "uncoordinated")),
+                           lambda_grid=(0.01, 0.03, 0.1),
+                           ptx_grid=(0.01, 0.02, 0.04), trials=2, frames=10)
+        res = run_experiment(cfg)
+        assert len(res.rows) == 2 * 2 * 3
+        assert len(calls) == cfg.trials
 
 
 class TestFadingEvaluation:
