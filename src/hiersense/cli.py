@@ -42,6 +42,8 @@ def _apply_override(raw: dict, assignment: str) -> None:
 def load_config(path: str, overrides=()) -> ExperimentConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: must be a mapping of config sections")
     for assignment in overrides:
         _apply_override(raw, assignment)
     return ExperimentConfig.from_dict(raw)
@@ -295,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

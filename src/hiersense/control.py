@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OccupancyModel
-from .topology import _phi_array, coupling_matrix
+from .topology import NO_LINK, _phi_array, coupling_matrix, frame_delays
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,11 @@ def network_inr(a, b, phi, model: OccupancyModel):
 # Baseline network-state policies
 
 
-def full_nsi_delay_matrix(distance_matrix, gamma_delay: float) -> np.ndarray:
-    return np.ceil(gamma_delay * np.asarray(distance_matrix)).astype(int)
+def nsi_cost(delay_matrix) -> float:
+    """Per-cell NSI cost: the mean number of other cells whose bit arrives."""
+    arrives = np.asarray(delay_matrix) != NO_LINK
+    np.fill_diagonal(arrives, False)
+    return float(arrives.sum(axis=0).mean())
 
 
 def full_nsi_ip(phi, delay_matrix, b_history, model: OccupancyModel
@@ -175,7 +178,8 @@ def full_nsi_ip(phi, delay_matrix, b_history, model: OccupancyModel
     """Delay-compensated estimate of every frame from (delayed) true bits.
 
     Row t reads each contributor's bit from frame t - delay; bits older than
-    the simulated history enter at the steady-state prior.
+    the simulated history, and bits that never arrive (``NO_LINK``), enter at
+    the steady-state prior.
     """
     w = coupling_matrix(phi)
     pi_b = float(model.pi_b)
@@ -183,9 +187,10 @@ def full_nsi_ip(phi, delay_matrix, b_history, model: OccupancyModel
     b = np.asarray(b_history, dtype=float)
     t_total = len(b)
     ip = np.tile(pi_b * w.sum(axis=0), (t_total, 1))
-    for d in np.unique(delay_matrix):
-        if d >= t_total:
-            break  # prior only: the correction term vanishes
+    # each delay that occurs, in increasing order: NO_LINK (-1) is bin 0, and
+    # a delay past the history leaves only the prior
+    seen = np.bincount(np.minimum(delay_matrix.ravel(), t_total) + 1)
+    for d in np.flatnonzero(seen[1:t_total + 1]):
         mask = delay_matrix == d
         ip[d:] += (mu ** int(d)) * ((b[:t_total - d] - pi_b) @ (w * mask))
     return np.maximum(ip, 0.0)
@@ -193,21 +198,15 @@ def full_nsi_ip(phi, delay_matrix, b_history, model: OccupancyModel
 
 def radius_nsi_ip(phi, distance_matrix, radius: float, b_history,
                   model: OccupancyModel) -> np.ndarray:
-    """Exact bits inside the radius, steady-state prior beyond it.
+    """Exact bits inside the radius, steady-state prior beyond it: full NSI
+    without delay, cut off at ``radius``.
 
     ``b_history`` is one frame's bits or a (frames, n_cells) history.
     """
-    w = coupling_matrix(phi)
-    within = np.asarray(distance_matrix) <= radius
-    return np.asarray(b_history, dtype=float) @ (w * within) \
-        + float(model.pi_b) * (w * ~within).sum(axis=0)
-
-
-def radius_cost(distance_matrix, radius: float) -> float:
-    """Mean number of other cells inside the radius (per-cell NSI cost)."""
-    d = np.asarray(distance_matrix)
-    within = (d <= radius) & ~np.eye(len(d), dtype=bool)
-    return float(within.sum(axis=1).mean())
+    b = np.asarray(b_history, dtype=float)
+    ip = full_nsi_ip(phi, frame_delays(distance_matrix, 0.0, radius),
+                     np.atleast_2d(b), model)
+    return ip if b.ndim > 1 else ip[0]
 
 
 def uncoordinated_traffic(p_tx: float, m, a_max: float | None = None

@@ -33,8 +33,8 @@ from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
 from .sensing import SensorModel, posterior_update, prior_propagate, \
     sample_detection_count
 from .topology import (InterferenceMatrix, NetworkTopology, PathlossParams,
-                       build_topology, compute_phi, db_to_lin, lin_to_db,
-                       pathloss_db)
+                       build_topology, compute_phi, db_to_lin, frame_delays,
+                       layout_errors, lin_to_db, pathloss_db)
 
 # the keys each scheme kind reads besides its name and kind
 SCHEME_KEYS = {"ibt": ("gamma_delay", "c_max"), "rt": ("gamma_delay", "c_max"),
@@ -83,8 +83,9 @@ class SchemeSpec:
         if self.kind not in SCHEME_KINDS:
             errors.append(("kind", f"must be one of {', '.join(SCHEME_KINDS)}"
                            f", got {self.kind!r}"))
-        if self.gamma_delay < 0:
-            errors.append(("gamma_delay", "must be >= 0"))
+        for name in ("gamma_delay", "radius", "rounds"):
+            if getattr(self, name) < 0:
+                errors.append((name, "must be >= 0"))
         if errors:
             raise ConfigError("; ".join(f"schemes[].{name}: {msg}"
                                         for name, msg in errors))
@@ -124,8 +125,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         # (field name or section, message)
         errors = _nan_errors(self) + _nan_errors(self.pathloss, "pathloss.")
-        if self.topology_kind not in ("grid", "random"):
-            errors.append(("topology_kind", "must be 'grid' or 'random'"))
+        errors += [(f"topology.{name}", msg) for name, msg in layout_errors(
+            self.topology_kind, self.n_cells, self.area, self.n_blockages)]
         if self.frames < 1:
             errors.append(("frames", "must be >= 1"))
         if self.trials < 1:
@@ -134,15 +135,26 @@ class ExperimentConfig:
             errors.append(("master_seed", "must be >= 0"))
         if self.extra_warmup < 0:
             errors.append(("extra_warmup", "must be >= 0"))
-        if self.n_cells < 1:
-            errors.append(("n_cells", "must be >= 1"))
-        if self.n_blockages < 0:
-            errors.append(("n_blockages", "must be >= 0"))
+        for name in ("cell_radius", "a_max", "hop_distance_m"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                errors.append((name, "must be positive and finite"))
+        if (self.eps_f or self.eps_m) and self.population_mode == "dense":
+            errors.append(("sensing", "must be noiseless for a dense "
+                           "population (noisy sensing counts SUs)"))
         if not self.schemes:
             errors.append(("schemes", "at least one scheme is required"))
         names = [s.name for s in self.schemes]
         if len(set(names)) != len(names):
             errors.append(("schemes", "names must be unique"))
+        n, lowest = self.n_cells, min(2, self.n_cells - 1)
+        for k, spec in enumerate(self.schemes):
+            # exactly these degrees have a connected regular graph on n cells
+            if spec.kind == "consensus" and n >= 1 and not (
+                    lowest <= spec.degree < n and spec.degree * n % 2 == 0):
+                errors.append((f"schemes[{k}].degree", f"must be in "
+                               f"[{lowest}, {n - 1}], and even if "
+                               f"topology.n_cells ({n}) is odd"))
         needs_lambda = any(s.kind != "uncoordinated" for s in self.schemes)
         needs_ptx = any(s.kind == "uncoordinated" for s in self.schemes)
         if needs_lambda and not self.lambda_grid:
@@ -415,8 +427,6 @@ def _simulate_sensing(model: OccupancyModel, sensor: SensorModel, m,
     if sensor.noiseless:
         return b_seq.astype(float)
     t_total, n = b_seq.shape
-    if np.isinf(m).any():
-        raise ConfigError("noisy sensing needs a finite SU population")
     m_int = m.astype(int)
     out = np.empty((t_total, n))
     prior = np.full(n, float(model.pi_b))
@@ -506,17 +516,19 @@ def prepare_scheme(config: ExperimentConfig, topology, phi, model,
             rt.weights_uncomp = compute_weights(rt.tree, phi, 1.0)
         rt.warmup = int(rt.tree.delta[-1].max())
         rt.agg_cost_per_cell = rt.tree.cost_per_cell / config.resolved_hop_distance()
-    elif spec.kind == "full_nsi":
-        rt.delay_matrix = control.full_nsi_delay_matrix(
-            topology.distance_matrix, spec.gamma_delay)
+    elif spec.kind in ("full_nsi", "radius_nsi"):
+        # full NSI has no radius and radius NSI no delay (the spec defaults)
+        rt.delay_matrix = frame_delays(topology.distance_matrix,
+                                       spec.gamma_delay, spec.radius)
         rt.warmup = int(rt.delay_matrix.max())
-        rt.agg_cost_per_cell = float(config.n_cells - 1)
-    elif spec.kind == "radius_nsi":
-        rt.agg_cost_per_cell = control.radius_cost(topology.distance_matrix,
-                                                   spec.radius)
+        rt.agg_cost_per_cell = control.nsi_cost(rt.delay_matrix)
     elif spec.kind == "consensus":
         seed = _seed_int(config.master_seed, trial, 6, scheme_idx)
-        adj = control.random_regular_connected(config.n_cells, spec.degree, seed)
+        try:
+            adj = control.random_regular_connected(config.n_cells, spec.degree,
+                                                   seed)
+        except RuntimeError as exc:
+            raise ConfigError(f"schemes[{scheme_idx}]: {exc}") from None
         rt.mixer = control.consensus_mixer(adj, spec.rounds)
     return rt
 
@@ -637,23 +649,18 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
     baselines read true bits and consensus averages the sensed values.
     Uncoordinated access estimates nothing (None).
     """
-    kind, model = rt.spec.kind, ctx.model
-    if kind == "uncoordinated":
-        return None
+    model = ctx.model
     if rt.tree is not None:
         occupancy = RunningRingSums(rt.tree, ctx.t_total, float(model.pi_b))
         occupancy.commit(ctx.bhat_seq)
         return estimate_ip(occupancy.ring_sums(np.arange(ctx.t_total)),
                            rt.weights, model)
-    if kind == "full_nsi":
+    if rt.delay_matrix is not None:
         return control.full_nsi_ip(ctx.phi, rt.delay_matrix, ctx.b_seq, model)
-    if kind == "radius_nsi":
-        return control.radius_nsi_ip(ctx.phi, ctx.topology.distance_matrix,
-                                     rt.spec.radius, ctx.b_seq, model)
-    if kind == "consensus":
+    if rt.mixer is not None:
         return control.consensus_ip(rt.mixer, ctx.bhat_seq,
                                     ctx.coupling.sum(axis=0))
-    raise AssertionError(kind)
+    return None
 
 
 class Simulation:

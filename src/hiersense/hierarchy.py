@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import NetworkTopology, _phi_array, coupling_matrix
+from .topology import (NetworkTopology, _phi_array, coupling_matrix,
+                       frame_delays)
 
 UNREACHABLE = math.inf
 _SCAN_CHUNK = 4096  # greedy pairs screened per vector step
@@ -322,7 +323,7 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
             break
         members = [np.asarray(c.members, dtype=int) for c in cur]
         heads = np.array([c.head_site for c in cur], dtype=int)
-        delay_mat = np.ceil(gamma_delay * dist[np.ix_(heads, heads)]).astype(int)
+        delay_mat = frame_delays(dist[np.ix_(heads, heads)], gamma_delay)
 
         # worst-case pair distance, two row-wise max reductions
         to_cell = np.stack([dist[m].max(axis=0) for m in members])

@@ -26,6 +26,18 @@ def lin_to_db(x):
         return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
+NO_LINK = -1  # frame delay of a pair beyond the radius: nothing arrives
+
+
+def frame_delays(distance, gamma_delay: float, radius: float = math.inf
+                 ) -> np.ndarray:
+    """Whole frames a message takes to travel ``distance`` metres, the delay
+    of a tree edge and of a network-state bit alike; ``NO_LINK`` beyond
+    ``radius``."""
+    d = np.asarray(distance)
+    return np.where(d <= radius, np.ceil(gamma_delay * d).astype(int), NO_LINK)
+
+
 @dataclass(frozen=True)
 class Blockage:
     """Axis-aligned rectangular blockage straddling a cell boundary.
@@ -221,6 +233,26 @@ def _grid_boundary_segments(k: int, sx: float, sy: float):
     return segments
 
 
+def layout_errors(kind: str, n_cells: int, area, n_blockages: int
+                  ) -> list[tuple[str, str]]:
+    """(parameter, message) for each reason :func:`build_topology` rejects a
+    layout; empty if it accepts it."""
+    k = math.isqrt(max(n_cells, 0))
+    # blockages sit on the inner cell boundaries of a k x k grid
+    segments = 2 * k * (k - 1) if kind == "grid" else 0
+    checks = (
+        ("kind", kind in ("grid", "random"), "must be 'grid' or 'random'"),
+        ("area", all(0 < v < math.inf for v in area),
+         "must be positive and finite"),
+        ("n_cells", n_cells >= 1, "must be >= 1"),
+        ("n_cells", kind != "grid" or k * k == max(n_cells, 0),
+         f"must be a square number for a grid topology, got {n_cells}"),
+        ("n_blockages", 0 <= n_blockages <= segments,
+         f"must be in [0, {segments}], the inner grid cell boundaries of "
+         "this layout"))
+    return [(name, msg) for name, ok, msg in checks if not ok]
+
+
 def build_topology(kind: str, n_cells: int, area, n_blockages: int = 0,
                    rng_seed: int = 0, cell_radius: float | None = None
                    ) -> NetworkTopology:
@@ -234,17 +266,14 @@ def build_topology(kind: str, n_cells: int, area, n_blockages: int = 0,
     location is the nearest transmitter, so centers double as Voronoi seeds.
     Blockages are tied to grid boundaries and are not supported here.
     """
+    errors = layout_errors(kind, n_cells, area, n_blockages)
+    if errors:
+        raise ValueError("; ".join(f"{name}: {msg}" for name, msg in errors))
     w, h = float(area[0]), float(area[1])
-    if w <= 0 or h <= 0:
-        raise ValueError("area dimensions must be positive")
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
     rng = np.random.default_rng(rng_seed)
 
     if kind == "grid":
         k = math.isqrt(n_cells)
-        if k * k != n_cells:
-            raise ValueError(f"grid topology needs a square cell count, got {n_cells}")
         sx, sy = w / k, h / k
         cols, rows = np.meshgrid(np.arange(k), np.arange(k))
         centers = np.column_stack([(cols.ravel() + 0.5) * sx,
@@ -252,8 +281,6 @@ def build_topology(kind: str, n_cells: int, area, n_blockages: int = 0,
         blockages = []
         if n_blockages > 0:
             segments = _grid_boundary_segments(k, sx, sy)
-            if n_blockages > len(segments):
-                raise ValueError("more blockages requested than boundary segments")
             picks = rng.choice(len(segments), size=n_blockages, replace=False)
             for idx in sorted(picks):
                 center, vertical = segments[idx]
@@ -265,17 +292,12 @@ def build_topology(kind: str, n_cells: int, area, n_blockages: int = 0,
         return NetworkTopology(centers, (w, h), radius, blockages,
                                kind="grid", seed=rng_seed)
 
-    if kind == "random":
-        if n_blockages > 0:
-            raise ValueError("blockages are defined on grid boundaries only")
-        centers = np.column_stack([rng.uniform(0, w, n_cells),
-                                   rng.uniform(0, h, n_cells)])
-        radius = cell_radius if cell_radius is not None else \
-            0.5 * math.sqrt(w * h / n_cells)
-        return NetworkTopology(centers, (w, h), radius, (),
-                               kind="random", seed=rng_seed)
-
-    raise ValueError(f"unknown topology kind: {kind!r}")
+    centers = np.column_stack([rng.uniform(0, w, n_cells),
+                               rng.uniform(0, h, n_cells)])
+    radius = cell_radius if cell_radius is not None else \
+        0.5 * math.sqrt(w * h / n_cells)
+    return NetworkTopology(centers, (w, h), radius, (), kind="random",
+                           seed=rng_seed)
 
 
 @dataclass(frozen=True)

@@ -239,17 +239,82 @@ class TestSweep:
          "schemes[1].gamma_delay"),
         ("experiment.lambda_grid=[0.01,0.01]", "experiment.lambda_grid"),
         ("experiment.ptx_grid=[0.02,0.01,0.02]", "experiment.ptx_grid"),
+        ("experiment.hop_distance_m=0", "experiment.hop_distance_m"),
+        ("experiment.hop_distance_m=-3", "experiment.hop_distance_m"),
+        ("population.a_max=-1", "population.a_max"),
+        ("population.a_max=0", "population.a_max"),
+        ("topology.cell_radius=-5", "topology.cell_radius"),
+        ("topology.n_cells=15", "topology.n_cells"),
+        ("topology.area=[-400,400]", "topology.area"),
+        ("topology.n_blockages=25", "topology.n_blockages"),
+        ("schemes=[{name: r, kind: radius_nsi, radius: -1}]",
+         "schemes[0].radius"),
+        pytest.param(("topology={kind: random, n_cells: 15, area: [400, 400]}",
+                      "schemes=[{name: c, kind: consensus, degree: 3}]"),
+                     "schemes[0].degree", id="odd-degree-on-odd-cells"),
+        ("schemes=[{name: c, kind: consensus, degree: 16}]",
+         "schemes[0].degree"),
+        ("schemes=[{name: c, kind: consensus, degree: 1}]",
+         "schemes[0].degree"),
+        ("schemes=[{name: c, kind: consensus, rounds: -1}]",
+         "schemes[0].rounds"),
+        ("sensing={eps_f: 0.05, eps_m: 0.05}", "sensing"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):
         out = tmp_path / "rows.csv"
+        overrides = (override,) if isinstance(override, str) else override
         code = main(["sweep", "--config", "configs/sweep_small.yaml",
-                     "-o", str(out), "-D", override])
+                     "-o", str(out)]
+                    + [arg for o in overrides for arg in ("-D", o)])
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: must be" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_no_connected_graph_named_with_exit_code_2(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def never_connected(n, degree, seed):
+            raise RuntimeError(f"no connected degree-{degree} graph found")
+
+        monkeypatch.setattr("hiersense.control.random_regular_connected",
+                            never_connected)
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", "configs/sweep_small.yaml",
+                     "-o", str(out), "-D",
+                     "schemes=[{name: u, kind: uncoordinated}, "
+                     "{name: c, kind: consensus, degree: 2}]"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "schemes[1]: no connected degree-2 graph" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, what", [
+        ("topology: {kind: grid\nschemes: [\n", "while parsing"),
+        ("- {name: ibt, kind: ibt}\n", "must be a mapping"),
+    ])
+    def test_unusable_yaml_exits_2(self, tmp_path, capsys, text, what):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", str(path), "-o", str(out),
+                     "-D", "experiment.frames=5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert what in err and str(path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_override_that_is_not_yaml_exits_2(self, tmp_path, config_path,
+                                               capsys):
+        code = main(["sweep", "--config", config_path,
+                     "-o", str(tmp_path / "rows.csv"),
+                     "-D", "experiment.lambda_grid=[0.01"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "while parsing" in err and "Traceback" not in err
 
     def test_seed_beyond_float_precision_accepted(self, tmp_path):
         out = tmp_path / "rows.csv"

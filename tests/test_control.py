@@ -9,6 +9,7 @@ from hiersense import (ControlParams, HierarchicalExchange,
                        sample_steady_state, step_occupancy, throughput_lb,
                        utility)
 from hiersense import control as ctl
+from hiersense.topology import NO_LINK, frame_delays
 from tests.conftest import random_phi
 
 PARAMS = ControlParams(lam=1.0, sinr_th=10 ** 0.5)
@@ -265,8 +266,75 @@ class TestBaselines:
 
     def test_radius_cost_counts_neighbors(self):
         dist = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-        assert ctl.radius_cost(dist, 1.0) == pytest.approx((1 + 2 + 1) / 3)
-        assert ctl.radius_cost(dist, 0.5) == 0.0
+        cost = lambda r: ctl.nsi_cost(frame_delays(dist, 0.0, r))
+        assert cost(1.0) == pytest.approx((1 + 2 + 1) / 3)
+        assert cost(0.5) == 0.0
+
+    @staticmethod
+    def radius_oracle_ip(phi, dist, radius, b, model):
+        """Exact bits inside the radius, the prior's weight beyond it."""
+        w = phi.coupling()
+        within = dist <= radius
+        return np.asarray(b, dtype=float) @ (w * within) \
+            + float(model.pi_b) * (w * ~within).sum(axis=0)
+
+    @staticmethod
+    def radius_oracle_cost(dist, radius):
+        """Mean number of other cells inside the radius."""
+        within = (dist <= radius) & ~np.eye(len(dist), dtype=bool)
+        return float(within.sum(axis=1).mean())
+
+    @staticmethod
+    def symmetric_distances(rng, n):
+        dist = rng.uniform(10, 100, size=(n, n))
+        dist = (dist + dist.T) / 2
+        np.fill_diagonal(dist, 0.0)
+        return dist
+
+    @pytest.mark.parametrize("radius", [0.0, 55.0, math.inf])
+    def test_radius_nsi_matches_its_oracle(self, paper_model, rng, radius):
+        phi = random_phi(rng, 6)
+        dist = self.symmetric_distances(rng, 6)
+        b_hist = rng.integers(0, 2, size=(7, 6))
+        delays = frame_delays(dist, 0.0, radius)
+        expect = self.radius_oracle_ip(phi, dist, radius, b_hist, paper_model)
+        for got in (ctl.full_nsi_ip(phi, delays, b_hist, paper_model),
+                    ctl.radius_nsi_ip(phi, dist, radius, b_hist, paper_model)):
+            assert got.shape == expect.shape
+            assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+        # one frame in, one frame out
+        one = ctl.radius_nsi_ip(phi, dist, radius, b_hist[2], paper_model)
+        assert one.shape == (6,)
+        assert np.allclose(one, expect[2], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("radius", [0.0, 55.0, math.inf])
+    def test_radius_cost_matches_its_oracle(self, rng, radius):
+        dist = self.symmetric_distances(rng, 6)
+        got = ctl.nsi_cost(frame_delays(dist, 0.0, radius))
+        assert got == self.radius_oracle_cost(dist, radius)
+
+    @pytest.mark.parametrize("gamma_delay", [0.0, 0.02, 1.0])
+    def test_full_nsi_cost_is_every_other_cell(self, rng, gamma_delay):
+        dist = self.symmetric_distances(rng, 7)
+        delays = frame_delays(dist, gamma_delay)
+        assert (delays == np.ceil(gamma_delay * dist)).all()
+        assert ctl.nsi_cost(delays) == 6.0
+
+    def test_no_link_pairs_stay_at_the_prior(self, paper_model, rng):
+        phi = random_phi(rng, 3)
+        w = phi.coupling()
+        delays = np.array([[0, NO_LINK, 1], [NO_LINK, 0, 2], [1, 2, 0]])
+        b_hist = rng.integers(0, 2, size=(5, 3))
+        got = ctl.full_nsi_ip(phi, delays, b_hist, paper_model)
+        for t in range(5):
+            for i in range(3):
+                expect = 0.0
+                for j in range(3):
+                    d = delays[j, i]
+                    p = 0.05 if d == NO_LINK or t < d else \
+                        0.05 + 0.9 ** d * (b_hist[t - d, j] - 0.05)
+                    expect += w[j, i] * p
+                assert got[t, i] == pytest.approx(expect, rel=1e-12)
 
     def test_uncoordinated(self):
         m = np.array([4.0, 4.0])

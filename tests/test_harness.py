@@ -210,6 +210,21 @@ class TestFrameLoop:
         radius_row = res.rows_for("radius")[0]
         assert radius_row.agg_cost_per_cell > 0
 
+    def test_nsi_warmup_and_cost_come_from_the_delays(self):
+        cfg = small_config(schemes=(
+            SchemeSpec("full", "full_nsi", gamma_delay=0.02),
+            SchemeSpec("radius", "radius_nsi", radius=120.0)), trials=1)
+        ctx = prepare_trial(cfg, 0)
+        dist = ctx.topology.distance_matrix
+        full, radius = ctx.runtimes
+        # the bit from the farthest cell arrives last
+        assert full.warmup == math.ceil(0.02 * dist.max()) > 0
+        assert full.agg_cost_per_cell == cfg.n_cells - 1
+        assert radius.warmup == 0
+        within = (dist <= 120.0) & ~np.eye(cfg.n_cells, dtype=bool)
+        assert radius.agg_cost_per_cell == within.sum(axis=1).mean()
+        assert ctx.warmup == full.warmup
+
 
 @dataclass
 class FrameMetrics:

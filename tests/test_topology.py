@@ -5,7 +5,7 @@ import pytest
 
 from hiersense import (Blockage, NetworkTopology, PathlossParams,
                        build_topology, compute_phi, db_to_lin)
-from hiersense.topology import _los_matrix
+from hiersense.topology import NO_LINK, _los_matrix, frame_delays
 
 
 def _segment_hits_rect(p, q, rect) -> bool:
@@ -42,6 +42,19 @@ def _los_loop(centers, rects) -> np.ndarray:
                     los[i, j] = los[j, i] = False
                     break
     return los
+
+
+class TestFrameDelays:
+    def test_whole_frames_rounded_up(self):
+        d = np.array([[0.0, 50.0], [100.0, 101.0]])
+        got = frame_delays(d, 0.02)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [[0, 1], [2, 3]]
+        assert not frame_delays(d, 0.0).any()
+
+    def test_no_link_beyond_the_radius(self):
+        d = np.array([[0.0, 50.0], [100.0, 101.0]])
+        assert frame_delays(d, 0.02, 100.0).tolist() == [[0, 1], [2, NO_LINK]]
 
 
 class TestBuildTopology:
