@@ -12,13 +12,14 @@ L, each observed at its own accumulated delay.
 Values buffered before frame 0 are represented by the steady-state
 expectation (cluster size times the configured steady value), which keeps the
 telescoping identity between aggregates and delayed locals exact from the
-very first frame.
+very first frame; :func:`identity_residual` checks that identity.
 
 :class:`RunningRingSums` keeps the same per-level aggregates for every
 frame of a history committed frame by frame or in blocks, without a
-bounded window, and reads any committed frame's multi-scale estimates from
-them.  The sweep uses it, for sensed occupancy and for committed traffic;
-the exchange remains the protocol model and the test oracle.
+bounded window, and reads any committed frame's aggregates and multi-scale
+estimates from them.  The sweep, ``simulate --trace`` and ``validate`` use
+it; :class:`HierarchicalExchange` models the bounded-buffer protocol and is
+the test oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ class HierarchicalExchange:
 
     ``steady_value`` is the per-cell placeholder for pre-start frames
     (the steady-state occupancy probability for belief aggregation, zero for
-    traffic aggregation).  ``track_locals`` retains the full local-value
-    history so tests can assert the aggregate/delayed-local identity.
+    traffic aggregation).
     """
 
     def __init__(self, tree: AggregationTree, steady_value: float,
-                 history_len: int | None = None, track_locals: bool = False):
+                 history_len: int | None = None):
         self.tree = tree
         self.steady_value = float(steady_value)
         self.window = int(history_len) if history_len is not None \
@@ -56,7 +56,6 @@ class HierarchicalExchange:
             for lv in tree.levels
         ]
         self._plan = tree.fusion_plan()
-        self._locals: list[np.ndarray] | None = [] if track_locals else None
 
     @property
     def t(self) -> int:
@@ -93,12 +92,6 @@ class HierarchicalExchange:
         for lvl, (idx, lag, seg) in enumerate(self._plan, start=1):
             vals = self._read_vec(lvl - 1, idx, t - lag)
             self._buffers[lvl][:, slot] = np.add.reduceat(vals, seg)
-        if self._locals is not None:
-            self._locals.append(local_values.copy())
-
-    def compute_sigma(self, i: int, t: int) -> np.ndarray:
-        """Multi-scale estimate vector sigma_i^(0..D) as of frame t."""
-        return self.sigma_all(t)[i]
 
     def sigma_all(self, t: int) -> np.ndarray:
         """(n_cells, depth+1) multi-scale estimates for every cell at frame t."""
@@ -117,42 +110,12 @@ class HierarchicalExchange:
                              - self._read_vec(lvl - 1, sub_head[cells], t - edge))
         return sigma
 
-    def trace_rows(self, t: int):
-        """(level, head index, aggregate value) rows for the current frame."""
+    def aggregates(self, t: int) -> np.ndarray:
+        """Every cluster's aggregate at frame t, level by level."""
         if t != self._t:
-            raise ValueError("trace reflects the frame just advanced")
-        rows = []
-        for lvl, buf in enumerate(self._buffers):
-            for k in range(buf.shape[0]):
-                rows.append((lvl, k, float(buf[k, t % self.window])))
-        return rows
-
-    # ----------------------------------------------------------------- oracles
-
-    def local_history(self, j: int, tau: int) -> float:
-        """Tracked local value of cell j at frame tau (steady value before 0)."""
-        if self._locals is None:
-            raise RuntimeError("exchange was not constructed with track_locals")
-        if tau < 0:
-            return self.steady_value
-        return float(self._locals[tau][j])
-
-    def aggregate_identity_residual(self, t: int) -> float:
-        """Max |S_m^(L) - sum of members' delayed locals| over all nodes.
-
-        The telescoping of per-level fusion with the delay recursion makes
-        this zero up to floating-point summation error; tests pin it at 1e-9.
-        """
-        if t != self._t:
-            raise ValueError("residual is evaluated at the frame just advanced")
-        worst = 0.0
-        for lvl in range(self.tree.depth + 1):
-            for node in self.tree.levels[lvl]:
-                s = self.read(lvl, node.index, t)
-                direct = sum(self.local_history(j, t - self.tree.delta[lvl, j])
-                             for j in node.members)
-                worst = max(worst, abs(s - direct))
-        return worst
+            raise ValueError("aggregates are read at the frame just advanced")
+        slot = t % self.window
+        return np.concatenate([buf[:, slot] for buf in self._buffers])
 
 
 class RunningRingSums:
@@ -203,14 +166,45 @@ class RunningRingSums:
                     np.add.reduceat(flat.take(base + at), seg)
         self.t += len(block)
 
-    def ring_sums(self, frames) -> np.ndarray:
-        """(n_cells, depth+1) ring sums at a frame, or (frames, n_cells,
-        depth+1) at an array of frames, each from -1 to the last commit."""
+    def _rows(self, frames) -> np.ndarray:
+        """Row indices of frames from -1 to the last commit."""
         frames = np.asarray(frames, dtype=int)
         if (frames < -1).any() or (frames > self.t).any():
             raise ValueError(f"frame {frames.tolist()} not committed "
                              f"(last is {self.t})")
-        at = ((frames - self._origin) * self._width)[..., None, None]
+        return frames - self._origin
+
+    def aggregates(self, t: int) -> np.ndarray:
+        """Every cluster's aggregate at committed frame t, level by level,
+        each level's clusters in index order."""
+        return self._agg[self._rows(t)].copy()
+
+    def ring_sums(self, frames) -> np.ndarray:
+        """(n_cells, depth+1) ring sums at a frame, or (frames, n_cells,
+        depth+1) at an array of frames, each from -1 to the last commit."""
+        at = (self._rows(frames) * self._width)[..., None, None]
         sigma = self._flat.take(at + self._own)
         sigma[..., 1:] -= self._flat.take(at + self._sub)
         return sigma
+
+
+def identity_residual(tree: AggregationTree, aggregates, history, t: int,
+                      pre: float) -> float:
+    """Max |aggregate - sum of its members' delayed locals| over the
+    clusters of one frame's ``aggregates`` row (level by level, as
+    :meth:`RunningRingSums.aggregates` returns it).
+
+    Member j of a level-L cluster enters as ``history[t - delta_L(j), j]``,
+    or as ``pre`` before frame 0.  The telescoping of per-level fusion with
+    the delay recursion makes this zero up to floating-point summation
+    error.
+    """
+    history = np.asarray(history, dtype=float)
+    cells = np.arange(tree.n_cells)
+    direct = []
+    for lvl, level in enumerate(tree.levels):
+        tau = t - tree.delta[lvl]
+        delayed = np.where(tau < 0, pre, history[np.maximum(tau, 0), cells])
+        direct.append(np.bincount(tree.cluster_of[lvl], weights=delayed,
+                                  minlength=len(level)))
+    return float(np.abs(np.asarray(aggregates) - np.concatenate(direct)).max())

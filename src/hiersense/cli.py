@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import control, inference
-from .aggregation import HierarchicalExchange
+from .aggregation import RunningRingSums, identity_residual
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .harness import (ConfigError, ExperimentConfig, prepare_scheme,
                       prepare_trial, run_experiment, run_trial_point,
@@ -72,17 +72,19 @@ def cmd_build_tree(args) -> int:
 
 
 def _write_trace(path: str, ctx, tree) -> None:
-    """The sensed occupancy replayed through the exchange protocol."""
+    """Every frame's per-level aggregates of the sensed occupancy."""
     with open(path, "w", newline="") as fh:
         trace = csv.writer(fh)
         trace.writerow(["frame", "level", "head", "aggregate"])
         if tree is None:
             return
-        exchange = HierarchicalExchange(tree, float(ctx.model.pi_b))
-        for t, bhat in enumerate(ctx.bhat_seq):
-            exchange.advance_frame(bhat, t)
-            for lvl, head, value in exchange.trace_rows(t):
-                trace.writerow([t, lvl, head, repr(value)])
+        occupancy = RunningRingSums(tree, ctx.t_total, float(ctx.model.pi_b))
+        occupancy.commit(ctx.bhat_seq)
+        heads = [(lvl, k) for lvl, level in enumerate(tree.levels)
+                 for k in range(len(level))]
+        for t in range(ctx.t_total):
+            for (lvl, head), value in zip(heads, occupancy.aggregates(t)):
+                trace.writerow([t, lvl, head, repr(float(value))])
 
 
 def cmd_simulate(args) -> int:
@@ -143,6 +145,16 @@ def _check(name: str, ok: bool, detail: str, failures: list) -> None:
         failures.append(name)
 
 
+def _occupancy_history(model, n_cells: int, frames: int, rng) -> np.ndarray:
+    """(frames, n_cells) occupancy bits of one chain run, as floats."""
+    state = sample_steady_state(model, n_cells, rng)
+    rows = []
+    for _ in range(frames):
+        rows.append(state.b.astype(float))
+        state = step_occupancy(model, state, rng)
+    return np.array(rows)
+
+
 def run_validation(config: ExperimentConfig | None = None) -> int:
     """Fast oracle suite; returns the number of failed checks."""
     failures: list[str] = []
@@ -163,13 +175,12 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
     topology = build_topology("grid", 16, (400.0, 400.0), 2, rng_seed=3)
     phi = compute_phi(topology, PathlossParams())
     tree = build_ibt(topology, phi, float(model.mu), gamma_delay=0.02)
-    exchange = HierarchicalExchange(tree, float(model.pi_b), track_locals=True)
-    state = sample_steady_state(model, 16, rng)
-    worst = 0.0
-    for t in range(60):
-        exchange.advance_frame(state.b.astype(float), t)
-        worst = max(worst, exchange.aggregate_identity_residual(t))
-        state = step_occupancy(model, state, rng)
+    pi_b = float(model.pi_b)
+    history = _occupancy_history(model, 16, 60, rng)
+    running = RunningRingSums(tree, 60, pi_b)
+    running.commit(history)
+    worst = max(identity_residual(tree, running.aggregates(t), history, t, pi_b)
+                for t in range(60))
     _check("aggregate-identity", worst <= 1e-9,
            f"max residual {worst:.2e} (<= 1e-9)", failures)
 
@@ -179,14 +190,10 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
         tree4 = AggregationTree.from_nested(
             4, [[([(0, int(rng.integers(3))), (1, int(rng.integers(3)))], 1),
                  ([(2, int(rng.integers(3))), (3, int(rng.integers(3)))], 2)]])
-        ex = HierarchicalExchange(tree4, float(model.pi_b))
-        st = sample_steady_state(model, 4, rng)
-        hist = []
-        for t in range(12):
-            ex.advance_frame(st.b.astype(float), t)
-            hist.append(ex.compute_sigma(0, t))
-            st = step_occupancy(model, st, rng)
-        belief = inference.exact_belief(np.array(hist), tree4, model, 0,
+        running = RunningRingSums(tree4, 12, float(model.pi_b))
+        running.commit(_occupancy_history(model, 4, 12, rng))
+        hist = running.ring_sums(np.arange(12))[:, 0]
+        belief = inference.exact_belief(hist, tree4, model, 0,
                                         SensorModel(0.0, 0.0))
         sigma = hist[-1]
         for lvl, ring in enumerate(tree4.ring_sets(0)):

@@ -21,13 +21,14 @@ from .topology import NO_LINK, _phi_array, coupling_matrix, frame_delays
 
 @dataclass(frozen=True)
 class ControlParams:
-    """lam: interference cost weight; sinr_th: decoding threshold (linear)."""
+    """lam: interference cost weight, None where none is defined
+    (uncoordinated access); sinr_th: decoding threshold (linear)."""
 
-    lam: float
+    lam: float | None
     sinr_th: float
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if self.lam is not None and self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.sinr_th <= 0:
             raise ValueError("sinr_th must be positive")

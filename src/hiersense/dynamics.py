@@ -24,22 +24,16 @@ class OccupancyModel:
     oscillating chains is out of scope.
     """
 
-    def __init__(self, nu1, nu0, mu=None, pi_b=None):
+    def __init__(self, nu1, nu0):
         if not (0 <= nu1 <= 1 and 0 <= nu0 <= 1):
             raise ValueError("nu1 and nu0 must lie in [0, 1]")
         if nu1 + nu0 > 1:
             raise ValueError("nu1 + nu0 must not exceed 1 (memory must be >= 0)")
         self.nu1 = nu1
         self.nu0 = nu0
-        derived_mu = 1 - nu1 - nu0
-        if mu is not None and abs(float(mu) - float(derived_mu)) > 1e-12:
-            raise ValueError(f"mu={mu} inconsistent with 1 - nu1 - nu0 = {derived_mu}")
-        self.mu = derived_mu
+        self.mu = 1 - nu1 - nu0
         total = nu1 + nu0
-        derived_pi = nu1 / total if total > 0 else nu1 * 0
-        if pi_b is not None and abs(float(pi_b) - float(derived_pi)) > 1e-12:
-            raise ValueError(f"pi_b={pi_b} inconsistent with nu1/(nu1+nu0) = {derived_pi}")
-        self.pi_b = derived_pi
+        self.pi_b = nu1 / total if total > 0 else nu1 * 0
 
     def __repr__(self):
         return f"OccupancyModel(nu1={self.nu1}, nu0={self.nu0})"

@@ -47,7 +47,7 @@ SCHEME_KINDS = tuple(SCHEME_KEYS)
 _SECTION_KEYS = {
     "topology": dict(kind="topology_kind", n_cells="n_cells", area="area",
                      n_blockages="n_blockages", cell_radius="cell_radius"),
-    "occupancy": dict(nu1="nu1", nu0="nu0", mu="mu", pi_b="pi_b"),
+    "occupancy": dict(nu1="nu1", nu0="nu0"),
     "sensing": dict(eps_f="eps_f", eps_m="eps_m"),
     "population": dict(mode="population_mode", m="m_per_cell", a_max="a_max"),
     "control": dict(sinr_th_db="sinr_th_db"),
@@ -101,8 +101,6 @@ class ExperimentConfig:
     pathloss: PathlossParams = field(default_factory=PathlossParams)
     nu1: float = 0.005
     nu0: float = 0.095
-    mu: float | None = None
-    pi_b: float | None = None
     eps_f: float = 0.0
     eps_m: float = 0.0
     population_mode: str = "dense"
@@ -206,7 +204,7 @@ class ExperimentConfig:
     # ---------------------------------------------------------------- derived
 
     def occupancy_model(self) -> OccupancyModel:
-        return OccupancyModel(self.nu1, self.nu0, mu=self.mu, pi_b=self.pi_b)
+        return OccupancyModel(self.nu1, self.nu0)
 
     def sensor_model(self) -> SensorModel:
         return SensorModel(self.eps_f, self.eps_m)
@@ -358,7 +356,6 @@ class FadingLayout:
     pl_su_su: np.ndarray      # (n_su, n_su) SU tx -> SU rx
     pl_pu_su: np.ndarray      # (n_pu, n_su) PU tx -> SU rx
     pl_su_pu: np.ndarray      # (n_su, n_pu) SU tx -> PU rx
-    pl_pu_pu: np.ndarray      # (n_pu, n_pu) PU tx -> PU rx
 
 
 @dataclass
@@ -367,7 +364,6 @@ class SchemeRuntime:
     tree: AggregationTree | None = None
     weights: DelayCompensatedWeights | None = None
     weights_uncomp: DelayCompensatedWeights | None = None
-    delay_matrix: np.ndarray | None = None
     mixer: np.ndarray | None = None
     warmup: int = 0
     agg_cost_per_cell: float = 0.0
@@ -495,7 +491,6 @@ def _build_fading_layout(config, topology, rng) -> FadingLayout:
         pl_su_su=_pl_linear(pl, su_tx, su_rx),
         pl_pu_su=_pl_linear(pl, pu_tx, su_rx),
         pl_su_pu=_pl_linear(pl, su_tx, pu_rx),
-        pl_pu_pu=_pl_linear(pl, pu_tx, pu_rx),
     )
 
 
@@ -518,10 +513,10 @@ def prepare_scheme(config: ExperimentConfig, topology, phi, model,
         rt.agg_cost_per_cell = rt.tree.cost_per_cell / config.resolved_hop_distance()
     elif spec.kind in ("full_nsi", "radius_nsi"):
         # full NSI has no radius and radius NSI no delay (the spec defaults)
-        rt.delay_matrix = frame_delays(topology.distance_matrix,
-                                       spec.gamma_delay, spec.radius)
-        rt.warmup = int(rt.delay_matrix.max())
-        rt.agg_cost_per_cell = control.nsi_cost(rt.delay_matrix)
+        delays = frame_delays(topology.distance_matrix, spec.gamma_delay,
+                              spec.radius)
+        rt.warmup = int(delays.max())
+        rt.agg_cost_per_cell = control.nsi_cost(delays)
     elif spec.kind == "consensus":
         seed = _seed_int(config.master_seed, trial, 6, scheme_idx)
         try:
@@ -586,30 +581,30 @@ class PointMetrics:
     inr_db: np.ndarray           # (frames,)
     utility: np.ndarray          # (frames,) NaN for uncoordinated access
     traffic: np.ndarray          # (frames, n_cells) committed traffic
-    pu_success_rate: np.ndarray  # (frames,) NaN under analytic_lb
 
 
 def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
                         pi_b: float, rng):
     """One frame of per-user Rayleigh evaluation.
 
-    Draws Bernoulli access per SU from its cell traffic, unit-mean exponential
-    power gains per active link, and counts SINR-threshold successes at the
-    receivers of transmitting SUs and of active PUs.  Also returns the
-    realized SU-caused INR averaged over the expected number of active PUs.
+    Draws Bernoulli access per SU from its cell traffic and unit-mean
+    exponential power gains per active link, and counts SINR-threshold
+    successes at the receivers of transmitting SUs, per cell.  Also returns
+    the realized SU-caused INR averaged over the expected number of active
+    PUs.
     """
-    n_cells = layout.pl_pu_pu.shape[0]
+    n_cells = layout.pl_pu_su.shape[0]
     p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
     act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
     apu = np.flatnonzero(np.asarray(b) == 1)
     su_counts = np.zeros(n_cells)
     n_act, n_apu = len(act), len(apu)
     # every link gain of the frame in one draw, in the block order
-    # SU->SU, PU->SU, SU->PU, PU->PU
+    # SU->SU, PU->SU, SU->PU, PU->PU; no output reads the PU->PU block
     gains = rng.exponential(size=(n_act + n_apu) ** 2)
     ss, sp = n_act * n_act, n_act * n_apu
     g_ss, g_ps = gains[:ss], gains[ss:ss + sp]
-    g_sp, g_pp = gains[ss + sp:ss + 2 * sp], gains[ss + 2 * sp:]
+    g_sp = gains[ss + sp:ss + 2 * sp]
 
     if n_act:
         sub = _block(layout.pl_su_su, act, act) * g_ss.reshape(n_act, n_act)
@@ -621,17 +616,12 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
         ok = act[sinr > sinr_th]
         su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
 
-    pu_rate = math.nan
     inr = 0.0
     if n_apu:
         i_sp = (_block(layout.pl_su_pu, act, apu)
                 * g_sp.reshape(n_act, n_apu)).sum(axis=0)
-        sub = _block(layout.pl_pu_pu, apu, apu) * g_pp.reshape(n_apu, n_apu)
-        own = np.diag(sub)
-        i_pp = sub.sum(axis=0) - own
-        pu_rate = float((own / (1.0 + i_sp + i_pp) > sinr_th).mean())
         inr = float(i_sp.sum() / (n_cells * pi_b))
-    return su_counts, pu_rate, inr
+    return su_counts, inr
 
 
 def _block(matrix, rows, cols) -> np.ndarray:
@@ -649,14 +639,16 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
     baselines read true bits and consensus averages the sensed values.
     Uncoordinated access estimates nothing (None).
     """
-    model = ctx.model
+    model, spec = ctx.model, rt.spec
     if rt.tree is not None:
         occupancy = RunningRingSums(rt.tree, ctx.t_total, float(model.pi_b))
         occupancy.commit(ctx.bhat_seq)
         return estimate_ip(occupancy.ring_sums(np.arange(ctx.t_total)),
                            rt.weights, model)
-    if rt.delay_matrix is not None:
-        return control.full_nsi_ip(ctx.phi, rt.delay_matrix, ctx.b_seq, model)
+    if spec.kind in ("full_nsi", "radius_nsi"):
+        delays = frame_delays(ctx.topology.distance_matrix, spec.gamma_delay,
+                              spec.radius)
+        return control.full_nsi_ip(ctx.phi, delays, ctx.b_seq, model)
     if rt.mixer is not None:
         return control.consensus_ip(rt.mixer, ctx.bhat_seq,
                                     ctx.coupling.sum(axis=0))
@@ -664,7 +656,7 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
 
 
 class Simulation:
-    """The decision loop of one (trial, scheme, grid point) cell.
+    """The decision loop of one (trial, coordinated scheme, grid point) cell.
 
     ``ip_seq`` is the scheme's licensed-user interference estimate of every
     frame (:func:`scheme_ip_sequence`); only the SU-interference estimate
@@ -674,18 +666,12 @@ class Simulation:
     """
 
     def __init__(self, ctx: TrialContext, runtime: SchemeRuntime,
-                 grid_value: float, grid_idx: int, ip_seq):
+                 grid_value: float, ip_seq):
         self.ctx = ctx
         self.rt = runtime
-        self.grid_value = float(grid_value)
         cfg = ctx.config
-        self.uncoordinated = runtime.spec.kind == "uncoordinated"
-        if (ip_seq is None) != self.uncoordinated:
-            raise ValueError("ip_seq must be given exactly for coordinated "
-                             "schemes")
         self.ip_seq = ip_seq
-        lam = 1.0 if self.uncoordinated else self.grid_value
-        self.params = control.ControlParams(lam=lam,
+        self.params = control.ControlParams(lam=float(grid_value),
                                             sinr_th=cfg.sinr_th_linear())
         self.a_max = cfg.resolved_a_max()
         # committed traffic and the true SU interference it causes, per
@@ -694,9 +680,6 @@ class Simulation:
         self.is_true = np.zeros((ctx.t_total, cfg.n_cells))
         self._traffic = None if runtime.weights_uncomp is None else \
             RunningRingSums(runtime.tree, ctx.t_total)
-        scheme_idx = [s.name for s in cfg.schemes].index(runtime.spec.name)
-        self.eval_rng = _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
-                                  grid_idx)
         self.t = -1
 
     def _estimate_is(self, t):
@@ -713,12 +696,9 @@ class Simulation:
         self.t += 1
         t = self.t
         ctx = self.ctx
-        if self.uncoordinated:
-            a = control.uncoordinated_traffic(self.grid_value, ctx.m, self.a_max)
-        else:
-            a = control.optimal_traffic(self.ip_seq[t], self._estimate_is(t),
-                                        ctx.m, ctx.phi_diag, ctx.model,
-                                        self.params, self.a_max)
+        a = control.optimal_traffic(self.ip_seq[t], self._estimate_is(t),
+                                    ctx.m, ctx.phi_diag, ctx.model,
+                                    self.params, self.a_max)
         a = np.asarray(a, dtype=float)
         self.a_hist[t] = a
         self.is_true[t] = estimate_is_oracle(ctx.coupling, a)
@@ -726,38 +706,37 @@ class Simulation:
             self._traffic.commit(a)
 
 
-def score_frames(sim: Simulation) -> PointMetrics:
-    """Score every decided frame of ``sim`` at the true network state.
+def score_frames(ctx: TrialContext, traffic, is_true,
+                 params: control.ControlParams, eval_rng) -> PointMetrics:
+    """Score every frame's committed traffic at the true network state.
 
-    The decisions never read the scores, so whole (frames, n_cells) blocks
-    are scored at once.  Under ``fading_mc`` the per-user draws still run
-    frame by frame, in frame order, on the grid point's own stream.
+    ``traffic`` and ``is_true`` are (frames, n_cells) blocks: the decisions
+    never read the scores, so they are scored at once.  ``params.lam`` is
+    None for uncoordinated access, whose utility is NaN.  Under
+    ``fading_mc`` the per-user draws still run frame by frame, in frame
+    order, on the grid point's own stream ``eval_rng``.
     """
-    ctx, params = sim.ctx, sim.params
-    a, is_true = sim.a_hist, sim.is_true
     ip_true, phi_b = ctx.occupancy_products
-    if sim.uncoordinated:
-        # no cost weight is defined for fixed-probability access
+    if params.lam is None:
         util = np.full(ctx.t_total, math.nan)
     else:
-        util = control.utility(a, ip_true, is_true, ctx.m, ctx.phi_diag,
+        util = control.utility(traffic, ip_true, is_true, ctx.m, ctx.phi_diag,
                                ctx.model, params).mean(axis=1)
     if ctx.config.eval_mode == "fading_mc":
         # the measured INR stands in for the analytic one
-        counts, pu_rate, inr_lin = zip(*(
-            eval_fading_success(ctx.fading, a[t], ctx.m, ctx.b_seq[t],
+        counts, inr_lin = zip(*(
+            eval_fading_success(ctx.fading, traffic[t], ctx.m, ctx.b_seq[t],
                                 params.sinr_th, float(ctx.model.pi_b),
-                                sim.eval_rng) for t in range(ctx.t_total)))
+                                eval_rng) for t in range(ctx.t_total)))
         throughput = np.array([c.mean() for c in counts])
-        pu_rate, inr_lin = np.array(pu_rate), np.array(inr_lin)
+        inr_lin = np.array(inr_lin)
     else:
-        inr_lin, _ = control.inr_contributions(a, phi_b, ctx.model)
-        throughput = control.throughput_lb(a, ctx.m, ip_true, is_true,
+        inr_lin, _ = control.inr_contributions(traffic, phi_b, ctx.model)
+        throughput = control.throughput_lb(traffic, ctx.m, ip_true, is_true,
                                            ctx.phi_diag, params).mean(axis=1)
-        pu_rate = np.full(ctx.t_total, math.nan)
     return PointMetrics(t=np.arange(ctx.t_total), su_throughput=throughput,
                         inr_linear=inr_lin, inr_db=lin_to_db(inr_lin),
-                        utility=util, traffic=a, pu_success_rate=pu_rate)
+                        utility=util, traffic=traffic)
 
 
 # ----------------------------------------------------------------------------
@@ -852,10 +831,22 @@ def run_trial_point(ctx: TrialContext, scheme_idx: int, grid_value: float,
     and then scored, plus its summary row."""
     cfg = ctx.config
     rt = ctx.runtimes[scheme_idx]
-    sim = Simulation(ctx, rt, grid_value, grid_idx, ip_seq)
-    for _ in range(ctx.t_total):
-        sim.run_frame()
-    frames = score_frames(sim)
+    if rt.spec.kind == "uncoordinated":
+        # fixed-probability access: the same traffic every frame, and no
+        # cost weight
+        a = control.uncoordinated_traffic(grid_value, ctx.m,
+                                          cfg.resolved_a_max())
+        traffic = np.tile(a, (ctx.t_total, 1))
+        is_true = np.tile(estimate_is_oracle(ctx.coupling, a), (ctx.t_total, 1))
+        params = control.ControlParams(lam=None, sinr_th=cfg.sinr_th_linear())
+    else:
+        sim = Simulation(ctx, rt, grid_value, ip_seq)
+        for _ in range(ctx.t_total):
+            sim.run_frame()
+        traffic, is_true, params = sim.a_hist, sim.is_true, sim.params
+    frames = score_frames(ctx, traffic, is_true, params,
+                          _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,
+                                    grid_idx))
     measured = slice(ctx.warmup, None)
     thr = float(np.mean(frames.su_throughput[measured]))
     lin = float(np.mean(frames.inr_linear[measured]))

@@ -8,7 +8,6 @@ regions are implied by nearest-transmitter assignment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -146,8 +145,7 @@ class PathlossParams:
 class NetworkTopology:
     """Immutable cell geometry: centers, blockages, distances and LOS flags."""
 
-    def __init__(self, cell_centers, area, cell_radius, blockages=(), kind="grid",
-                 seed=None):
+    def __init__(self, cell_centers, area, cell_radius, blockages=()):
         centers = np.asarray(cell_centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != 2 or len(centers) == 0:
             raise ValueError("cell_centers must be a non-empty (N, 2) array")
@@ -163,8 +161,6 @@ class NetworkTopology:
         self.area = (w, h)
         self.cell_radius = float(cell_radius)
         self.blockages = list(blockages)
-        self.kind = kind
-        self.seed = seed
 
         diff = centers[:, None, :] - centers[None, :, :]
         self.distance_matrix = np.sqrt((diff ** 2).sum(axis=-1))
@@ -175,46 +171,6 @@ class NetworkTopology:
         self.cell_centers.setflags(write=False)
         self.distance_matrix.setflags(write=False)
         self.los_matrix.setflags(write=False)
-
-    def is_los(self, i: int, j: int) -> bool:
-        """True iff the segment between the centers of i and j is unobstructed."""
-        n = self.cell_count
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"cell id out of range: ({i}, {j}) with {n} cells")
-        if i == j:
-            return True
-        return bool(self.los_matrix[i, j])
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "area": list(self.area),
-            "cell_radius": self.cell_radius,
-            "cell_centers": self.cell_centers.tolist(),
-            "blockages": [
-                {"center": list(b.center), "width": b.width,
-                 "height": b.height, "vertical": b.vertical}
-                for b in self.blockages
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkTopology":
-        blockages = [Blockage(center=tuple(b["center"]), width=b["width"],
-                              height=b["height"], vertical=b["vertical"])
-                     for b in d["blockages"]]
-        return cls(d["cell_centers"], tuple(d["area"]), d["cell_radius"],
-                   blockages, kind=d["kind"], seed=d["seed"])
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "NetworkTopology":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _grid_boundary_segments(k: int, sx: float, sy: float):
@@ -289,15 +245,13 @@ def build_topology(kind: str, n_cells: int, area, n_blockages: int = 0,
                 blockages.append(Blockage(center=center, width=1.0 * across,
                                           height=5.0 * along, vertical=vertical))
         radius = cell_radius if cell_radius is not None else min(sx, sy) / 2.0
-        return NetworkTopology(centers, (w, h), radius, blockages,
-                               kind="grid", seed=rng_seed)
+        return NetworkTopology(centers, (w, h), radius, blockages)
 
     centers = np.column_stack([rng.uniform(0, w, n_cells),
                                rng.uniform(0, h, n_cells)])
     radius = cell_radius if cell_radius is not None else \
         0.5 * math.sqrt(w * h / n_cells)
-    return NetworkTopology(centers, (w, h), radius, (), kind="random",
-                           seed=rng_seed)
+    return NetworkTopology(centers, (w, h), radius, ())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hiersense import (AggregationTree, BufferUnderrunError,
                        HierarchicalExchange, OccupancyModel, RunningRingSums,
                        build_ibt, build_topology, compute_phi,
                        sample_steady_state, step_occupancy)
+from hiersense.aggregation import identity_residual
 from hiersense.topology import PathlossParams
 
 
@@ -78,7 +79,7 @@ class TestAdvanceAndSigma:
             ex.advance_frame(locals_seq[t], t)
             for i in range(4):
                 expect = sigma_oracle(tree, locals_seq, 0.05, i, t)
-                assert np.allclose(ex.compute_sigma(i, t), expect, atol=1e-12)
+                assert np.allclose(ex.sigma_all(t)[i], expect, atol=1e-12)
 
     def test_static_occupancy_gives_static_aggregates(self, rng):
         # frozen chain: delays become irrelevant once buffers fill
@@ -110,19 +111,34 @@ class TestLemmaIdentity:
         phi = compute_phi(topo, PathlossParams())
         tree = build_ibt(topo, phi, 0.9, gamma_delay=0.02)
         assert tree.delta.max() > 0
-        ex = HierarchicalExchange(tree, float(paper_model.pi_b),
-                                  track_locals=True)
+        pi_b = float(paper_model.pi_b)
+        ex = HierarchicalExchange(tree, pi_b)
+        running = RunningRingSums(tree, 50, pi_b)
         locals_seq = run_chain(paper_model, 16, 50, rng)
+        running.commit(locals_seq)
         for t in range(50):
             ex.advance_frame(locals_seq[t], t)
-            assert ex.aggregate_identity_residual(t) <= 1e-9
+            for aggregates in (ex.aggregates(t), running.aggregates(t)):
+                assert identity_residual(tree, aggregates, locals_seq, t,
+                                         pi_b) <= 1e-9
 
-    def test_needs_tracking(self, paper_model):
+    def test_residual_names_a_wrong_aggregate(self, rng):
+        # every cluster is checked, and frame 0's delayed members read pre
         tree = delayed_tree()
-        ex = HierarchicalExchange(tree, 0.05)
-        ex.advance_frame(np.zeros(4), 0)
-        with pytest.raises(RuntimeError):
-            ex.aggregate_identity_residual(0)
+        locals_seq = rng.random((6, 4))
+        running = RunningRingSums(tree, 6, pre=0.05)
+        running.commit(locals_seq)
+        row = running.aggregates(5)
+        assert identity_residual(tree, row, locals_seq, 5, 0.05) <= 1e-12
+        for k in range(len(row)):
+            bad = row.copy()
+            bad[k] += 0.25
+            assert identity_residual(tree, bad, locals_seq, 5, 0.05) \
+                == pytest.approx(0.25)
+        assert identity_residual(tree, running.aggregates(0), locals_seq, 0,
+                                 0.05) <= 1e-12
+        assert identity_residual(tree, running.aggregates(0), locals_seq, 0,
+                                 0.3) > 0.1
 
 
 class TestMartingaleProperty:
@@ -135,7 +151,7 @@ class TestMartingaleProperty:
             ex.advance_frame(locals_seq[t], t)
             for i in range(4):
                 expect = sigma_oracle(tree, locals_seq, 0.05, i, t)
-                assert np.allclose(ex.compute_sigma(i, t), expect, atol=1e-12)
+                assert np.allclose(ex.sigma_all(t)[i], expect, atol=1e-12)
 
     def test_conditional_mean_under_noisy_sensing(self, paper_model, rng):
         # the aggregate of posteriors predicts the delayed occupancy total:
@@ -165,7 +181,7 @@ class TestMartingaleProperty:
             ex.advance_frame(posts[t], t)
             if t < int(tree.delta.max()):
                 continue
-            sig.append(ex.compute_sigma(i, t)[level])
+            sig.append(ex.sigma_all(t)[i, level])
             agg.append(sum(truth[t - tree.delta[level, j], j] for j in ring))
         sig, agg = np.array(sig), np.array(agg)
         for lo, hi in ((0.0, 0.2), (0.2, 0.7), (0.7, 2.0)):
@@ -185,26 +201,29 @@ class TestTrafficAggregation:
         # the exchange is value-agnostic: aggregated traffic obeys the same
         # delayed-local identity with a zero pre-start placeholder
         tree = delayed_tree()
-        ex = HierarchicalExchange(tree, steady_value=0.0, track_locals=True)
+        ex = HierarchicalExchange(tree, steady_value=0.0)
         traffic = rng.uniform(0, 2, size=(20, 4))
         for t in range(20):
             ex.advance_frame(traffic[t], t)
-            assert ex.aggregate_identity_residual(t) <= 1e-9
+            assert identity_residual(tree, ex.aggregates(t), traffic, t,
+                                     0.0) <= 1e-9
             for i in range(4):
                 expect = sigma_oracle(tree, traffic, 0.0, i, t)
-                assert np.allclose(ex.compute_sigma(i, t), expect, atol=1e-12)
+                assert np.allclose(ex.sigma_all(t)[i], expect, atol=1e-12)
 
 
 class TestTrace:
     def test_trace_rows_cover_every_node(self):
+        # one aggregate per cluster: 4 cells, 2 level-1 and 1 level-2 heads
         tree = delayed_tree()
+        local = np.array([1.0, 0.0, 1.0, 0.0])
         ex = HierarchicalExchange(tree, 0.05)
-        ex.advance_frame(np.array([1.0, 0.0, 1.0, 0.0]), 0)
-        rows = ex.trace_rows(0)
-        per_level = {}
-        for lvl, _, _ in rows:
-            per_level[lvl] = per_level.get(lvl, 0) + 1
-        assert per_level == {0: 4, 1: 2, 2: 1}
+        ex.advance_frame(local, 0)
+        running = RunningRingSums(tree, 1, pre=0.05)
+        running.commit(local)
+        assert len(running.aggregates(0)) == 4 + 2 + 1
+        assert np.array_equal(running.aggregates(0), ex.aggregates(0))
+        assert np.array_equal(running.aggregates(0)[:4], local)
 
 
 class TestDelayedRingSums:
@@ -290,3 +309,5 @@ class TestRunningRingSums:
         for frame in (-2, 1, [0, 1]):
             with pytest.raises(ValueError, match="not committed"):
                 running.ring_sums(frame)
+            with pytest.raises(ValueError, match="not committed"):
+                running.aggregates(frame)

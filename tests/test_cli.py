@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiersense import ControlParams, HierarchicalExchange, optimal_traffic
+from hiersense import (ControlParams, HierarchicalExchange, RunningRingSums,
+                       optimal_traffic)
 from hiersense.cli import load_config, main
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
@@ -205,6 +206,8 @@ class TestSweep:
         ("schemes=[{name: ibt, kind: ibt, c_mx: 5}]", "schemes[0].c_mx"),
         ("pathloss={alpah: 3}", "pathloss.alpah"),
         ("experiment.lamda_grid=[0.01]", "experiment.lamda_grid"),
+        ("occupancy.mu=0.9", "occupancy.mu"),
+        ("occupancy={nu1: 0.005, nu0: 0.095, pi_b: 0.05}", "occupancy.pi_b"),
         ("schemes=[{name: c, kind: consensus, c_max: 3}]", "schemes[0].c_max"),
     ])
     def test_unknown_key_named_with_exit_code_2(self, tmp_path, config_path,
@@ -346,10 +349,23 @@ class TestValidate:
 
     def test_corrupted_memory_reported(self, config_path, capsys):
         code = main(["validate", "--config", config_path,
-                     "-D", "occupancy.mu=0.5"])
+                     "-D", "occupancy.nu0=0.999"])  # memory 1 - nu1 - nu0 < 0
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "config" in out
+
+    def test_faulty_ring_sum_engine_fails(self, monkeypatch, capsys):
+        # the engine behind every tree scheme's sweep rows is the one checked
+        commit = RunningRingSums.commit
+
+        def faulty(self, values):
+            commit(self, values)
+            # one more occupied cell under the last frame's top-level head
+            self._agg[self.t - self._origin, -1] += 1.0
+
+        monkeypatch.setattr(RunningRingSums, "commit", faulty)
+        assert main(["validate"]) == 1
+        assert "FAIL  aggregate-identity" in capsys.readouterr().out
 
     def test_with_valid_config(self, config_path):
         assert main(["validate", "--config", config_path]) == 0

@@ -16,13 +16,6 @@ class TestOccupancyModel:
         assert math.isclose(paper_model.pi_b, 0.05)
         assert math.isclose(paper_model.mu, 0.9)
 
-    def test_consistency_overrides(self):
-        OccupancyModel(0.005, 0.095, mu=0.9, pi_b=0.05)
-        with pytest.raises(ValueError):
-            OccupancyModel(0.005, 0.095, mu=0.8)
-        with pytest.raises(ValueError):
-            OccupancyModel(0.005, 0.095, pi_b=0.2)
-
     def test_rejects_negative_memory(self):
         with pytest.raises(ValueError):
             OccupancyModel(0.6, 0.6)

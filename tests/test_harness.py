@@ -12,7 +12,7 @@ from hiersense.harness import (FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
-from hiersense.topology import lin_to_db
+from hiersense.topology import frame_delays, lin_to_db
 from hiersense import ControlParams
 
 
@@ -29,7 +29,7 @@ def small_config(**kw):
 
 def simulation(ctx, rt, grid_value):
     """A Simulation handed its scheme's licensed-user estimate."""
-    return Simulation(ctx, rt, grid_value, 0, scheme_ip_sequence(ctx, rt))
+    return Simulation(ctx, rt, grid_value, scheme_ip_sequence(ctx, rt))
 
 
 def run_point(ctx, scheme_idx, grid_value):
@@ -54,7 +54,7 @@ class TestConfig:
         assert "frames" in msg and "trials" in msg and "schemes" in msg
 
     def test_corrupted_memory_override_rejected(self):
-        cfg = small_config(mu=0.7)  # inconsistent with 1 - nu1 - nu0 = 0.9
+        cfg = small_config(nu1=0.6, nu0=0.6)  # memory 1 - nu1 - nu0 < 0
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert "occupancy" in str(err.value)
@@ -63,7 +63,7 @@ class TestConfig:
         raw = {
             "topology": {"kind": "grid", "n_cells": 16, "area": [400, 400],
                          "n_blockages": 2},
-            "occupancy": {"nu1": 0.005, "nu0": 0.095, "mu": 0.9, "pi_b": 0.05},
+            "occupancy": {"nu1": 0.005, "nu0": 0.095},
             "population": {"mode": "dense"},
             "schemes": [{"name": "ibt", "kind": "ibt", "c_max": "inf"},
                         {"name": "unc", "kind": "uncoordinated"}],
@@ -154,12 +154,16 @@ class TestFrameLoop:
         assert (frames.traffic == cfg.resolved_a_max()).all()
         assert (frames.inr_linear == 0.0).all()
 
-    def test_uncoordinated_skips_estimation(self):
+    def test_uncoordinated_skips_estimation(self, monkeypatch):
         cfg = small_config(schemes=(SchemeSpec("unc", "uncoordinated"),),
                            trials=1)
         ctx = prepare_trial(cfg, 0)
-        sim = simulation(ctx, ctx.runtimes[0], 0.25)
-        assert sim.ip_seq is None
+        assert scheme_ip_sequence(ctx, ctx.runtimes[0]) is None
+
+        def no_loop(self):
+            raise AssertionError("uncoordinated access ran the frame loop")
+
+        monkeypatch.setattr(Simulation, "run_frame", no_loop)
         frames = run_point(ctx, 0, 0.25)
         assert (frames.traffic == 0.25 * cfg.resolved_a_max()).all()
         assert np.isnan(frames.utility).all()
@@ -236,13 +240,19 @@ class FrameMetrics:
     inr_db: float
     utility: float
     traffic: np.ndarray
-    pu_success_rate: float = math.nan
 
 
 class FrameByFrame(Simulation):
     """Oracle of the decision loop and the block scorer: each frame is
-    decided and then scored on its own, and the oracle SU-interference
-    estimate is recomputed from the last frame's committed traffic."""
+    decided and then scored on its own, uncoordinated access included, and
+    the oracle SU-interference estimate is recomputed from the last frame's
+    committed traffic."""
+
+    def __init__(self, ctx, rt, grid_value, ip_seq, eval_rng):
+        super().__init__(ctx, rt, grid_value, ip_seq)
+        self.grid_value = grid_value
+        self.uncoordinated = rt.spec.kind == "uncoordinated"
+        self.eval_rng = eval_rng
 
     def _estimate_is(self, t):
         if self._traffic is not None:
@@ -272,9 +282,8 @@ class FrameByFrame(Simulation):
             util = float(np.mean(control.utility(
                 a, ip_true, is_true, ctx.m, ctx.phi_diag, ctx.model, self.params)))
 
-        pu_rate = math.nan
         if cfg.eval_mode == "fading_mc":
-            counts, pu_rate, inr_lin = eval_fading_success(
+            counts, inr_lin = eval_fading_success(
                 ctx.fading, a, ctx.m, b, self.params.sinr_th,
                 float(ctx.model.pi_b), self.eval_rng)
             throughput = float(counts.mean())
@@ -289,7 +298,7 @@ class FrameByFrame(Simulation):
             self._traffic.commit(a)
         return FrameMetrics(t=t, su_throughput=throughput, inr_linear=inr_lin,
                             inr_db=float(lin_to_db(inr_lin)), utility=util,
-                            traffic=a.copy(), pu_success_rate=pu_rate)
+                            traffic=a.copy())
 
 
 class TestBlockScoringMatchesFrameOracle:
@@ -306,7 +315,8 @@ class TestBlockScoringMatchesFrameOracle:
 
     @pytest.mark.parametrize("is_mode", ["oracle", "hierarchical"])
     @pytest.mark.parametrize("eval_mode", ["analytic_lb", "fading_mc"])
-    def test_every_frame_equal_bit_for_bit(self, eval_mode, is_mode):
+    def test_every_frame_equal_bit_for_bit(self, eval_mode, is_mode,
+                                           monkeypatch):
         fading = dict(topology_kind="random", n_blockages=0,
                       population_mode="constant", m_per_cell=3) \
             if eval_mode == "fading_mc" else {}
@@ -317,15 +327,21 @@ class TestBlockScoringMatchesFrameOracle:
                            **fading)
         ctx = prepare_trial(cfg, 0)
         assert ctx.warmup > 2  # the delayed schemes add warm-up frames
+        streams = []  # the evaluation stream of each scored point
+        score = harness.score_frames
+
+        def recorded(ctx, traffic, is_true, params, eval_rng):
+            streams.append(eval_rng)
+            return score(ctx, traffic, is_true, params, eval_rng)
+
+        monkeypatch.setattr(harness, "score_frames", recorded)
         for k, spec in enumerate(cfg.schemes):
             rt = ctx.runtimes[k]
             ip_seq = scheme_ip_sequence(ctx, rt)
             for g, gval in enumerate(cfg.grid(spec)):
-                sim = Simulation(ctx, rt, gval, g, ip_seq)
-                for _ in range(ctx.t_total):
-                    sim.run_frame()
-                got = harness.score_frames(sim)
-                oracle = FrameByFrame(ctx, rt, gval, g, ip_seq)
+                got, row = run_trial_point(ctx, k, gval, g, ip_seq)
+                oracle = FrameByFrame(ctx, rt, gval, ip_seq, harness._seed_rng(
+                    cfg.master_seed, ctx.trial, 7, k, g))
                 frames = [oracle.run_frame() for _ in range(ctx.t_total)]
                 assert np.array_equal(got.t, np.arange(ctx.t_total))
                 for t, f in enumerate(frames):
@@ -334,11 +350,9 @@ class TestBlockScoringMatchesFrameOracle:
                     assert got.inr_linear[t] == f.inr_linear
                     assert got.inr_db[t] == f.inr_db
                     assert self.same(got.utility[t], f.utility)
-                    assert self.same(got.pu_success_rate[t], f.pu_success_rate)
                 # the scorer left the point's stream where the oracle did
-                assert sim.eval_rng.bit_generator.state \
+                assert streams[-1].bit_generator.state \
                     == oracle.eval_rng.bit_generator.state
-                _, row = run_trial_point(ctx, k, gval, g, ip_seq)
                 measured = frames[ctx.warmup:]
                 assert row.mean_su_throughput == float(np.mean(
                     [f.su_throughput for f in measured]))
@@ -383,13 +397,12 @@ class TestFadingEvaluation:
         layout = FadingLayout(su_cell=np.array([0]),
                               pl_su_su=np.array([[phi_own]]),
                               pl_pu_su=np.zeros((1, 1)),
-                              pl_su_pu=np.zeros((1, 1)),
-                              pl_pu_pu=np.eye(1))
+                              pl_su_pu=np.zeros((1, 1)))
         th = 10 ** 0.5
         n = 40_000
         wins = 0
         for _ in range(n):
-            counts, _, _ = eval_fading_success(
+            counts, _ = eval_fading_success(
                 layout, np.array([1.0]), np.array([1.0]), np.array([0]), th,
                 0.05, rng)
             wins += int(counts[0])
@@ -405,13 +418,12 @@ class TestFadingEvaluation:
             su_cell=np.array([0, 1]),
             pl_su_su=np.array([[p_own, p_int], [p_int, p_own]]),
             pl_pu_su=np.zeros((2, 2)),
-            pl_su_pu=np.zeros((2, 2)),
-            pl_pu_pu=np.eye(2))
+            pl_su_pu=np.zeros((2, 2)))
         th = 10 ** 0.5
         n = 40_000
         wins = 0
         for _ in range(n):
-            counts, _, _ = eval_fading_success(
+            counts, _ = eval_fading_success(
                 layout, np.array([1.0, 1.0]), np.array([1.0, 1.0]),
                 np.array([0, 0]), th, 0.05, rng)
             wins += int(counts[0])
@@ -442,7 +454,7 @@ class TestFadingEvaluation:
 def _eval_fading_by_blocks(layout, traffic, m, b, sinr_th, pi_b, rng):
     """Oracle of eval_fading_success: one draw and one np.ix_ gather per
     link block."""
-    n_cells = layout.pl_pu_pu.shape[0]
+    n_cells = layout.pl_pu_su.shape[0]
     p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
     act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
     apu = np.flatnonzero(np.asarray(b) == 1)
@@ -460,18 +472,13 @@ def _eval_fading_by_blocks(layout, traffic, m, b, sinr_th, pi_b, rng):
         ok = act[sinr > sinr_th]
         su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
 
-    pu_rate = math.nan
     inr = 0.0
     if n_apu:
         i_sp = (layout.pl_su_pu[np.ix_(act, apu)]
                 * rng.exponential(size=(n_act, n_apu))).sum(axis=0)
-        g_pp = rng.exponential(size=(n_apu, n_apu))
-        sub = layout.pl_pu_pu[np.ix_(apu, apu)] * g_pp
-        own = np.diag(sub)
-        i_pp = sub.sum(axis=0) - own
-        pu_rate = float((own / (1.0 + i_sp + i_pp) > sinr_th).mean())
+        rng.exponential(size=(n_apu, n_apu))  # PU->PU gains, read by no output
         inr = float(i_sp.sum() / (n_cells * pi_b))
-    return su_counts, pu_rate, inr
+    return su_counts, inr
 
 
 class TestFadingMatchesBlockOracle:
@@ -498,9 +505,7 @@ class TestFadingMatchesBlockOracle:
                 expect = _eval_fading_by_blocks(ctx.fading, a, ctx.m, b, 3.16,
                                                 0.05, ref_rng)
                 assert np.array_equal(got[0], expect[0])
-                assert got[1] == expect[1] or (math.isnan(got[1])
-                                               and math.isnan(expect[1]))
-                assert got[2] == expect[2]
+                assert got[1] == expect[1]
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -629,9 +634,13 @@ class TestAllFramesEstimate:
             assert sim._estimate_is(ctx.t_total - 1).any()
 
     def test_full_nsi_matches_per_frame_definition(self, ctx):
-        rt = ctx.runtimes[3]
-        delays = rt.delay_matrix
+        spec = ctx.runtimes[3].spec
+        delays = frame_delays(ctx.topology.distance_matrix, spec.gamma_delay,
+                              spec.radius)
         assert delays.max() > 0
+        assert np.array_equal(scheme_ip_sequence(ctx, ctx.runtimes[3]),
+                              control.full_nsi_ip(ctx.phi, delays, ctx.b_seq,
+                                                  ctx.model))
         w = ctx.phi.coupling()
         pi_b, mu = float(ctx.model.pi_b), float(ctx.model.mu)
         got = control.full_nsi_ip(ctx.phi, delays, ctx.b_seq, ctx.model)
