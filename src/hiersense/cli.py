@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -155,23 +156,8 @@ def _occupancy_history(model, n_cells: int, frames: int, rng) -> np.ndarray:
     return np.array(rows)
 
 
-def run_validation(config: ExperimentConfig | None = None) -> int:
-    """Fast oracle suite; returns the number of failed checks."""
-    failures: list[str] = []
-    rng = np.random.default_rng(7)
-
-    if config is not None:
-        try:
-            config.validate()
-            _check("config", True, "configuration is consistent", failures)
-        except (ConfigError, ValueError) as exc:
-            _check("config", False, str(exc), failures)
-            return len(failures)
-        model = config.occupancy_model()
-    else:
-        model = OccupancyModel(0.005, 0.095)
-
-    # Aggregate/delayed-local identity on a small built tree
+def _check_aggregate_identity(model, rng) -> tuple[bool, str]:
+    """Aggregates of a small built tree vs direct sums of delayed locals."""
     topology = build_topology("grid", 16, (400.0, 400.0), 2, rng_seed=3)
     phi = compute_phi(topology, PathlossParams())
     tree = build_ibt(topology, phi, float(model.mu), gamma_delay=0.02)
@@ -181,10 +167,11 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
     running.commit(history)
     worst = max(identity_residual(tree, running.aggregates(t), history, t, pi_b)
                 for t in range(60))
-    _check("aggregate-identity", worst <= 1e-9,
-           f"max residual {worst:.2e} (<= 1e-9)", failures)
+    return worst <= 1e-9, f"max residual {worst:.2e} (<= 1e-9)"
 
-    # Exact enumeration vs closed-form marginals on a 4-cell instance
+
+def _check_belief_oracle(model, rng) -> tuple[bool, str]:
+    """Exact enumeration vs closed-form marginals on a 4-cell instance."""
     worst = 0.0
     for k in range(10):
         tree4 = AggregationTree.from_nested(
@@ -201,19 +188,23 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
                 lem = inference.marginal_occupancy(sigma[lvl], len(ring),
                                                    int(tree4.delta[lvl][j]), model)
                 worst = max(worst, abs(belief.marginal(int(j)) - float(lem)))
-    _check("belief-oracle", worst <= 1e-12,
-           f"max |enumeration - closed form| = {worst:.2e} (<= 1e-12)", failures)
+    return worst <= 1e-12, \
+        f"max |enumeration - closed form| = {worst:.2e} (<= 1e-12)"
 
-    # Closed-form traffic optimum vs fine grid search
+
+def _check_traffic_optimum(model, rng) -> tuple[bool, str]:
+    """Closed-form traffic optimum vs fine grid search, and the sweeps'
+    decision kernel vs the closed form, bit for bit."""
     params_pool = []
     for _ in range(50):
         m = float(rng.integers(1, 12))
+        # this lambda range puts about half the optima off the zero clip
         params_pool.append((float(rng.uniform(0.01, 2.0)),  # ip
                             float(rng.uniform(0.0, 2.0)),   # is
                             m,
                             float(rng.uniform(3.0, 300.0)),  # phi_ii
-                            float(10 ** rng.uniform(-2, 2))))  # lambda
-    worst = 0.0
+                            float(10 ** rng.uniform(-6, -1))))  # lambda
+    worst, same = 0.0, 0
     for ip, is_, m, phi_ii, lam in params_pool:
         params = control.ControlParams(lam=lam, sinr_th=10 ** 0.5)
         a_star = control.optimal_traffic(ip, is_, m, phi_ii, model, params)
@@ -221,10 +212,17 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
         util = control.utility(grid, ip, is_, m, phi_ii, model, params)
         a_grid = grid[int(np.argmax(util))]
         worst = max(worst, abs(a_star - a_grid))
-    _check("traffic-optimum", worst <= 1e-3,
-           f"max |closed form - grid argmax| = {worst:.2e}", failures)
+        kernel = control.TrafficKernel(m, phi_ii, model, params.sinr_th)
+        kernel.check_ip(ip)
+        a_kernel = kernel.decide(ip, is_, lam * kernel.phi_ii)
+        same += np.float64(a_kernel).tobytes() == np.float64(a_star).tobytes()
+    return worst <= 1e-3 and same == len(params_pool), \
+        (f"max |closed form - grid argmax| = {worst:.2e}; kernel equals the "
+         f"closed form bit for bit on {same}/{len(params_pool)} draws")
 
-    # Jensen directions
+
+def _check_jensen_bound(model, rng) -> tuple[bool, str]:
+    """The throughput bound never exceeds the exact enumeration."""
     ok = True
     params = control.ControlParams(lam=1.0, sinr_th=10 ** 0.5)
     for _ in range(20):
@@ -239,9 +237,43 @@ def run_validation(config: ExperimentConfig | None = None) -> int:
         lb = control.throughput_lb(a2[0], m2[0], float(w @ b2),
                                    float(w[1] * a2[1]), phi2[0, 0], params)
         ok &= lb <= exact + 1e-12
-    _check("jensen-bound", ok, "throughput bound never exceeds the exact value",
-           failures)
+    return ok, "throughput bound never exceeds the exact value"
 
+
+# run in this order: they draw from one stream
+_ORACLE_CHECKS = (("aggregate-identity", _check_aggregate_identity),
+                  ("belief-oracle", _check_belief_oracle),
+                  ("traffic-optimum", _check_traffic_optimum),
+                  ("jensen-bound", _check_jensen_bound))
+
+
+def run_validation(config: ExperimentConfig | None = None) -> int:
+    """Fast oracle suite; returns the number of failed checks.
+
+    A check that raises fails with the exception as its detail (traceback
+    on stderr), and the remaining checks still run.
+    """
+    failures: list[str] = []
+    rng = np.random.default_rng(7)
+
+    if config is not None:
+        try:
+            config.validate()
+            _check("config", True, "configuration is consistent", failures)
+        except (ConfigError, ValueError) as exc:
+            _check("config", False, str(exc), failures)
+            return len(failures)
+        model = config.occupancy_model()
+    else:
+        model = OccupancyModel(0.005, 0.095)
+
+    for name, check in _ORACLE_CHECKS:
+        try:
+            ok, detail = check(model, rng)
+        except Exception as exc:  # a crashing oracle is a failed check
+            traceback.print_exc()
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        _check(name, ok, detail, failures)
     return len(failures)
 
 

@@ -132,6 +132,51 @@ def optimal_traffic(ip, is_, m, phi_ii, model: OccupancyModel,
     return float(out) if out.ndim == 0 else out
 
 
+class TrafficKernel:
+    """:func:`optimal_traffic` of a trial's cells, with every value that is
+    fixed within the trial built once.
+
+    The arithmetic is the oracle's, operation for operation, so a decision
+    equals ``optimal_traffic(ip, is_, m, phi_ii, model, params, a_max)`` bit
+    for bit.  The checks on ``ip`` run over a whole block of frames
+    (:meth:`check_ip`); :meth:`decide` checks only ``is_``.
+    """
+
+    def __init__(self, m, phi_ii, model: OccupancyModel, sinr_th: float,
+                 a_max: float | None = None):
+        m = np.asarray(m, dtype=float)
+        self.phi_ii = np.asarray(phi_ii, dtype=float)
+        self.sinr_th = th = float(sinr_th)
+        self.upper = np.where(np.isinf(m),
+                              math.inf if a_max is None else float(a_max), m)
+        self.th_c = th * np.where(np.isinf(m), 1.0, 1.0 - 1.0 / m)
+        self.gain_num = (math.sqrt(float(model.pi_b))
+                         * np.exp(-th / (2.0 * self.phi_ii)))
+
+    def check_ip(self, ip) -> None:
+        """Reject licensed-user estimates the rule cannot take: negative
+        entries, and 0 where the population has no upper rail.  ``ip`` is
+        one frame or a (frames, n_cells) block."""
+        ip = np.asarray(ip, dtype=float)
+        if (ip < 0).any():
+            raise ValueError("interference estimates must be nonnegative")
+        if np.any((ip <= 0) & np.isinf(self.upper)):
+            raise ValueError("ip = 0 with an unbounded population needs a_max")
+
+    def decide(self, ip, is_, lam_phi) -> np.ndarray:
+        """One frame's traffic; ``ip`` passed :meth:`check_ip` and
+        ``lam_phi`` is ``lam * phi_ii``."""
+        if np.any(is_ < 0):
+            raise ValueError("interference estimates must be nonnegative")
+        root = np.sqrt(1.0 + self.sinr_th * (ip + is_))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = self.gain_num / np.sqrt(lam_phi * ip)
+            val = root / self.th_c * (gain - root)
+        # see optimal_traffic: NaN is a zero slope of the linear c = 0 case
+        val = np.where(np.isnan(val), 0.0, val)
+        return np.clip(val, 0.0, self.upper)
+
+
 def utility(a, ip, is_, m, phi_ii, model: OccupancyModel, params: ControlParams):
     """Throughput lower bound minus the weighted interference charge."""
     a = np.asarray(a, dtype=float)

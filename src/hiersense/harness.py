@@ -394,6 +394,15 @@ class TrialContext:
         shared by every scheme and grid point of the trial."""
         return occupancy_products(self.b_seq, self.coupling, self.phi.phi)
 
+    @cached_property
+    def traffic_kernel(self) -> control.TrafficKernel:
+        """The cells' traffic rule with its trial constants built; shared by
+        every coordinated scheme and grid point of the trial."""
+        cfg = self.config
+        return control.TrafficKernel(self.m, self.phi_diag, self.model,
+                                     cfg.sinr_th_linear(),
+                                     cfg.resolved_a_max())
+
 
 def occupancy_products(b_seq, coupling, phi) -> tuple[np.ndarray, np.ndarray]:
     """(frames, n_cells) rows of ``b @ coupling``, the true licensed-user
@@ -673,7 +682,11 @@ class Simulation:
         self.ip_seq = ip_seq
         self.params = control.ControlParams(lam=float(grid_value),
                                             sinr_th=cfg.sinr_th_linear())
-        self.a_max = cfg.resolved_a_max()
+        self._kernel = ctx.traffic_kernel
+        self._kernel.check_ip(ip_seq)
+        # lam * phi_ii * ip evaluates left to right: its first product is
+        # the grid point's
+        self._lam_phi = self.params.lam * self._kernel.phi_ii
         # committed traffic and the true SU interference it causes, per
         # frame; frames not yet run read 0
         self.a_hist = np.zeros((ctx.t_total, cfg.n_cells))
@@ -695,13 +708,10 @@ class Simulation:
         commit it."""
         self.t += 1
         t = self.t
-        ctx = self.ctx
-        a = control.optimal_traffic(self.ip_seq[t], self._estimate_is(t),
-                                    ctx.m, ctx.phi_diag, ctx.model,
-                                    self.params, self.a_max)
-        a = np.asarray(a, dtype=float)
+        a = self._kernel.decide(self.ip_seq[t], self._estimate_is(t),
+                                self._lam_phi)
         self.a_hist[t] = a
-        self.is_true[t] = estimate_is_oracle(ctx.coupling, a)
+        self.is_true[t] = estimate_is_oracle(self.ctx.coupling, a)
         if self._traffic is not None:
             self._traffic.commit(a)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiersense import (ControlParams, HierarchicalExchange, RunningRingSums,
-                       optimal_traffic)
+                       control, optimal_traffic)
 from hiersense.cli import load_config, main
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
@@ -366,6 +366,40 @@ class TestValidate:
         monkeypatch.setattr(RunningRingSums, "commit", faulty)
         assert main(["validate"]) == 1
         assert "FAIL  aggregate-identity" in capsys.readouterr().out
+
+    def test_faulty_traffic_kernel_fails(self, monkeypatch, capsys):
+        # the decision kernel of every sweep is checked against its oracle,
+        # off the clips too
+        decide = control.TrafficKernel.decide
+
+        def faulty(self, ip, is_, lam_phi):
+            a = decide(self, ip, is_, lam_phi)
+            return np.where((a > 0) & (a < self.upper),
+                            np.nextafter(a, np.inf), a)
+
+        monkeypatch.setattr(control.TrafficKernel, "decide", faulty)
+        assert main(["validate"]) == 1
+        assert "FAIL  traffic-optimum" in capsys.readouterr().out
+
+    def test_raising_check_fails_and_the_rest_run(self, config_path,
+                                                  monkeypatch, capsys):
+        commit = RunningRingSums.commit
+
+        def faulty(self, values):
+            commit(self, values)
+            # half an occupied cell under the last frame's top-level head
+            self._agg[self.t - self._origin, -1] += 0.5
+
+        monkeypatch.setattr(RunningRingSums, "commit", faulty)
+        assert main(["validate", "--config", config_path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+        assert [line.split(":")[0] for line in checks] == [
+            "PASS  config", "FAIL  aggregate-identity", "FAIL  belief-oracle",
+            "PASS  traffic-optimum", "PASS  jensen-bound"]
+        assert checks[2].endswith("raised ValueError: noiseless aggregates "
+                                  "must be integral")
+        assert lines[-1] == "FAILED: 2 check(s) failed"
 
     def test_with_valid_config(self, config_path):
         assert main(["validate", "--config", config_path]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersense import (ControlParams, HierarchicalExchange,
                        InterferenceMatrix, exact_belief,
@@ -162,6 +164,76 @@ class TestOptimalTraffic:
             got = optimal_traffic(float(ip[k]), float(is_[k]), float(m[k]),
                                   float(phi_ii[k]), paper_model, PARAMS)
             assert vec[k] == pytest.approx(got, abs=1e-15)
+
+
+@st.composite
+def kernel_cases(draw):
+    """One frame of a few cells: single-SU (m = 1, c = 0), finite and dense
+    populations; ip and is_ that reach 0; lambda from 1e-3 to 1e2."""
+    n = draw(st.integers(1, 8))
+    cells = st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)
+    kinds = draw(st.lists(st.sampled_from(["single", "finite", "dense"]),
+                          min_size=n, max_size=n))
+    m = np.array([1.0 if kind == "single" else math.inf if kind == "dense"
+                  else float(draw(st.integers(2, 12))) for kind in kinds])
+    return dict(
+        ip=np.array(draw(cells)), is_=np.array(draw(cells)), m=m,
+        phi_ii=np.array(draw(st.lists(st.floats(3.0, 300.0), min_size=n,
+                                      max_size=n))),
+        lam=10 ** draw(st.floats(-3.0, 2.0)),
+        sinr_th=10 ** draw(st.floats(-0.5, 1.0)),
+        a_max=draw(st.one_of(st.floats(0.05, 5.0), st.none())))
+
+
+class TestTrafficKernel:
+    def test_equals_its_oracle_bit_for_bit(self, paper_model):
+        seen = set()
+
+        @settings(derandomize=True, max_examples=400, deadline=None,
+                  database=None)
+        @given(kernel_cases())
+        def check(case):
+            ip, is_, m = case["ip"], case["is_"], case["m"]
+            params = ControlParams(lam=case["lam"], sinr_th=case["sinr_th"])
+            kernel = ctl.TrafficKernel(m, case["phi_ii"], paper_model,
+                                       case["sinr_th"], case["a_max"])
+            try:
+                want = optimal_traffic(ip, is_, m, case["phi_ii"],
+                                       paper_model, params, case["a_max"])
+            except ValueError as exc:
+                # only a dense cell at ip = 0 with no rail is rejected
+                with pytest.raises(ValueError, match="needs a_max") as err:
+                    kernel.check_ip(ip)
+                assert str(err.value) == str(exc)
+                seen.add("rejected")
+                return
+            kernel.check_ip(ip)
+            got = kernel.decide(ip, is_, case["lam"] * kernel.phi_ii)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            seen.update(name for name, hit in (
+                ("m=1", m == 1), ("finite", np.isfinite(m) & (m > 1)),
+                ("dense", np.isinf(m)), ("ip=0", ip == 0),
+                ("is=0", is_ == 0), ("lower clip", want == 0),
+                ("upper clip", want == kernel.upper),
+                ("interior", (want > 0) & (want < kernel.upper)))
+                if hit.any())
+
+        check()
+        assert seen == {"m=1", "finite", "dense", "ip=0", "is=0",
+                        "lower clip", "upper clip", "interior", "rejected"}
+
+    def test_block_checks_name_the_fault(self, paper_model):
+        kernel = ctl.TrafficKernel(np.array([3.0, math.inf]),
+                                   np.array([30.0, 40.0]), paper_model,
+                                   10 ** 0.5)
+        kernel.check_ip(np.array([[0.0, 0.1], [0.2, 0.3]]))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            kernel.check_ip(np.array([[0.1, 0.1], [-1e-300, 0.3]]))
+        with pytest.raises(ValueError, match="needs a_max"):
+            kernel.check_ip(np.array([[0.1, 0.1], [0.2, 0.0]]))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            kernel.decide(np.array([0.1, 0.1]), np.array([0.0, -0.5]),
+                          np.array([30.0, 40.0]))
 
 
 class TestUtility:

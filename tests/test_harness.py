@@ -242,21 +242,32 @@ class FrameMetrics:
     traffic: np.ndarray
 
 
-class FrameByFrame(Simulation):
+class FrameByFrame:
     """Oracle of the decision loop and the block scorer: each frame is
-    decided and then scored on its own, uncoordinated access included, and
-    the oracle SU-interference estimate is recomputed from the last frame's
-    committed traffic."""
+    decided by ``control.optimal_traffic`` and then scored on its own,
+    uncoordinated access included, and the oracle SU-interference estimate
+    is recomputed from the last frame's committed traffic.  It keeps its own
+    state and shares no decision code with :class:`Simulation`."""
 
     def __init__(self, ctx, rt, grid_value, ip_seq, eval_rng):
-        super().__init__(ctx, rt, grid_value, ip_seq)
+        cfg = ctx.config
+        self.ctx, self.rt = ctx, rt
+        self.ip_seq = ip_seq
         self.grid_value = grid_value
         self.uncoordinated = rt.spec.kind == "uncoordinated"
+        self.params = ControlParams(lam=float(grid_value),
+                                    sinr_th=cfg.sinr_th_linear())
+        self.a_max = cfg.resolved_a_max()
         self.eval_rng = eval_rng
+        self.a_hist = np.zeros((ctx.t_total, cfg.n_cells))
+        self._traffic = None if rt.weights_uncomp is None else \
+            RunningRingSums(rt.tree, ctx.t_total)
+        self.t = -1
 
     def _estimate_is(self, t):
         if self._traffic is not None:
-            return super()._estimate_is(t)
+            return estimate_is_hierarchical(self._traffic.ring_sums(t - 1),
+                                            self.rt.weights_uncomp)
         prev = self.a_hist[t - 1] if t > 0 else np.zeros(self.a_hist.shape[1])
         return estimate_is_oracle(self.ctx.coupling, prev)
 
@@ -389,6 +400,45 @@ class TestOccupancyProducts:
         res = run_experiment(cfg)
         assert len(res.rows) == 2 * 2 * 3
         assert len(calls) == cfg.trials
+
+
+class TestTrafficDecision:
+    def test_kernel_built_once_per_trial(self, monkeypatch):
+        built = []
+        kernel = control.TrafficKernel
+
+        def counted(*args):
+            built.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(control, "TrafficKernel", counted)
+        cfg = small_config(schemes=(SchemeSpec("ibt", "ibt"),
+                                    SchemeSpec("full", "full_nsi"),
+                                    SchemeSpec("unc", "uncoordinated")),
+                           lambda_grid=(0.01, 0.03, 0.1), trials=2, frames=10)
+        res = run_experiment(cfg)
+        assert len(res.rows) == 2 * (2 * 3 + 1)
+        assert len(built) == cfg.trials
+
+    def test_negative_licensed_estimate_rejected(self):
+        ctx = prepare_trial(small_config(trials=1, frames=8), 0)
+        ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[0]).copy()
+        ip_seq[-1, 3] = -1e-3  # the last frame's: checked before the loop
+        with pytest.raises(ValueError, match="interference estimates must "
+                                             "be nonnegative"):
+            run_trial_point(ctx, 0, 0.1, 0, ip_seq)
+
+    def test_zero_estimate_without_rail_rejected(self, monkeypatch):
+        cfg = small_config(trials=1, frames=8)
+        ctx = prepare_trial(cfg, 0)
+        assert cfg.population_mode == "dense" and np.isinf(ctx.m).all()
+        # a dense population with no a_max rail; configs always resolve one
+        monkeypatch.setattr(ExperimentConfig, "resolved_a_max",
+                            lambda self: None)
+        ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[0]).copy()
+        ip_seq[-1, 3] = 0.0
+        with pytest.raises(ValueError, match="needs a_max"):
+            run_trial_point(ctx, 0, 0.1, 0, ip_seq)
 
 
 class TestFadingEvaluation:
