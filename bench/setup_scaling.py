@@ -37,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (64, 256, 1024)
 BLOCKAGES = (0, 12, 16)
-REPS = 3
+REPS = 5
 CELL_SIDE_M = 133.3
 MU = 0.9
 GAMMA_DELAY = 0.005
@@ -45,7 +45,8 @@ FRAMES = 100  # measured frames of the frame stage, after the tree's warm-up
 LAMBDA = 0.01
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
           "frame_s")
-TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0}  # seconds at N = 1024
+TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
+           "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 

@@ -100,6 +100,10 @@ def cmd_simulate(args) -> int:
     scheme_idx = names.index(name)
     grid = config.grid(config.schemes[scheme_idx])
     gval = args.grid_value if args.grid_value is not None else grid[0]
+    unc = config.schemes[scheme_idx].kind == "uncoordinated"
+    if not (0 <= gval <= 1 if unc else 0 < gval < np.inf):
+        raise ConfigError("--grid-value: must " + ("lie in [0, 1]" if unc else
+                          "be positive and finite") + f", got {gval}")
     # a grid point draws from its own evaluation stream; off-grid values
     # share the first point's
     grid_idx = grid.index(gval) if gval in grid else 0
@@ -335,10 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "trial", 0) < 0:
+            raise ConfigError(f"--trial: must be >= 0, got {args.trial}")
         return args.func(args)
-    except (ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a program fault, not bad input: keep its traceback
+        traceback.print_exc()
+        return 1
 
 
 if __name__ == "__main__":

@@ -170,8 +170,8 @@ class ExperimentConfig:
                 # the summary would merge repeated points into one row
                 errors.append((name, f"must be distinct values, got "
                                f"{', '.join(map(repr, repeated))} more than once"))
-        if self.nu1 + self.nu0 <= 0:
-            errors.append(("occupancy", "nu1 + nu0 must be positive"))
+        if self.nu1 <= 0:  # INR is per expected active licensed user
+            errors.append(("occupancy", "nu1 must be positive"))
         try:
             self.occupancy_model()
         except ValueError as exc:
@@ -237,8 +237,11 @@ class ExperimentConfig:
         kwargs = {}
         for name, keys in _SECTION_KEYS.items():
             kwargs.update(_pop_fields(raw.pop(name, {}), cls, name, keys))
-        kwargs["pathloss"] = PathlossParams(**_pop_fields(
-            raw.pop("pathloss", {}), PathlossParams, "pathloss"))
+        pathloss = _pop_fields(raw.pop("pathloss", {}), PathlossParams, "pathloss")
+        try:
+            kwargs["pathloss"] = PathlossParams(**pathloss)
+        except ValueError as exc:
+            raise ConfigError(f"pathloss: {exc}") from None
         if "schemes" in raw:
             schemes = raw.pop("schemes")
             if not isinstance(schemes, (list, tuple)):
@@ -614,28 +617,30 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     ss, sp = n_act * n_act, n_act * n_apu
     g_ss, g_ps = gains[:ss], gains[ss:ss + sp]
     g_sp = gains[ss + sp:ss + 2 * sp]
+    su = None if n_act == len(layout.su_cell) else act  # None: every SU
 
     if n_act:
-        sub = _block(layout.pl_su_su, act, act) * g_ss.reshape(n_act, n_act)
-        own = np.diag(sub)
-        i_su = sub.sum(axis=0) - own
-        i_pu = (_block(layout.pl_pu_su, apu, act)
-                * g_ps.reshape(n_apu, n_act)).sum(axis=0)
-        sinr = own / (1.0 + i_su + i_pu)
-        ok = act[sinr > sinr_th]
+        sub = _block(layout.pl_su_su, su, su) * g_ss.reshape(n_act, n_act)
+        own = sub.diagonal()
+        noise = 1.0 + (sub.sum(axis=0) - own)
+        if n_apu:  # adding the empty PU block's zeros changes nothing
+            noise = noise + (_block(layout.pl_pu_su, apu, su)
+                             * g_ps.reshape(n_apu, n_act)).sum(axis=0)
+        ok = act[own / noise > sinr_th]
         su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
 
     inr = 0.0
     if n_apu:
-        i_sp = (_block(layout.pl_su_pu, act, apu)
+        i_sp = (_block(layout.pl_su_pu, su, apu)
                 * g_sp.reshape(n_act, n_apu)).sum(axis=0)
         inr = float(i_sp.sum() / (n_cells * pi_b))
     return su_counts, inr
 
 
 def _block(matrix, rows, cols) -> np.ndarray:
-    """matrix[np.ix_(rows, cols)], gathered with take."""
-    return matrix.take(rows, axis=0).take(cols, axis=1)
+    """matrix[np.ix_(rows, cols)], gathered with take; None keeps an axis."""
+    matrix = matrix if rows is None else matrix.take(rows, axis=0)
+    return matrix if cols is None else matrix.take(cols, axis=1)
 
 
 def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime

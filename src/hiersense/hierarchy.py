@@ -15,6 +15,7 @@ the identical control flow but picks feasible pairs uniformly.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -67,32 +68,44 @@ class AggregationTree:
         self.delta = np.zeros((depth + 1, n_cells), dtype=int)
         self.cluster_of = np.zeros((depth + 1, n_cells), dtype=int)
         self.cluster_of[0] = np.arange(n_cells)
+        self._fusion_plan: list[tuple[np.ndarray, ...]] = []
+        # the level below as cells grouped by cluster: flat, start, size
+        flat, start, size = (np.arange(n_cells),) * 2 + (np.ones(n_cells, int),)
         for lvl in range(1, depth + 1):
-            seen = np.zeros(n_cells, dtype=bool)
-            for pos, node in enumerate(self.levels[lvl]):
-                if node.index != pos:
-                    raise ValueError("cluster indices must match list positions")
-                got = []
-                for child_idx, edge_delay in zip(node.children, node.child_delays):
-                    child = self.levels[lvl - 1][child_idx]
-                    if edge_delay < 0:
-                        raise ValueError("edge delays must be nonnegative")
-                    for i in child.members:
-                        self.cluster_of[lvl, i] = node.index
-                        self.delta[lvl, i] = self.delta[lvl - 1, i] + edge_delay
-                    got.extend(child.members)
-                if tuple(sorted(got)) != node.members:
-                    raise ValueError("cluster members must equal the union of its "
-                                     "children's members")
-                if seen[list(node.members)].any():
-                    raise ValueError("clusters within a level must be disjoint")
-                seen[list(node.members)] = True
-            if not seen.all():
+            nodes = self.levels[lvl]
+            if any(node.index != pos for pos, node in enumerate(nodes)):
+                raise ValueError("cluster indices must match list positions")
+            children = np.array([c for node in nodes for c in node.children], dtype=int)
+            delays = np.array([d for node in nodes for d in node.child_delays], dtype=int)
+            if (delays < 0).any():
+                raise ValueError("edge delays must be nonnegative")
+            # every child's members, node by node, sorted within each node
+            got_size = size[children]
+            got = flat[np.repeat(start[children] - np.cumsum(got_size)
+                                 + got_size, got_size) + np.arange(got_size.sum())]
+            n_child = [len(node.children) for node in nodes]
+            got_node = np.arange(len(nodes)).repeat(n_child).repeat(got_size)
+            by_node = np.lexsort((got, got_node))
+            members = np.array([i for node in nodes for i in node.members], dtype=int)
+            size = np.array([len(node.members) for node in nodes], dtype=int)
+            member_node = np.arange(len(nodes)).repeat(size)
+            if not (np.array_equal(got_node[by_node], member_node)
+                    and np.array_equal(got[by_node], members)):
+                raise ValueError("cluster members must equal the union of its "
+                                 "children's members")
+            count = np.bincount(members, minlength=n_cells)
+            if (count > 1).any():
+                raise ValueError("clusters within a level must be disjoint")
+            if (count == 0).any():
                 raise ValueError("every cell must belong to a cluster at each level")
+            self.cluster_of[lvl, members] = member_node
+            self.delta[lvl, got] = self.delta[lvl - 1, got] + delays.repeat(got_size)
+            flat, start = members, np.cumsum(size) - size
+            self._fusion_plan.append((children, delays,
+                                      np.cumsum(n_child, dtype=int) - n_child))
         self.delta.setflags(write=False)
         self.cluster_of.setflags(write=False)
         self._ring_cache: dict[int, list[np.ndarray]] = {}
-        self._fusion_plan: list[tuple[np.ndarray, ...]] | None = None
 
     # ------------------------------------------------------------------ queries
 
@@ -142,29 +155,7 @@ class AggregationTree:
     def fusion_plan(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per level >= 1: flattened child ids, their edge delays, and where
         each cluster's children start; the order in which aggregates fuse."""
-        if self._fusion_plan is None:
-            self._fusion_plan = []
-            for lvl in range(1, self.depth + 1):
-                idx, lag, seg = [], [], []
-                for node in self.levels[lvl]:
-                    seg.append(len(idx))
-                    idx.extend(node.children)
-                    lag.extend(node.child_delays)
-                self._fusion_plan.append(tuple(np.asarray(v, dtype=int)
-                                               for v in (idx, lag, seg)))
         return self._fusion_plan
-
-    def ring_masks(self) -> list[np.ndarray]:
-        """Boolean (N, N) masks R_L[i, j] = (j is at h-distance L from i)."""
-        masks = []
-        same_prev = np.eye(self.n_cells, dtype=bool)
-        masks.append(same_prev.copy())
-        for lvl in range(1, self.depth + 1):
-            ids = self.cluster_of[lvl]
-            same = ids[:, None] == ids[None, :]
-            masks.append(same & ~same_prev)
-            same_prev = same
-        return masks
 
     # -------------------------------------------------------------- construction
 
@@ -288,11 +279,42 @@ def pair_cost(topology: NetworkTopology, cluster_n, cluster_m) -> float:
     return float(dmax / topology.cell_count)
 
 
-def _head_site(members, centers) -> int:
-    """Member cell nearest to the cluster centroid; lowest id wins ties."""
-    pts = centers[list(members)]
-    centroid = pts.mean(axis=0)
-    return members[int(np.argmin(((pts - centroid) ** 2).sum(axis=1)))]
+def _random_merges(cost_mat, rows, cols, delay_mat, c_cell: float, c_max: float,
+                   rng):
+    """Uniform draws among the feasible pairs of ``rows, cols`` (row-major),
+    as a candidate list filtered after each merge gives them.  ``cnt[r]``
+    counts row r's feasible pairs.  Once the budget can bind, the feasible
+    pairs are those below ``top`` in the pairs sorted by cost."""
+    n = len(cost_mat)
+    cost, by_col = cost_mat[rows, cols], cost_mat.T.copy()
+    alive = np.ones(n, dtype=bool)
+    worst, cnt, by_cost = cost.max(), n - 1 - np.arange(n), None
+    merges = []
+    fits = lambda c: True if by_cost is None else c_cell + c <= c_max
+    while True:
+        if by_cost is None and not c_cell + worst <= c_max:
+            ok = alive[rows] & alive[cols] & (c_cell + cost <= c_max)
+            by_cost = np.flatnonzero(ok)[np.argsort(cost[ok])]
+            cnt, top = np.bincount(rows[ok], minlength=n), len(by_cost)
+        elif by_cost is not None:  # drop the pairs the budget now excludes
+            low = bisect.bisect_left(range(top), True,
+                                     key=lambda s: not fits(cost[by_cost[s]]))
+            out = by_cost[low:top]
+            cnt -= np.bincount(rows[out][alive[rows[out]] & alive[cols[out]]], minlength=n)
+            top = low
+        cum = np.cumsum(cnt)
+        if not cum[-1]:
+            return merges, alive, c_cell
+        k = int(rng.integers(int(cum[-1])))
+        a = int(np.searchsorted(cum, k, side="right"))
+        ok = alive[a + 1:] & fits(cost_mat[a, a + 1:])
+        b = a + 1 + int(np.flatnonzero(ok)[k - (cum[a] - cnt[a])])
+        for x in (a, b):  # the counted pairs (r, x), r < x, leave with x
+            cnt[:x] -= alive[:x] & fits(by_col[x, :x])
+        cnt[a] = cnt[b] = 0
+        alive[a] = alive[b] = False
+        merges.append((a, b, None, float(cost_mat[a, b]), int(delay_mat[a, b])))
+        c_cell += cost_mat[a, b]
 
 
 def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
@@ -301,7 +323,9 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
 
     ``rng is None`` selects the max-benefit pair (ties broken towards the
     lexicographically smallest index pair); otherwise a uniform choice among
-    feasible pairs.
+    feasible pairs.  Each level is a few array passes over ``cluster``, the
+    cluster of every cell, and ``far``, the largest distance between the
+    cells of two clusters.
     """
     n_cells = topology.cell_count
     centers = topology.cell_centers
@@ -312,49 +336,40 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
     mu = float(mu)
 
     levels = [[ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]]
+    cluster, heads, far = np.arange(n_cells), np.arange(n_cells), dist
     delta = np.zeros(n_cells)
     c_cell = 0.0
     merge_log: list[MergeRecord] = []
 
     while True:
-        cur = levels[-1]
-        n = len(cur)
+        n = len(heads)
         if n <= 1:
             break
-        members = [np.asarray(c.members, dtype=int) for c in cur]
-        heads = np.array([c.head_site for c in cur], dtype=int)
         delay_mat = frame_delays(dist[np.ix_(heads, heads)], gamma_delay)
+        cost_mat = far / n_cells  # worst-case pair distance per cell
 
-        # worst-case pair distance, two row-wise max reductions
-        to_cell = np.stack([dist[m].max(axis=0) for m in members])
-        cost_mat = np.stack([to_cell[:, m].max(axis=1) for m in members]).T
-        cost_mat /= n_cells
-
-        triu = np.triu(np.ones((n, n), dtype=bool), 1)
-        if not (triu & (c_cell + cost_mat <= c_max)).any():
+        rows, cols = np.triu_indices(n, 1)
+        if not (c_cell + cost_mat[rows, cols] <= c_max).any():
             break  # no feasible pair at this level: budget exhausted or done
 
-        if use_gamma:
+        if not use_gamma:
+            merges, alive, c_cell = _random_merges(cost_mat, rows, cols, delay_mat,
+                                                   c_cell, c_max, rng)
+        else:
             pair_sum = (mu ** delta)[:, None] * w
             if n < n_cells:  # level 0 is all singletons: the sums are the cells
                 ind = np.zeros((n, n_cells))
-                for k, m in enumerate(members):
-                    ind[k, m] = 1.0
+                ind[cluster, np.arange(n_cells)] = 1.0
                 pair_sum = ind @ pair_sum @ ind.T
             gamma_mat = (mu ** delay_mat) * (pair_sum + pair_sum.T)
-
-        rows, cols = np.triu_indices(n, 1)
-        if use_gamma:
             # descending benefit, row-major among ties: the first argmax
-            order = np.argsort(-gamma_mat[rows, cols], kind="stable")
-            rows, cols = rows[order], cols[order]
-        cost = cost_mat[rows, cols]
-        alive = np.ones(n, dtype=bool)
-        merges = []
-        if use_gamma:
-            # one scan: a pair skipped for a merged cluster or the budget
-            # stays infeasible, since clusters stay merged and c_cell only
-            # grows; so each chunk drops those pairs before the exact loop
+            by_gamma = np.argsort(-gamma_mat[rows, cols], kind="stable")
+            rows, cols = rows[by_gamma], cols[by_gamma]
+            cost = cost_mat[rows, cols]
+            alive = np.ones(n, dtype=bool)
+            merges = []
+            # one scan: a pair skipped for a merged cluster or the budget stays
+            # infeasible, so each chunk drops those pairs before the exact loop
             for lo in range(0, len(rows), _SCAN_CHUNK):
                 part = slice(lo, lo + _SCAN_CHUNK)
                 r, c, k = rows[part], cols[part], cost[part]
@@ -366,34 +381,39 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
                                        int(delay_mat[a, b])))
                         c_cell += ab_cost
                         alive[a] = alive[b] = False
-        else:
-            # feasible pairs in row-major order, filtered after each merge
-            keep = c_cell + cost <= c_max
-            rows, cols, cost = rows[keep], cols[keep], cost[keep]
-            while len(rows):
-                k = int(rng.integers(len(rows)))
-                a, b = int(rows[k]), int(cols[k])
-                merges.append((a, b, None, float(cost[k]), int(delay_mat[a, b])))
-                c_cell += cost[k]
-                alive[a] = alive[b] = False
-                keep = (rows != a) & (rows != b) & (cols != a) & (cols != b) \
-                    & (c_cell + cost <= c_max)
-                rows, cols, cost = rows[keep], cols[keep], cost[keep]
 
-        nxt: list[ClusterNode] = []
-        lvl = len(levels)
-        for a, b, g, cost, edge in merges:
-            mem = tuple(sorted(cur[a].members + cur[b].members))
-            node = ClusterNode(lvl, len(nxt), mem, (a, b), (edge, edge),
-                               _head_site(mem, centers))
-            merge_log.append(MergeRecord(lvl - 1, node.index, g, cost))
-            nxt.append(node)
-            delta[list(mem)] += edge
-        for k in np.flatnonzero(alive):
-            node = ClusterNode(lvl, len(nxt), cur[k].members, (int(k),), (0,),
-                               cur[k].head_site)
-            nxt.append(node)
-        levels.append(nxt)
+        # the next level: merged clusters in merge order, then carried ones
+        carried = np.flatnonzero(alive).tolist()
+        first, second = (np.array([m[k] for m in merges] + carried) for k in (0, 1))
+        new_of = np.empty(n, dtype=int)
+        new_of[first] = new_of[second] = np.arange(len(first))
+        cluster = new_of[cluster]
+        edge = [m[4] for m in merges]
+        delta += np.array(edge + [0] * len(carried))[cluster]
+        far = np.maximum(far[first], far[second])  # the children's rows,
+        far = np.maximum(far[:, first], far[:, second])  # then their columns
+        order = np.argsort(cluster, kind="stable")
+        size = np.bincount(cluster)
+        start = np.cumsum(size) - size
+        # head sites: the member nearest the centroid, lowest id on ties;
+        # clusters of equal size stack to (C, k, 2), whose sum over k adds
+        # in the order pts.mean(axis=0) does
+        heads = np.concatenate([np.zeros(len(merges), int), heads[carried]])
+        for k in np.flatnonzero(np.bincount(size[:len(merges)])):
+            sel = np.flatnonzero(size[:len(merges)] == k)
+            mem = order[start[sel][:, None] + np.arange(k)]
+            pts = centers[mem]
+            d2 = ((pts - pts.sum(axis=1, keepdims=True) / k) ** 2).sum(axis=2)
+            heads[sel] = mem[np.arange(len(sel)), d2.argmin(axis=1)]
+
+        lvl, flat, ends = len(levels), order.tolist(), np.cumsum(size).tolist()
+        children = [m[:2] for m in merges] + [(k,) for k in carried]
+        delays = [(e, e) for e in edge] + [(0,)] * len(carried)
+        levels.append([ClusterNode(lvl, k, tuple(flat[s:e]), ch, dl, hd)
+                       for k, (s, e, ch, dl, hd) in enumerate(zip(
+                           start.tolist(), ends, children, delays,
+                           heads.tolist()))])
+        merge_log += [MergeRecord(lvl - 1, k, m[2], m[3]) for k, m in enumerate(merges)]
 
     return AggregationTree(levels, n_cells, c_cell, merge_log)
 

@@ -53,11 +53,17 @@ def compute_weights(tree: AggregationTree, phi, mu: float
     w = coupling_matrix(phi)
     mu = float(mu)
     phi_tot = w.sum(axis=0)
-    masks = tree.ring_masks()
-    phi_del = np.zeros((tree.n_cells, tree.depth + 1))
-    for lvl, mask in enumerate(masks):
-        g = (mu ** tree.delta[lvl].astype(float))[:, None] * w
-        phi_del[:, lvl] = np.einsum("ij,ji->i", mask, g)
+    n, rings = tree.n_cells, tree.depth + 1
+    # ring[i, j]: the h-distance from i to j, or depth + 1 when unreachable
+    ring = np.zeros((n, n), dtype=np.min_scalar_type(rings))
+    for ids in tree.cluster_of:
+        ring += ids[:, None] != ids[None, :]
+    discount = np.vstack([mu ** tree.delta.astype(float), np.zeros(n)])
+    g = discount[ring, np.arange(n)] * w.T  # mu**delta[ring[i, j], j] * w[j, i]
+    # one bincount over (cell, ring) bins adds each bin in ascending j; an
+    # unreachable pair adds +0.0 to the last ring, which changes no sum
+    bins = np.minimum(ring, rings - 1) + np.arange(n)[:, None] * rings
+    phi_del = np.bincount(bins.ravel(), g.ravel(), n * rings).reshape(n, rings)
     return DelayCompensatedWeights(phi_tot=phi_tot, phi_del=phi_del,
                                    ring_size=tree.ring_size_matrix())
 

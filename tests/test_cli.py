@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiersense import (ControlParams, HierarchicalExchange, RunningRingSums,
-                       control, optimal_traffic)
+                       control, harness, optimal_traffic)
 from hiersense.cli import load_config, main
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
@@ -97,6 +97,25 @@ class TestSimulate:
         out = tmp_path / "frames.csv"
         assert main(["simulate", "--config", config_path, "-o", str(out),
                      "--scheme", "nope"]) == 2
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("simulate", ["--trial", "-1"], "--trial: must be >= 0, got -1"),
+        ("build-tree", ["--trial", "-2"], "--trial: must be >= 0, got -2"),
+        ("simulate", ["--grid-value", "0"],
+         "--grid-value: must be positive and finite, got 0.0"),
+        ("simulate", ["--grid-value", "nan"],
+         "--grid-value: must be positive and finite, got nan"),
+        ("simulate", ["--scheme", "unc", "--grid-value", "1.5"],
+         "--grid-value: must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_argument_exits_2(self, tmp_path, config_path, capsys,
+                                  command, args, message):
+        out = tmp_path / "out"
+        code = main([command, "--config", config_path, "-o", str(out)] + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_trace_dump(self, tmp_path, config_path):
         out = tmp_path / "frames.csv"
@@ -274,6 +293,36 @@ class TestSweep:
         assert code == 2
         assert f"{path}: must be" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("pathloss.bandwidth_hz=-1", "pathloss: bandwidth_hz must be positive"),
+        ("pathloss={alpha_los: 4, alpha_nlos: 3}",
+         "pathloss: need alpha_nlos >= alpha_los > 0"),
+        ("occupancy={nu1: 0, nu0: 0.1}", "occupancy: nu1 must be positive"),
+    ])
+    def test_model_parameter_error_exits_2(self, tmp_path, config_path, capsys,
+                                           override, message):
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", config_path, "-o", str(out),
+                     "-D", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_program_fault_exits_1_with_traceback(self, tmp_path, config_path,
+                                                  capsys, monkeypatch):
+        def faulty(config, trial):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(harness, "prepare_trial", faulty)
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", config_path, "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" in err and "operands could not be broadcast" in err
+        assert "error:" not in err
         assert not out.exists()
 
     def test_no_connected_graph_named_with_exit_code_2(self, tmp_path, capsys,

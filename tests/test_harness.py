@@ -3,12 +3,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        RunningRingSums, SchemeSpec, Simulation, control,
                        estimate_ip, eval_fading_success, harness,
                        run_experiment, throughput_lb)
-from hiersense.harness import (FadingLayout, _fill_cells_uniform,
+from hiersense.harness import (SCHEME_KINDS, FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
@@ -558,6 +560,27 @@ class TestFadingMatchesBlockOracle:
                 assert got[1] == expect[1]
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("every_su, any_pu", [
+        (True, True), (True, False), (False, False)])
+    def test_shortcut_frames(self, every_su, any_pu):
+        # all SUs active: no gather on the SU axis; no active PU: no PU block
+        cfg = small_config(topology_kind="random", n_blockages=0,
+                           population_mode="constant", m_per_cell=4,
+                           eval_mode="fading_mc", trials=1, master_seed=5)
+        ctx = prepare_trial(cfg, 0)
+        traffic = ctx.m if every_su else 0.5 * ctx.m
+        b = np.zeros(cfg.n_cells, dtype=int)
+        b[::3] = any_pu
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(3):
+            got = eval_fading_success(ctx.fading, traffic, ctx.m, b, 3.16,
+                                      0.05, rng)
+            expect = _eval_fading_by_blocks(ctx.fading, traffic, ctx.m, b,
+                                            3.16, 0.05, ref_rng)
+            assert got[0].tobytes() == expect[0].tobytes()
+            assert got[1] == expect[1]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 def _fill_cells_per_point(centers, area, quota, rng, max_batches=20000):
     """Oracle of the batched SU placement: accepts point by point."""
@@ -704,3 +727,49 @@ class TestAllFramesEstimate:
                         pi_b + mu ** d * (ctx.b_seq[t - d, j] - pi_b)
                     expect[i] += w[j, i] * p
             self.assert_rel(got[t], expect)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Python-built configs over every scheme kind and mode, many of which
+    validate() rejects."""
+    pick = lambda *options: draw(st.sampled_from(options))
+    schemes = tuple(
+        SchemeSpec(f"s{k}", pick(*SCHEME_KINDS),
+                   gamma_delay=pick(0.0, 0.01, 0.5), c_max=pick(math.inf, 0.0, 20.0),
+                   radius=pick(math.inf, 0.0, 150.0),
+                   degree=draw(st.integers(1, 6)), rounds=draw(st.integers(0, 12)))
+        for k in range(draw(st.integers(1, 3))))
+    side, grid = pick(100.0, 700.0, 3000.0), draw(st.booleans())
+    return ExperimentConfig(
+        topology_kind="grid" if grid else "random",
+        n_cells=pick(1, 4, 9, 16, 25) if grid else pick(1, 2, 7, 12, 25),
+        area=(side, side), n_blockages=pick(0, 0, 1, 2) if grid else 0,
+        nu1=pick(0.0, 1e-6, 0.005, 0.3, 1.0), nu0=pick(0.0, 0.095, 0.7, 1.0),
+        eps_f=pick(0.0, 0.0, 0.0, 0.1, 0.45), eps_m=pick(0.0, 0.0, 0.2),
+        population_mode=pick("dense", "constant"), m_per_cell=pick(1, 3),
+        a_max=pick(None, 0.5, 50.0), sinr_th_db=pick(-20.0, 5.0, 40.0),
+        schemes=schemes, lambda_grid=pick((1e-9,), (0.01, 10.0), (1e6,)),
+        ptx_grid=pick((0.0,), (0.3, 1.0)), frames=draw(st.integers(1, 3)),
+        trials=1, master_seed=draw(st.integers(0, 50)),
+        eval_mode=pick("analytic_lb", "fading_mc"),
+        is_mode=pick("oracle", "hierarchical"),
+        extra_warmup=draw(st.integers(0, 1)))
+
+
+class TestValidatedConfigsRun:
+    @given(fuzzed_configs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_validated_config_runs_to_finite_rows(self, config):
+        try:
+            config.validate()
+        except ConfigError:
+            return
+        kind = {s.name: s.kind for s in config.schemes}
+        for row in run_experiment(config).rows:
+            assert row.frames == config.frames
+            values = [row.mean_su_throughput, row.mean_inr_linear,
+                      row.agg_cost_per_cell]
+            if kind[row.scheme] != "uncoordinated":  # no utility: NaN
+                values.append(row.mean_utility)
+            assert np.isfinite(values).all(), (config, row)

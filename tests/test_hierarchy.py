@@ -8,7 +8,7 @@ from hiersense import hierarchy
 from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
                        build_ibt, build_random_tree, build_topology,
                        compute_phi, compute_weights, gamma_metric, pair_cost)
-from hiersense.hierarchy import ClusterNode, MergeRecord, _head_site
+from hiersense.hierarchy import ClusterNode, MergeRecord
 from hiersense.topology import coupling_matrix
 from tests.conftest import random_phi
 
@@ -76,6 +76,54 @@ class TestManualTree:
     def test_mixed_leaf_depths_rejected(self):
         with pytest.raises(ValueError):
             AggregationTree.from_nested(3, [[(0, 1), ([(1, 0), (2, 0)], 1)]])
+
+
+def _leaves(n):
+    return [ClusterNode(0, i, (i,), (), (), i) for i in range(n)]
+
+
+class TestTreeConstructorErrors:
+    """Each check of AggregationTree.__init__ on a 4-cell tree with one
+    fault in level 1."""
+
+    @pytest.mark.parametrize("level1, message", [
+        ([ClusterNode(1, 1, (0, 1), (0, 1), (1, 1), 0),
+          ClusterNode(1, 0, (2, 3), (2, 3), (0, 0), 2)],
+         "cluster indices must match list positions"),
+        ([ClusterNode(1, 0, (0, 1), (0, 1), (1, -1), 0),
+          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0), 2)],
+         "edge delays must be nonnegative"),
+        ([ClusterNode(1, 0, (0, 1), (0, 1), (0, 0), 0),
+          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1),
+          ClusterNode(1, 2, (3,), (3,), (0,), 3)],
+         "clusters within a level must be disjoint"),
+        ([ClusterNode(1, 0, (0, 1), (0, 1), (0, 0), 0),
+          ClusterNode(1, 1, (2,), (2,), (0,), 2)],
+         "every cell must belong to a cluster at each level"),
+        ([ClusterNode(1, 0, (0, 1, 2), (0, 1), (0, 0), 0),
+          ClusterNode(1, 1, (3,), (3,), (0,), 3)],
+         "cluster members must equal the union of its children's members"),
+        ([ClusterNode(1, 0, (1, 0), (0, 1), (0, 0), 0),
+          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0), 2)],
+         "cluster members must equal the union of its children's members"),
+    ], ids=["index-order", "negative-delay", "overlap", "missing-cell",
+            "extra-member", "unsorted-members"])
+    def test_level_fault(self, level1, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AggregationTree([_leaves(4), level1], 4)
+
+    def test_level_zero_faults(self):
+        with pytest.raises(ValueError, match="one singleton per cell"):
+            AggregationTree([_leaves(3)], 4)
+        with pytest.raises(ValueError, match="singletons in cell order"):
+            AggregationTree([_leaves(4)[::-1]], 4)
+
+    def test_valid_levels_give_clusters_and_delays(self):
+        tree = AggregationTree([_leaves(4), [
+            ClusterNode(1, 0, (1, 3), (3, 1), (2, 1), 1),
+            ClusterNode(1, 1, (0, 2), (0, 2), (0, 4), 0)]], 4)
+        assert tree.cluster_of[1].tolist() == [1, 0, 1, 0]
+        assert tree.delta[1].tolist() == [0, 1, 4, 2]
 
 
 class TestGammaMetric:
@@ -302,6 +350,14 @@ class TestBuildRandomTree:
         assert abs(total - tree.cost_per_cell) < 1e-9
 
 
+def _head_site(members, centers) -> int:
+    """Oracle of the builders' head sites: the member cell nearest to the
+    cluster centroid; lowest id wins ties."""
+    pts = centers[list(members)]
+    centroid = pts.mean(axis=0)
+    return members[int(np.argmin(((pts - centroid) ** 2).sum(axis=1)))]
+
+
 def _agglomerate_by_argmax(topology, phi, mu, gamma_delay, c_max, rng=None):
     """Oracle of the tree builders: rebuilds the feasibility mask for every
     merge, then takes the first argmax (IBT) or a uniform draw among the
@@ -391,6 +447,8 @@ LAYOUTS = {
     "random": lambda: build_topology("random", 50, (700.0, 700.0), 0, 3),
     # 4950 level-0 pairs: more than one greedy scan chunk
     "grid-100": lambda: build_topology("grid", 100, (1000.0, 1000.0), 8, 5),
+    # the shape of perfbench's scale workload
+    "scale": lambda: build_topology("grid", 256, (2133.0, 2133.0), 12, 0),
 }
 
 
@@ -444,6 +502,67 @@ class TestOneScanMatchesArgmaxLoop:
                                          ref_rng)
             assert _tree_json(tree) == _tree_json(ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_rt_budget_binding_mid_level(self, layout):
+        # the budget runs out with many pairs still feasible, so the draws
+        # walk the cost-sorted pairs down as each merge spends it
+        topo = LAYOUTS[layout]()
+        free = build_random_tree(topo, 0.02, math.inf, np.random.default_rng(3))
+        for level in (0, 1):
+            c_max = _mid_level_budget(free, level)
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            tree = build_random_tree(topo, 0.02, c_max, rng)
+            assert len(tree.merge_log) < len(free.merge_log)
+            assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
+                topo, None, 0.0, 0.02, c_max, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _ring_masks(tree):
+    """Boolean (N, N) masks R_L[i, j] = (j is at h-distance L from i)."""
+    masks = []
+    same_prev = np.eye(tree.n_cells, dtype=bool)
+    masks.append(same_prev.copy())
+    for lvl in range(1, tree.depth + 1):
+        ids = tree.cluster_of[lvl]
+        same = ids[:, None] == ids[None, :]
+        masks.append(same & ~same_prev)
+        same_prev = same
+    return masks
+
+
+def _ring_weights_by_masks(tree, phi, mu):
+    """Oracle of compute_weights' ring weights: one N x N mask per level."""
+    w = coupling_matrix(phi)
+    phi_del = np.zeros((tree.n_cells, tree.depth + 1))
+    for lvl, mask in enumerate(_ring_masks(tree)):
+        g = (float(mu) ** tree.delta[lvl].astype(float))[:, None] * w
+        phi_del[:, lvl] = np.einsum("ij,ji->i", mask, g)
+    return phi_del
+
+
+class TestWeightsMatchMaskOracle:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bit_for_bit(self, layout):
+        topo = LAYOUTS[layout]()
+        phi = compute_phi(topo, PathlossParams())
+        free = build_ibt(topo, phi, 0.9, 0.02)
+        forests = [build_ibt(topo, phi, 0.9, 0.02, _mid_level_budget(free, 1)),
+                   build_random_tree(topo, 0.02, _mid_level_budget(free, 0),
+                                     np.random.default_rng(1))]
+        assert all(len(t.levels[-1]) > 1 for t in forests)  # unreachable pairs
+        for tree in [free, build_ibt(topo, phi, 0.0, 0.0)] + forests:
+            for mu in (0.9, 1.0):
+                got = compute_weights(tree, phi, mu).phi_del
+                assert got.tobytes() == \
+                    _ring_weights_by_masks(tree, phi, mu).tobytes()
+
+    def test_hand_built_tree(self, fig_tree, rng):
+        phi = random_phi(rng, 8)
+        for mu in (0.37, 0.9, 1.0):
+            assert compute_weights(fig_tree, phi, mu).phi_del.tobytes() == \
+                _ring_weights_by_masks(fig_tree, phi, mu).tobytes()
 
 
 class TestRingSizes:
