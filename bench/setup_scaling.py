@@ -2,7 +2,10 @@
 
 Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 ``build_ibt``, ``build_random_tree`` and ``compute_weights`` on square grids
-with 0, 12 and 16 blockages, and one per-frame stage: the ``run_trial_point``
+with 0, 12 and 16 blockages, the Rayleigh-fading SU layout
+(``fading_layout_s``: ``harness._build_fading_layout`` with ten SUs per
+cell, at N = 64 and 256 only, since its SU->SU block alone would take
+840 MB at N = 1024), and one per-frame stage: the ``run_trial_point``
 time of an IBT scheme with hierarchical SU interference divided by its
 frame count (``frame_s``: deciding and scoring every frame of one grid
 point, on a trial built by ``prepare_trial`` at the same N and blockage
@@ -10,9 +13,12 @@ count).  Both sides run in one call: a parent revision
 (extracted with ``git archive``) and the working tree's ``src/``.  Each
 repetition runs one worker process per side, and the side that runs first
 alternates between repetitions, so host load and cache warmth hit both
-sides alike.  Every worker also hashes the LOS matrix, the tree JSON and
-the frame stage's traffic trajectory, and the run records whether both
-sides built identical outputs.
+sides alike.  Each worker first runs every stage once at the smallest
+size, untimed, so that lazy imports and other first-call costs do not show
+as the time of whichever stage meets them first.  Every worker also hashes
+the LOS matrix, the tree JSON, the fading layout's arrays and the frame
+stage's traffic trajectory, and the run records whether both sides built
+identical outputs.
 
     python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_6.json
 
@@ -43,8 +49,10 @@ MU = 0.9
 GAMMA_DELAY = 0.005
 FRAMES = 100  # measured frames of the frame stage, after the tree's warm-up
 LAMBDA = 0.01
+SU_PER_CELL = 10  # the fading layout stage's M
+FADING_SIZES = (64, 256)  # the N at which the fading layout is timed
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
-          "frame_s")
+          "fading_layout_s", "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -81,37 +89,53 @@ def _frame_stage(n: int, blockages: int, side: float):
     return seconds / ctx.t_total, traffic.tobytes()
 
 
-def worker() -> list[dict]:
-    """Time every stage once per (N, B); runs inside one side's process."""
+def _fading_layout_stage(topo):
+    """Seconds to build the fading SU layout on ``topo``, and the bytes of
+    its arrays."""
+    import numpy as np
+    from hiersense import harness
+
+    cfg = harness.ExperimentConfig(m_per_cell=SU_PER_CELL)
+    layout, seconds = _timed(harness._build_fading_layout, cfg, topo,
+                             np.random.default_rng(0))
+    return seconds, b"".join(a.tobytes() for a in (
+        layout.su_cell, layout.pl_su_su, layout.pl_pu_su, layout.pl_su_pu))
+
+
+def _measure(n: int, b: int) -> dict:
+    """Every stage's time at one (N, B), and the hash of what they built."""
     import numpy as np
     from hiersense import (NetworkTopology, PathlossParams, build_ibt,
                            build_random_tree, build_topology, compute_phi,
                            compute_weights)
 
-    rows = []
-    for n in SIZES:
-        for b in BLOCKAGES:
-            side = CELL_SIDE_M * n ** 0.5
-            layout = build_topology("grid", n, (side, side), b, rng_seed=0)
-            topo, los_s = _timed(NetworkTopology, layout.cell_centers,
-                                 layout.area, layout.cell_radius,
-                                 layout.blockages)
-            phi, phi_s = _timed(compute_phi, topo, PathlossParams())
-            ibt, ibt_s = _timed(build_ibt, topo, phi, MU, GAMMA_DELAY)
-            rt, rt_s = _timed(build_random_tree, topo, GAMMA_DELAY,
-                              rng=np.random.default_rng(0))
-            _, weights_s = _timed(compute_weights, ibt, phi, MU)
-            frame_s, traffic = _frame_stage(n, b, side)
-            digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
-            for tree in (ibt, rt):
-                digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
-            digest.update(traffic)
-            rows.append({"n": n, "blockages": b, "los_s": los_s,
-                         "phi_s": phi_s, "build_ibt_s": ibt_s,
-                         "build_rt_s": rt_s, "weights_s": weights_s,
-                         "frame_s": frame_s,
-                         "output_sha256": digest.hexdigest()})
-    return rows
+    side = CELL_SIDE_M * n ** 0.5
+    layout = build_topology("grid", n, (side, side), b, rng_seed=0)
+    topo, los_s = _timed(NetworkTopology, layout.cell_centers, layout.area,
+                         layout.cell_radius, layout.blockages)
+    phi, phi_s = _timed(compute_phi, topo, PathlossParams())
+    ibt, ibt_s = _timed(build_ibt, topo, phi, MU, GAMMA_DELAY)
+    rt, rt_s = _timed(build_random_tree, topo, GAMMA_DELAY,
+                      rng=np.random.default_rng(0))
+    _, weights_s = _timed(compute_weights, ibt, phi, MU)
+    fading_s, fading = _fading_layout_stage(topo) \
+        if n in FADING_SIZES else (None, b"")
+    frame_s, traffic = _frame_stage(n, b, side)
+    digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
+    for tree in (ibt, rt):
+        digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+    digest.update(fading)
+    digest.update(traffic)
+    return {"n": n, "blockages": b, "los_s": los_s, "phi_s": phi_s,
+            "build_ibt_s": ibt_s, "build_rt_s": rt_s, "weights_s": weights_s,
+            "fading_layout_s": fading_s, "frame_s": frame_s,
+            "output_sha256": digest.hexdigest()}
+
+
+def worker() -> list[dict]:
+    """Time every stage once per (N, B); runs inside one side's process."""
+    _measure(min(SIZES), max(BLOCKAGES))  # warm-up, not recorded
+    return [_measure(n, b) for n in SIZES for b in BLOCKAGES]
 
 
 def _run_side(src: Path) -> list[dict]:
@@ -143,11 +167,14 @@ def _summary(runs) -> dict:
             key = f"N={n},B={b}"
             out[key] = {}
             for stage in STAGES:
-                out[key][stage] = {
-                    side: statistics.median(
-                        r[stage] for run in runs if run["side"] == side
-                        for r in run["rows"] if r["n"] == n and r["blockages"] == b)
-                    for side in ("parent", "change")}
+                out[key][stage] = {}
+                for side in ("parent", "change"):
+                    times = [r[stage] for run in runs if run["side"] == side
+                             for r in run["rows"]
+                             if r["n"] == n and r["blockages"] == b]
+                    # a stage not run at this size is null on every rep
+                    out[key][stage][side] = None if None in times \
+                        else statistics.median(times)
     return out
 
 
@@ -196,14 +223,16 @@ def main(argv=None) -> int:
         targets[f"{stage} < {limit} s at N={largest}"] = {
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
-        "what": "trial set-up stage times and the hierarchical-IS frame "
-                "time (run_trial_point per frame: decide and score), "
-                "parent vs change, grid layouts",
+        "what": "trial set-up stage times, the fading SU layout time and "
+                "the hierarchical-IS frame time (run_trial_point per frame: "
+                "decide and score), parent vs change, grid layouts",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
-                   "rt_seed": 0, "frame_stage": {
+                   "rt_seed": 0, "fading_layout": {
+                       "sizes": FADING_SIZES, "m_per_cell": SU_PER_CELL,
+                       "rng_seed": 0}, "frame_stage": {
                        "frames": FRAMES, "lambda": LAMBDA, "master_seed": 0,
                        "is_mode": "hierarchical"}},
         "machine": _machine(),

@@ -438,9 +438,11 @@ def _simulate_sensing(model: OccupancyModel, sensor: SensorModel, m,
     m_int = m.astype(int)
     out = np.empty((t_total, n))
     prior = np.full(n, float(model.pi_b))
+    # one binomial draw fills the whole block in C order, frame by frame, so
+    # it takes the draws that one call per frame would
+    xi_seq = sample_detection_count(sensor, b_seq, m_int, rng)
     for t in range(t_total):
-        xi = sample_detection_count(sensor, b_seq[t], m_int, rng)
-        post = posterior_update(sensor, prior, xi, m_int)
+        post = posterior_update(sensor, prior, xi_seq[t], m_int)
         out[t] = post
         prior = np.asarray(prior_propagate(model, post), dtype=float)
     return out
@@ -459,8 +461,7 @@ def _fill_cells_uniform(centers, area, quota, rng, max_batches=20000):
     for _ in range(max_batches):
         pts = np.column_stack([rng.uniform(0, area[0], 512),
                                rng.uniform(0, area[1], 512)])
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        owner = d2.argmin(axis=1)
+        owner = _sq_distance(pts, centers).argmin(axis=1)
         by_cell = np.argsort(owner, kind="stable")
         grouped = owner[by_cell]
         rank = np.empty_like(owner)
@@ -481,10 +482,27 @@ def _disc_offsets(n, radius, rng):
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
+def _sq_distance(a, b) -> np.ndarray:
+    """(len(a), len(b)) squared distances between two point sets.
+
+    ``dx * dx + dy * dy``, from one coordinate at a time: the sum over a
+    length-2 axis is ``x0 + x1``, so this equals
+    ``((a[:, None] - b[None]) ** 2).sum(-1)`` bit for bit without its 3-D
+    temporaries.
+    """
+    d2 = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 def _pl_linear(params: PathlossParams, tx_pos, rx_pos) -> np.ndarray:
-    d = np.sqrt(((tx_pos[:, None, :] - rx_pos[None, :, :]) ** 2).sum(-1))
-    d = np.maximum(d, 1.0)  # pathloss law degenerates at zero range
-    return db_to_lin(pathloss_db(params, d, np.ones_like(d, dtype=bool)))
+    d = _sq_distance(tx_pos, rx_pos)
+    np.sqrt(d, out=d)
+    np.maximum(d, 1.0, out=d)  # pathloss law degenerates at zero range
+    return db_to_lin(pathloss_db(params, d, True))  # every user link is LOS
 
 
 def _build_fading_layout(config, topology, rng) -> FadingLayout:
@@ -518,9 +536,12 @@ def prepare_scheme(config: ExperimentConfig, topology, phi, model,
             rng = _seed_rng(config.master_seed, trial, 5, scheme_idx)
             rt.tree = build_random_tree(topology, spec.gamma_delay, spec.c_max,
                                         rng)
-        rt.weights = compute_weights(rt.tree, phi, mu)
         if config.is_mode == "hierarchical":
-            rt.weights_uncomp = compute_weights(rt.tree, phi, 1.0)
+            # traffic has no known memory: its weights take mu = 1
+            rt.weights, rt.weights_uncomp = compute_weights(rt.tree, phi,
+                                                            (mu, 1.0))
+        else:
+            rt.weights = compute_weights(rt.tree, phi, mu)
         rt.warmup = int(rt.tree.delta[-1].max())
         rt.agg_cost_per_cell = rt.tree.cost_per_cell / config.resolved_hop_distance()
     elif spec.kind in ("full_nsi", "radius_nsi"):
@@ -620,7 +641,7 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
     su = None if n_act == len(layout.su_cell) else act  # None: every SU
 
     if n_act:
-        sub = _block(layout.pl_su_su, su, su) * g_ss.reshape(n_act, n_act)
+        sub = _square_block(layout.pl_su_su, su) * g_ss.reshape(n_act, n_act)
         own = sub.diagonal()
         noise = 1.0 + (sub.sum(axis=0) - own)
         if n_apu:  # adding the empty PU block's zeros changes nothing
@@ -641,6 +662,14 @@ def _block(matrix, rows, cols) -> np.ndarray:
     """matrix[np.ix_(rows, cols)], gathered with take; None keeps an axis."""
     matrix = matrix if rows is None else matrix.take(rows, axis=0)
     return matrix if cols is None else matrix.take(cols, axis=1)
+
+
+def _square_block(matrix, idx) -> np.ndarray:
+    """matrix[np.ix_(idx, idx)] of a C-ordered matrix in one flat take,
+    without the row block that two takes copy first; None keeps both axes."""
+    if idx is None:
+        return matrix
+    return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
 
 
 def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime

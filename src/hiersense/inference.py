@@ -46,26 +46,32 @@ class DelayCompensatedWeights:
             raise ValueError("weight array shapes disagree")
 
 
-def compute_weights(tree: AggregationTree, phi, mu: float
-                    ) -> DelayCompensatedWeights:
+def compute_weights(tree: AggregationTree, phi, mu: float | tuple[float, ...]
+                    ) -> DelayCompensatedWeights | tuple:
+    """The tree's interference weights discounted by the occupancy memory
+    ``mu``; for a tuple of memories, one set of weights per entry, all from
+    one h-distance pass."""
     if _phi_array(phi).shape[0] != tree.n_cells:
         raise ValueError("phi and tree disagree on the cell count")
     w = coupling_matrix(phi)
-    mu = float(mu)
     phi_tot = w.sum(axis=0)
     n, rings = tree.n_cells, tree.depth + 1
     # ring[i, j]: the h-distance from i to j, or depth + 1 when unreachable
     ring = np.zeros((n, n), dtype=np.min_scalar_type(rings))
     for ids in tree.cluster_of:
         ring += ids[:, None] != ids[None, :]
-    discount = np.vstack([mu ** tree.delta.astype(float), np.zeros(n)])
-    g = discount[ring, np.arange(n)] * w.T  # mu**delta[ring[i, j], j] * w[j, i]
     # one bincount over (cell, ring) bins adds each bin in ascending j; an
     # unreachable pair adds +0.0 to the last ring, which changes no sum
-    bins = np.minimum(ring, rings - 1) + np.arange(n)[:, None] * rings
-    phi_del = np.bincount(bins.ravel(), g.ravel(), n * rings).reshape(n, rings)
-    return DelayCompensatedWeights(phi_tot=phi_tot, phi_del=phi_del,
-                                   ring_size=tree.ring_size_matrix())
+    bins = (np.minimum(ring, rings - 1) + np.arange(n)[:, None] * rings).ravel()
+    delta, ring_size = tree.delta.astype(float), tree.ring_size_matrix()
+    out = []
+    for m in (mu if isinstance(mu, tuple) else (mu,)):
+        discount = np.vstack([float(m) ** delta, np.zeros(n)])
+        g = discount[ring, np.arange(n)] * w.T  # m**delta[ring[i, j], j] * w[j, i]
+        phi_del = np.bincount(bins, g.ravel(), n * rings).reshape(n, rings)
+        out.append(DelayCompensatedWeights(phi_tot=phi_tot, phi_del=phi_del,
+                                           ring_size=ring_size))
+    return tuple(out) if isinstance(mu, tuple) else out[0]
 
 
 def marginal_occupancy(sigma_l, ring_size: int, delta_j: int,

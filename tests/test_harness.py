@@ -14,7 +14,9 @@ from hiersense.harness import (SCHEME_KINDS, FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
-from hiersense.topology import frame_delays, lin_to_db
+from hiersense.sensing import posterior_update, prior_propagate, \
+    sample_detection_count
+from hiersense.topology import db_to_lin, frame_delays, lin_to_db, pathloss_db
 from hiersense import ControlParams
 
 
@@ -624,6 +626,102 @@ class TestFillCellsMatchesPointLoop:
             with pytest.raises(RuntimeError, match="failed to place SUs"):
                 fill(centers, (500.0, 500.0), 300, gen, max_batches=2)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _pl_linear_broadcast(params, tx_pos, rx_pos):
+    """Oracle of the user-link pathloss: 3-D broadcast distances and an
+    all-LOS mask."""
+    d = np.sqrt(((tx_pos[:, None, :] - rx_pos[None, :, :]) ** 2).sum(-1))
+    d = np.maximum(d, 1.0)
+    return db_to_lin(pathloss_db(params, d, np.ones_like(d, dtype=bool)))
+
+
+def _fading_layout_by_broadcast(config, topology, rng):
+    """Oracle of _build_fading_layout: point-loop placement and broadcast
+    pathloss, with the same draws in the same order."""
+    su_tx, su_cell = _fill_cells_per_point(topology.cell_centers, topology.area,
+                                           config.m_per_cell, rng)
+    r, hi = topology.cell_radius, np.asarray(topology.area)
+    su_rx = np.clip(su_tx + harness._disc_offsets(len(su_tx), r, rng), 0, hi)
+    pu_tx = topology.cell_centers
+    pu_rx = np.clip(pu_tx + harness._disc_offsets(len(pu_tx), r, rng), 0, hi)
+    pl = config.pathloss
+    return FadingLayout(su_cell=su_cell,
+                        pl_su_su=_pl_linear_broadcast(pl, su_tx, su_rx),
+                        pl_pu_su=_pl_linear_broadcast(pl, pu_tx, su_rx),
+                        pl_su_pu=_pl_linear_broadcast(pl, su_tx, pu_rx))
+
+
+class TestFadingLayoutMatchesBroadcast:
+    @pytest.mark.parametrize("kind, seed, cell_radius", [
+        ("random", 0, None), ("random", 4, None), ("grid", 1, None),
+        ("grid", 2, 1.5), ("random", 3, 1.5)])
+    def test_same_arrays_and_draws(self, kind, seed, cell_radius):
+        cfg = small_config(topology_kind=kind, n_blockages=0,
+                           population_mode="constant", m_per_cell=6,
+                           eval_mode="fading_mc", master_seed=seed,
+                           cell_radius=cell_radius)
+        topology, _ = harness.trial_topology(cfg, 0)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = harness._build_fading_layout(cfg, topology, rng)
+        expect = _fading_layout_by_broadcast(cfg, topology, ref_rng)
+        for name in ("su_cell", "pl_su_su", "pl_pu_su", "pl_su_pu"):
+            assert getattr(got, name).tobytes() == \
+                getattr(expect, name).tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if cell_radius is not None:
+            # receivers within 1.5 m: links under 1 m share the clamped gain
+            top = got.pl_su_su.max()
+            assert (got.pl_su_su == top).sum() > 1
+
+    def test_clamped_and_coincident_links(self, rng):
+        tx = np.array([[10.0, 10.0], [10.0, 10.0], [50.0, 20.0]])
+        rx = np.array([[10.0, 10.0], [10.3, 9.8], [400.0, 1.0], [50.0, 20.5]])
+        params = ExperimentConfig().pathloss
+        assert harness._pl_linear(params, tx, rx).tobytes() == \
+            _pl_linear_broadcast(params, tx, rx).tobytes()
+        tx, rx = rng.uniform(0, 800, (30, 2)), rng.uniform(0, 800, (7, 2))
+        assert harness._pl_linear(params, tx, rx).tobytes() == \
+            _pl_linear_broadcast(params, tx, rx).tobytes()
+
+
+def _simulate_sensing_per_frame(model, sensor, m, b_seq, rng):
+    """Oracle of _simulate_sensing: one detection-count draw per frame."""
+    t_total, n = b_seq.shape
+    m_int = m.astype(int)
+    out = np.empty((t_total, n))
+    prior = np.full(n, float(model.pi_b))
+    for t in range(t_total):
+        xi = sample_detection_count(sensor, b_seq[t], m_int, rng)
+        out[t] = post = posterior_update(sensor, prior, xi, m_int)
+        prior = np.asarray(prior_propagate(model, post), dtype=float)
+    return out
+
+
+class TestSensingMatchesPerFrameDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_posteriors_and_draws(self, seed):
+        cfg = small_config(population_mode="constant", eps_f=0.05, eps_m=0.1)
+        model, sensor = cfg.occupancy_model(), cfg.sensor_model()
+        pick = np.random.default_rng(seed)
+        m = pick.integers(1, 30, cfg.n_cells).astype(float)  # uneven heads
+        b_seq = harness._simulate_occupancy(model, cfg.n_cells, 60, pick)
+        rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
+        got = harness._simulate_sensing(model, sensor, m, b_seq, rng)
+        expect = _simulate_sensing_per_frame(model, sensor, m, b_seq, ref_rng)
+        assert got.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSquareGatherMatchesBlock:
+    def test_flat_take_equals_row_then_column_take(self, rng):
+        matrix = rng.random((40, 40))
+        for n_act in (1, 2, 17, 39, 40):
+            for _ in range(3):
+                act = np.sort(rng.choice(40, n_act, replace=False))
+                assert harness._square_block(matrix, act).tobytes() == \
+                    harness._block(matrix, act, act).tobytes()
+        assert harness._square_block(matrix, None) is matrix
 
 
 class TestSweepOutput:

@@ -553,10 +553,12 @@ class TestWeightsMatchMaskOracle:
                                      np.random.default_rng(1))]
         assert all(len(t.levels[-1]) > 1 for t in forests)  # unreachable pairs
         for tree in [free, build_ibt(topo, phi, 0.0, 0.0)] + forests:
-            for mu in (0.9, 1.0):
-                got = compute_weights(tree, phi, mu).phi_del
-                assert got.tobytes() == \
-                    _ring_weights_by_masks(tree, phi, mu).tobytes()
+            # a tuple of memories shares one h-distance pass
+            shared = compute_weights(tree, phi, (0.9, 1.0))
+            for mu, one in zip((0.9, 1.0), shared):
+                expect = _ring_weights_by_masks(tree, phi, mu).tobytes()
+                assert compute_weights(tree, phi, mu).phi_del.tobytes() == expect
+                assert one.phi_del.tobytes() == expect
 
     def test_hand_built_tree(self, fig_tree, rng):
         phi = random_phi(rng, 8)
