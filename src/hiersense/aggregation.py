@@ -147,6 +147,7 @@ class RunningRingSums:
         # level-(L-1) head's aggregate one edge delay earlier
         edge = tree.delta[1:] - tree.delta[:-1]
         self._own = np.ascontiguousarray((off[:-1, None] + tree.cluster_of).T)
+        self._own_outer = np.ascontiguousarray(self._own[:, 1:])
         self._sub = np.ascontiguousarray(
             (-edge * width + off[:-2, None] + tree.cluster_of[:-1]).T)
         self._n_cells = tree.n_cells
@@ -154,17 +155,27 @@ class RunningRingSums:
 
     def commit(self, values) -> None:
         """Append the next frame's local values, (n_cells,), or the next
-        frames', (frames, n_cells), and fuse their aggregates."""
-        block = np.atleast_2d(values)
+        frames', (frames, n_cells), and fuse their aggregates.
+
+        A block fuses level by level over all of its rows: edge delays are
+        >= 0, so a level reads only rows of the level below that are
+        already fused, and each row's sums are the ones a frame-by-frame
+        commit makes.
+        """
+        values = np.asarray(values, dtype=float)
         first = self.t + 1 - self._origin
-        self._agg[first:first + len(block), :self._n_cells] = block
+        if values.ndim == 1:
+            n, rows, at = 1, self._agg[first], first * self._width
+        else:
+            n = len(values)
+            rows = self._agg[first:first + n]
+            at = np.arange(first, first + n)[:, None] * self._width
+        rows[..., :self._n_cells] = values
         flat = self._flat
-        for row in range(first, first + len(block)):
-            at = row * self._width
-            for base, seg, start, stop in self._plan:
-                flat[at + start:at + stop] = \
-                    np.add.reduceat(flat.take(base + at), seg)
-        self.t += len(block)
+        for base, seg, start, stop in self._plan:
+            np.add.reduceat(flat.take(base + at), seg, axis=-1,
+                            out=rows[..., start:stop])
+        self.t += n
 
     def _rows(self, frames) -> np.ndarray:
         """Row indices of frames from -1 to the last commit."""
@@ -186,6 +197,16 @@ class RunningRingSums:
         sigma = self._flat.take(at + self._own)
         sigma[..., 1:] -= self._flat.take(at + self._sub)
         return sigma
+
+    def outer_ring_sums(self, t: int) -> np.ndarray:
+        """(n_cells, depth) rings 1 to depth at one frame from -1 to the last
+        commit: ``ring_sums(t)[:, 1:]``, without each cell's own ring 0."""
+        if not -1 <= t <= self.t:
+            raise ValueError(f"frame {t} not committed (last is {self.t})")
+        at = (t - self._origin) * self._width
+        rings = self._flat.take(at + self._own_outer)
+        rings -= self._flat.take(at + self._sub)
+        return rings
 
 
 def identity_residual(tree: AggregationTree, aggregates, history, t: int,

@@ -136,10 +136,13 @@ class TrafficKernel:
     """:func:`optimal_traffic` of a trial's cells, with every value that is
     fixed within the trial built once.
 
-    The arithmetic is the oracle's, operation for operation, so a decision
-    equals ``optimal_traffic(ip, is_, m, phi_ii, model, params, a_max)`` bit
-    for bit.  The checks on ``ip`` run over a whole block of frames
-    (:meth:`check_ip`); :meth:`decide` checks only ``is_``.
+    The rule splits in two.  :meth:`gain` reads no SU-interference estimate,
+    so a loop builds it once for all of a grid point's frames; :meth:`step`
+    is the rest of one frame.  The arithmetic is the oracle's, operation for
+    operation, so a decision equals ``optimal_traffic(ip, is_, m, phi_ii,
+    model, params, a_max)`` bit for bit.  The checks on ``ip`` run over a
+    whole block of frames (:meth:`check_ip`); :meth:`decide`, the two
+    pieces composed, checks ``is_``.
     """
 
     def __init__(self, m, phi_ii, model: OccupancyModel, sinr_th: float,
@@ -163,18 +166,45 @@ class TrafficKernel:
         if np.any((ip <= 0) & np.isinf(self.upper)):
             raise ValueError("ip = 0 with an unbounded population needs a_max")
 
+    def gain(self, ip, lam_phi) -> np.ndarray:
+        """``gain_num / sqrt(lam_phi * ip)`` of one frame or of a (frames,
+        n_cells) block; ``lam_phi`` is ``lam * phi_ii``.  Elementwise, so a
+        block's rows equal the frames' own."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.gain_num / np.sqrt(lam_phi * ip)
+
+    def step(self, ip, is_, gain, out) -> np.ndarray:
+        """One frame's traffic from its :meth:`gain`, written to ``out``, an
+        array of the frame's shape.
+
+        ``out`` holds ``root = sqrt(1 + th * (ip + is_))`` on the way.  Run
+        it under ``np.errstate(divide="ignore", invalid="ignore")``: a
+        single SU (c = 0) divides by zero.
+        """
+        root = np.add(ip, is_, out=out)
+        root *= self.sinr_th
+        root += 1.0
+        np.sqrt(root, out=root)
+        val = gain - root
+        root /= self.th_c
+        val *= root  # root / th_c * (gain - root)
+        # see optimal_traffic: NaN is a zero slope of the linear c = 0 case,
+        # which fmax maps to 0 as np.where did.  fmax and np.clip differ
+        # only at val = -0.0, which this product with root >= 1 does not
+        # make short of an underflow at th near the float maximum
+        np.fmax(val, 0.0, out=out)
+        return np.minimum(out, self.upper, out=out)
+
     def decide(self, ip, is_, lam_phi) -> np.ndarray:
         """One frame's traffic; ``ip`` passed :meth:`check_ip` and
         ``lam_phi`` is ``lam * phi_ii``."""
+        ip = np.asarray(ip, dtype=float)
+        is_ = np.asarray(is_, dtype=float)
         if np.any(is_ < 0):
             raise ValueError("interference estimates must be nonnegative")
-        root = np.sqrt(1.0 + self.sinr_th * (ip + is_))
+        out = np.empty(np.broadcast(ip, is_, self.upper).shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = self.gain_num / np.sqrt(lam_phi * ip)
-            val = root / self.th_c * (gain - root)
-        # see optimal_traffic: NaN is a zero slope of the linear c = 0 case
-        val = np.where(np.isnan(val), 0.0, val)
-        return np.clip(val, 0.0, self.upper)
+            return self.step(ip, is_, self.gain(ip, lam_phi), out)
 
 
 def utility(a, ip, is_, m, phi_ii, model: OccupancyModel, params: ControlParams):

@@ -7,8 +7,12 @@ scheme comparisons are paired.  RNG streams are derived from
 reproducible regardless of execution order.
 
 The frame loop only decides: each frame's traffic depends on the previous
-frame's.  Scoring reads the decisions and never feeds them, so it runs once
-the loop is done, over whole (frames, cells) blocks.  Two evaluation modes:
+frame's.  A frame does only the work that reads the previous frame's
+traffic: the half of the traffic rule that reads no SU interference is built
+for all of a grid point's frames at once, and a frame writes its traffic and
+the true SU interference it causes in place.  Scoring reads the decisions
+and never feeds them, so it runs once the loop is done, over whole (frames,
+cells) blocks.  Two evaluation modes:
 ``analytic_lb`` scores each frame's committed traffic with the closed-form
 throughput bound evaluated at the true network state, while ``fading_mc``
 draws per-user Rayleigh channels and counts SINR threshold successes at the
@@ -29,7 +33,9 @@ from .aggregation import RunningRingSums
 from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
 from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
-                        estimate_is_hierarchical, estimate_is_oracle)
+                        estimate_is_oracle)
+# the frame loop inlines it; perfbench/tracer.py wraps it under this name
+from .inference import estimate_is_hierarchical  # noqa: F401
 from .sensing import SensorModel, posterior_update, prior_propagate, \
     sample_detection_count
 from .topology import (InterferenceMatrix, NetworkTopology, PathlossParams,
@@ -672,6 +678,11 @@ def _square_block(matrix, idx) -> np.ndarray:
     return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
 
 
+# frames per pass of a tree scheme's licensed-user estimate: the rings of
+# every frame at once would be a sweep's largest temporary
+_IP_FRAMES = 16
+
+
 def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
                        ) -> np.ndarray | None:
     """(frames, n_cells) licensed-user interference estimate of every frame.
@@ -686,8 +697,13 @@ def scheme_ip_sequence(ctx: TrialContext, rt: SchemeRuntime
     if rt.tree is not None:
         occupancy = RunningRingSums(rt.tree, ctx.t_total, float(model.pi_b))
         occupancy.commit(ctx.bhat_seq)
-        return estimate_ip(occupancy.ring_sums(np.arange(ctx.t_total)),
-                           rt.weights, model)
+        # a frame's estimate reads only its own rings
+        ip = np.empty(ctx.bhat_seq.shape)
+        for lo in range(0, ctx.t_total, _IP_FRAMES):
+            hi = min(lo + _IP_FRAMES, ctx.t_total)
+            ip[lo:hi] = estimate_ip(occupancy.ring_sums(np.arange(lo, hi)),
+                                    rt.weights, model)
+        return ip
     if spec.kind in ("full_nsi", "radius_nsi"):
         delays = frame_delays(ctx.topology.distance_matrix, spec.gamma_delay,
                               spec.radius)
@@ -703,15 +719,18 @@ class Simulation:
 
     ``ip_seq`` is the scheme's licensed-user interference estimate of every
     frame (:func:`scheme_ip_sequence`); only the SU-interference estimate
-    waits for the committed traffic.  Under hierarchical IS the per-level
-    aggregates of that traffic are kept across frames, so each frame fuses
-    just its own row.  :func:`score_frames` scores the decisions afterwards.
+    waits for the committed traffic.  So the half of the rule that reads no
+    SU interference is built for every frame at once, and a frame computes
+    only the rest, writing its traffic and the true SU interference it
+    causes in place.  Under hierarchical IS the per-level aggregates of that
+    traffic are kept across frames, so each frame fuses just its own row.
+    :meth:`run` drives the frames; :func:`score_frames` scores the decisions
+    afterwards.
     """
 
     def __init__(self, ctx: TrialContext, runtime: SchemeRuntime,
                  grid_value: float, ip_seq):
         self.ctx = ctx
-        self.rt = runtime
         cfg = ctx.config
         self.ip_seq = ip_seq
         self.params = control.ControlParams(lam=float(grid_value),
@@ -720,34 +739,56 @@ class Simulation:
         self._kernel.check_ip(ip_seq)
         # lam * phi_ii * ip evaluates left to right: its first product is
         # the grid point's
-        self._lam_phi = self.params.lam * self._kernel.phi_ii
-        # committed traffic and the true SU interference it causes, per
-        # frame; frames not yet run read 0
-        self.a_hist = np.zeros((ctx.t_total, cfg.n_cells))
-        self.is_true = np.zeros((ctx.t_total, cfg.n_cells))
-        self._traffic = None if runtime.weights_uncomp is None else \
-            RunningRingSums(runtime.tree, ctx.t_total)
+        self._gain = self._kernel.gain(ip_seq,
+                                       self.params.lam * self._kernel.phi_ii)
+        # per frame: the committed traffic, the true SU interference it
+        # causes and the SU-interference estimate it was decided on; frames
+        # not yet run read 0
+        shape = (ctx.t_total, cfg.n_cells)
+        self.a_hist = np.zeros(shape)
+        is_rows = np.zeros((ctx.t_total + 1, cfg.n_cells))
+        self.is_true = is_rows[1:]
+        w = runtime.weights_uncomp
+        if w is None:
+            # the oracle estimate is the last frame's true SU interference
+            self._traffic = None
+            self.is_est = is_rows[:-1]
+        else:
+            self._traffic = RunningRingSums(runtime.tree, ctx.t_total)
+            self.is_est = np.zeros(shape)
+            # estimate_is_hierarchical's terms of rings 1 to depth: an empty
+            # ring's sum and phi_del are both exactly zero
+            self._ring_size = np.maximum(w.ring_size[:, 1:], 1)
+            self._phi_del = w.phi_del[:, 1:]
         self.t = -1
-
-    def _estimate_is(self, t):
-        if self._traffic is not None:
-            # traffic decided this frame is unknown; read the last commitment
-            return estimate_is_hierarchical(self._traffic.ring_sums(t - 1),
-                                            self.rt.weights_uncomp)
-        # the oracle estimate is the last frame's true SU interference
-        return self.is_true[t - 1] if t > 0 else np.zeros(self.is_true.shape[1])
 
     def run_frame(self) -> None:
         """Advance one frame: decide its traffic from the estimates and
-        commit it."""
+        commit it.  :meth:`run` holds the floating-point error state."""
         self.t += 1
         t = self.t
-        a = self._kernel.decide(self.ip_seq[t], self._estimate_is(t),
-                                self._lam_phi)
-        self.a_hist[t] = a
-        self.is_true[t] = estimate_is_oracle(self.ctx.coupling, a)
+        if self._traffic is not None:
+            # traffic decided this frame is unknown; read the last commitment
+            rings = self._traffic.outer_ring_sums(t - 1)
+            rings /= self._ring_size
+            rings *= self._phi_del
+            rings.sum(axis=1, out=self.is_est[t])
+        a = self._kernel.step(self.ip_seq[t], self.is_est[t], self._gain[t],
+                              self.a_hist[t])
+        # estimate_is_oracle's vector product, without the own-cell term
+        is_true = np.matmul(a, self.ctx.coupling, out=self.is_true[t])
+        is_true -= a
         if self._traffic is not None:
             self._traffic.commit(a)
+
+    def run(self) -> None:
+        """Run every frame in order, then check the SU-interference
+        estimates the decisions read."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(self.ctx.t_total):
+                self.run_frame()
+        if (self.is_est < 0).any():
+            raise ValueError("interference estimates must be nonnegative")
 
 
 def score_frames(ctx: TrialContext, traffic, is_true,
@@ -885,8 +926,7 @@ def run_trial_point(ctx: TrialContext, scheme_idx: int, grid_value: float,
         params = control.ControlParams(lam=None, sinr_th=cfg.sinr_th_linear())
     else:
         sim = Simulation(ctx, rt, grid_value, ip_seq)
-        for _ in range(ctx.t_total):
-            sim.run_frame()
+        sim.run()
         traffic, is_true, params = sim.a_hist, sim.is_true, sim.params
     frames = score_frames(ctx, traffic, is_true, params,
                           _seed_rng(cfg.master_seed, ctx.trial, 7, scheme_idx,

@@ -254,6 +254,12 @@ def running_sums_tree(name):
         return delayed_tree()
     if name == "single":
         return AggregationTree.from_nested(1, [0])
+    if name == "wide":
+        # clusters of 150 and 50 children: long sums, which numpy adds
+        # pairwise rather than in order
+        return AggregationTree.from_nested(200, [
+            [(j, j % 4) for j in range(150)],
+            [(j, 1) for j in range(150, 200)]])
     topo = build_topology("grid", 16, (400.0, 400.0), 1, rng_seed=9)
     phi = compute_phi(topo, PathlossParams())
     c_max = {"ibt": math.inf, "forest": 60.0}[name]
@@ -263,7 +269,8 @@ def running_sums_tree(name):
 class TestRunningRingSums:
     """Per-level aggregates kept across frames against both oracles."""
 
-    @pytest.mark.parametrize("name", ["delayed", "single", "ibt", "forest"])
+    @pytest.mark.parametrize("name", ["delayed", "single", "ibt", "forest",
+                                      "wide"])
     def test_every_frame_matches_closed_form_and_exchange(self, name, rng):
         tree = running_sums_tree(name)
         if name == "forest":
@@ -281,6 +288,7 @@ class TestRunningRingSums:
             running.commit(x[t])
             exchange.advance_frame(x[t], t)
             expect.append(exchange.sigma_all(t))
+            assert np.array_equal(running.outer_ring_sums(t), expect[-1][:, 1:])
             # every stored frame still reads what the exchange returned
             assert np.array_equal(running.ring_sums(np.arange(-1, t + 1)),
                                   expect)
@@ -289,7 +297,7 @@ class TestRunningRingSums:
                                sigma_oracle(tree, x, 0.0, i, frames - 1),
                                rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["delayed", "ibt", "forest"])
+    @pytest.mark.parametrize("name", ["delayed", "ibt", "forest", "wide"])
     def test_block_commit_matches_row_commits(self, name, rng):
         tree = running_sums_tree(name)
         x = rng.random((12, tree.n_cells))
@@ -298,10 +306,14 @@ class TestRunningRingSums:
             rows.commit(x[t])
         blocks = RunningRingSums(tree, 12, pre=0.05)
         blocks.commit(x[:5])
-        blocks.commit(x[5:])
+        blocks.commit(x[5])
+        blocks.commit(x[6:])
         assert rows.t == blocks.t == 11
         frames = np.arange(-1, 12)
         assert np.array_equal(blocks.ring_sums(frames), rows.ring_sums(frames))
+        # a block fuses level by level, each row's sums bit for bit
+        for t in frames:
+            assert blocks.aggregates(t).tobytes() == rows.aggregates(t).tobytes()
 
     def test_uncommitted_frames_are_refused(self):
         running = RunningRingSums(delayed_tree(), 5)
@@ -311,3 +323,6 @@ class TestRunningRingSums:
                 running.ring_sums(frame)
             with pytest.raises(ValueError, match="not committed"):
                 running.aggregates(frame)
+        for frame in (-2, 1):
+            with pytest.raises(ValueError, match="not committed"):
+                running.outer_ring_sums(frame)

@@ -168,21 +168,36 @@ class TestOptimalTraffic:
 
 @st.composite
 def kernel_cases(draw):
-    """One frame of a few cells: single-SU (m = 1, c = 0), finite and dense
-    populations; ip and is_ that reach 0; lambda from 1e-3 to 1e2."""
+    """A block of frames of a few cells: single-SU (m = 1, c = 0), finite
+    and dense populations; ip and is_ that reach 0 and -0.0; lambda from
+    1e-3 to 1e2."""
     n = draw(st.integers(1, 8))
-    cells = st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)
+    frames = draw(st.integers(1, 3))
+    cells = st.lists(st.one_of(st.floats(0.0, 5.0), st.just(-0.0)),
+                     min_size=n * frames, max_size=n * frames)
     kinds = draw(st.lists(st.sampled_from(["single", "finite", "dense"]),
                           min_size=n, max_size=n))
     m = np.array([1.0 if kind == "single" else math.inf if kind == "dense"
                   else float(draw(st.integers(2, 12))) for kind in kinds])
     return dict(
-        ip=np.array(draw(cells)), is_=np.array(draw(cells)), m=m,
+        ip=np.array(draw(cells)).reshape(frames, n),
+        is_=np.array(draw(cells)).reshape(frames, n), m=m,
         phi_ii=np.array(draw(st.lists(st.floats(3.0, 300.0), min_size=n,
                                       max_size=n))),
         lam=10 ** draw(st.floats(-3.0, 2.0)),
         sinr_th=10 ** draw(st.floats(-0.5, 1.0)),
         a_max=draw(st.one_of(st.floats(0.05, 5.0), st.none())))
+
+
+def split_rule(kernel, ip, is_, lam):
+    """Every frame of an (frames, n_cells) block decided as the frame loop
+    does: the block's gain built once, then one step per frame."""
+    gain = kernel.gain(ip, lam * kernel.phi_ii)
+    out = np.empty(ip.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(len(ip)):
+            kernel.step(ip[t], is_[t], gain[t], out[t])
+    return out
 
 
 class TestTrafficKernel:
@@ -198,8 +213,10 @@ class TestTrafficKernel:
             kernel = ctl.TrafficKernel(m, case["phi_ii"], paper_model,
                                        case["sinr_th"], case["a_max"])
             try:
-                want = optimal_traffic(ip, is_, m, case["phi_ii"],
-                                       paper_model, params, case["a_max"])
+                want = np.array([optimal_traffic(ip[t], is_[t], m,
+                                                 case["phi_ii"], paper_model,
+                                                 params, case["a_max"])
+                                 for t in range(len(ip))])
             except ValueError as exc:
                 # only a dense cell at ip = 0 with no rail is rejected
                 with pytest.raises(ValueError, match="needs a_max") as err:
@@ -208,19 +225,65 @@ class TestTrafficKernel:
                 seen.add("rejected")
                 return
             kernel.check_ip(ip)
-            got = kernel.decide(ip, is_, case["lam"] * kernel.phi_ii)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for t in range(len(ip)):
+                got = kernel.decide(ip[t], is_[t], case["lam"] * kernel.phi_ii)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[t].tobytes()
+            assert split_rule(kernel, ip, is_, case["lam"]).tobytes() \
+                == want.tobytes()
             seen.update(name for name, hit in (
                 ("m=1", m == 1), ("finite", np.isfinite(m) & (m > 1)),
                 ("dense", np.isinf(m)), ("ip=0", ip == 0),
+                ("ip=-0.0", (ip == 0) & np.signbit(ip)),
                 ("is=0", is_ == 0), ("lower clip", want == 0),
                 ("upper clip", want == kernel.upper),
                 ("interior", (want > 0) & (want < kernel.upper)))
                 if hit.any())
 
         check()
-        assert seen == {"m=1", "finite", "dense", "ip=0", "is=0",
+        assert seen == {"m=1", "finite", "dense", "ip=0", "ip=-0.0", "is=0",
                         "lower clip", "upper clip", "interior", "rejected"}
+
+    def test_nan_and_infinite_values_land_on_the_oracle_clip(self,
+                                                             paper_model):
+        th = 10 ** 0.5
+
+        def rule_value(kernel, ip, is_, lam):
+            gain = kernel.gain(ip, lam * kernel.phi_ii)
+            root = np.sqrt(1.0 + th * (ip + is_))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return gain, root / kernel.th_c * (gain - root)
+
+        # single SUs (c = 0): the value is +-inf, or inf * 0 = NaN where the
+        # gain equals the root exactly; step lam until it does in cell 0
+        kernel = ctl.TrafficKernel(np.ones(3), np.full(3, 30.0), paper_model,
+                                   th)
+        ip, is_ = np.array([[0.5, 0.0, 1.0]]), np.array([[0.25, 0.0, 0.0]])
+        root = math.sqrt(1.0 + th * 0.75)
+        lam = float((kernel.gain_num[0] / root) ** 2 / (30.0 * 0.5))
+        for _ in range(200):
+            gain, val = rule_value(kernel, ip, is_, lam)
+            if gain[0, 0] == root:
+                break
+            lam = np.nextafter(lam, math.inf if gain[0, 0] > root else 0.0)
+        assert np.isnan(val[0, 0]) and val[0, 1] == math.inf \
+            and val[0, 2] == -math.inf
+        cases = [(kernel, ip, is_, lam)]
+        # a gain numerator that underflows to 0 makes 0 / 0 at ip = 0
+        kernel = ctl.TrafficKernel(np.array([1.0, 4.0]), np.full(2, 1e-3),
+                                   paper_model, th)
+        ip, is_ = np.zeros((1, 2)), np.array([[0.0, 0.5]])
+        gain, val = rule_value(kernel, ip, is_, 1.0)
+        assert np.isnan(gain).all() and np.isnan(val).all()
+        cases.append((kernel, ip, is_, 1.0))
+        for kernel, ip, is_, lam in cases:
+            want = optimal_traffic(ip[0], is_[0], kernel.upper, kernel.phi_ii,
+                                   paper_model, ControlParams(lam, th))
+            assert split_rule(kernel, ip, is_, lam).tobytes() \
+                == want.tobytes()
+            assert kernel.decide(ip[0], is_[0],
+                                 lam * kernel.phi_ii).tobytes() \
+                == want.tobytes()
 
     def test_block_checks_name_the_fault(self, paper_model):
         kernel = ctl.TrafficKernel(np.array([3.0, math.inf]),

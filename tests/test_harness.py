@@ -1,5 +1,6 @@
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
 from hiersense.sensing import posterior_update, prior_propagate, \
     sample_detection_count
 from hiersense.topology import db_to_lin, frame_delays, lin_to_db, pathloss_db
-from hiersense import ControlParams
+from hiersense import ControlParams, PathlossParams
 
 
 def small_config(**kw):
@@ -332,14 +333,31 @@ class TestBlockScoringMatchesFrameOracle:
     @pytest.mark.parametrize("eval_mode", ["analytic_lb", "fading_mc"])
     def test_every_frame_equal_bit_for_bit(self, eval_mode, is_mode,
                                            monkeypatch):
-        fading = dict(topology_kind="random", n_blockages=0,
-                      population_mode="constant", m_per_cell=3) \
+        population = dict(population_mode="constant", m_per_cell=3) \
+            if eval_mode == "fading_mc" else {}
+        self.check_every_frame(eval_mode, is_mode, population, monkeypatch)
+
+    @pytest.mark.parametrize("is_mode", ["oracle", "hierarchical"])
+    @pytest.mark.parametrize("eval_mode", ["analytic_lb", "fading_mc"])
+    def test_single_su_cells_equal_bit_for_bit(self, eval_mode, is_mode,
+                                               monkeypatch):
+        # one SU per cell: c = 0, so the rule is linear in the traffic and
+        # decides at a rail, idle or the cell's one SU
+        decided = self.check_every_frame(
+            eval_mode, is_mode, dict(population_mode="constant", m_per_cell=1),
+            monkeypatch)
+        assert np.unique(decided).tolist() == [0.0, 1.0]
+
+    def check_every_frame(self, eval_mode, is_mode, population, monkeypatch):
+        """Every point of a trial against FrameByFrame; returns the
+        coordinated schemes' traffic."""
+        fading = dict(topology_kind="random", n_blockages=0) \
             if eval_mode == "fading_mc" else {}
         # a busy spectrum (pi_b = 0.2) puts many active PUs in every frame
         cfg = small_config(schemes=self.SCHEMES, eval_mode=eval_mode,
                            is_mode=is_mode, trials=1, frames=25, nu1=0.02,
                            nu0=0.08, extra_warmup=2, ptx_grid=(0.1, 0.6),
-                           **fading)
+                           **fading, **population)
         ctx = prepare_trial(cfg, 0)
         assert ctx.warmup > 2  # the delayed schemes add warm-up frames
         streams = []  # the evaluation stream of each scored point
@@ -350,11 +368,14 @@ class TestBlockScoringMatchesFrameOracle:
             return score(ctx, traffic, is_true, params, eval_rng)
 
         monkeypatch.setattr(harness, "score_frames", recorded)
+        decided = []  # the coordinated schemes' traffic
         for k, spec in enumerate(cfg.schemes):
             rt = ctx.runtimes[k]
             ip_seq = scheme_ip_sequence(ctx, rt)
             for g, gval in enumerate(cfg.grid(spec)):
                 got, row = run_trial_point(ctx, k, gval, g, ip_seq)
+                if spec.kind != "uncoordinated":
+                    decided.append(got.traffic)
                 oracle = FrameByFrame(ctx, rt, gval, ip_seq, harness._seed_rng(
                     cfg.master_seed, ctx.trial, 7, k, g))
                 frames = [oracle.run_frame() for _ in range(ctx.t_total)]
@@ -375,6 +396,7 @@ class TestBlockScoringMatchesFrameOracle:
                     [f.inr_linear for f in measured]))
                 assert self.same(row.mean_utility, float(np.mean(
                     [f.utility for f in measured])))
+        return decided
 
 
 class TestOccupancyProducts:
@@ -428,6 +450,19 @@ class TestTrafficDecision:
         ctx = prepare_trial(small_config(trials=1, frames=8), 0)
         ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[0]).copy()
         ip_seq[-1, 3] = -1e-3  # the last frame's: checked before the loop
+        with pytest.raises(ValueError, match="interference estimates must "
+                                             "be nonnegative"):
+            run_trial_point(ctx, 0, 0.1, 0, ip_seq)
+
+    def test_negative_su_interference_estimate_rejected(self):
+        ctx = prepare_trial(small_config(trials=1, frames=8), 0)
+        assert ctx.config.is_mode == "oracle"
+        ip_seq = scheme_ip_sequence(ctx, ctx.runtimes[0])
+        frames, _ = run_trial_point(ctx, 0, 0.1, 0, ip_seq)
+        assert frames.traffic[:-1, 0].any()
+        # cell 0's traffic now lowers cell 3's SU-interference estimate
+        ctx.coupling = ctx.coupling.copy()
+        ctx.coupling[0, 3] = -1e3
         with pytest.raises(ValueError, match="interference estimates must "
                                              "be nonnegative"):
             run_trial_point(ctx, 0, 0.1, 0, ip_seq)
@@ -782,8 +817,10 @@ class TestAllFramesEstimate:
             sigma_all = running.ring_sums(np.arange(ctx.t_total))
             ip_all = estimate_ip(sigma_all, rt.weights, ctx.model)
             sim = simulation(ctx, rt, 0.01)
-            for _ in range(ctx.t_total):
-                sim.run_frame()
+            assert ctx.t_total > 2 * harness._IP_FRAMES
+            # estimated a few frames per pass, equal to all frames at once
+            assert np.array_equal(sim.ip_seq, ip_all)
+            sim.run()
             occupancy = HierarchicalExchange(rt.tree, pi_b)
             traffic = HierarchicalExchange(rt.tree, 0.0)
             for t in range(ctx.t_total):
@@ -798,11 +835,11 @@ class TestAllFramesEstimate:
                 # the traffic exchange is fed the previous commitment
                 prev = sim.a_hist[t - 1] if t else np.zeros(ctx.config.n_cells)
                 traffic.advance_frame(prev, t)
-                assert np.array_equal(sim._estimate_is(t),
+                assert np.array_equal(sim.is_est[t],
                                       estimate_is_hierarchical(
                                           traffic.sigma_all(t),
                                           rt.weights_uncomp))
-            assert sim._estimate_is(ctx.t_total - 1).any()
+            assert sim.is_est[ctx.t_total - 1].any()
 
     def test_full_nsi_matches_per_frame_definition(self, ctx):
         spec = ctx.runtimes[3].spec
@@ -871,3 +908,106 @@ class TestValidatedConfigsRun:
             if kind[row.scheme] != "uncoordinated":  # no utility: NaN
                 values.append(row.mean_utility)
             assert np.isfinite(values).all(), (config, row)
+
+
+# scalars and nested containers a YAML file can hold; no text holds the
+# "; " that separates the errors of one message
+_YAML_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+              st.floats(), st.text("ab1e.- ", max_size=4),
+              st.sampled_from(["inf", ".inf", "-.inf", "nan", "2.5", "7",
+                               "1e400", "grid", "ibt", "dense"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from("ab"), inner,
+                                            max_size=2)),
+    max_leaves=5)
+_UNKNOWN_KEYS = ("frame", "Frames", "seed", 3)
+# a value of the right type for each field annotation
+_GOOD_VALUES = {
+    "int": st.integers(0, 30), "float": st.floats(0.0, 50.0),
+    "float | None": st.one_of(st.none(), st.floats(0.0, 900.0)),
+    "str": st.sampled_from(["grid", "random", "dense", "constant",
+                            "analytic_lb", "fading_mc", "oracle",
+                            "hierarchical", *SCHEME_KINDS]),
+    "tuple[float, ...]": st.lists(st.floats(0.0, 1.0), max_size=3),
+    "tuple[float, float]": st.lists(st.floats(1.0, 900.0), min_size=2,
+                                    max_size=2),
+}
+
+
+# a valid mapping that the fuzz perturbs
+_YAML_BASE = {
+    "topology": {"kind": "grid", "n_cells": 16, "area": [400.0, 400.0],
+                 "n_blockages": 1},
+    "occupancy": {"nu1": 0.005, "nu0": 0.095},
+    "population": {"mode": "constant", "m": 3},
+    "experiment": {"frames": 10, "trials": 1, "lambda_grid": [0.1],
+                   "ptx_grid": [0.5]},
+    "schemes": [{"name": "ibt", "kind": "ibt", "gamma_delay": 0.01},
+                {"name": "unc", "kind": "uncoordinated"}],
+}
+
+
+@st.composite
+def yaml_mappings(draw):
+    """A config mapping as YAML loads it: a valid one with a few keys set to
+    values of the right or the wrong type (NaN, bools, strings, lists,
+    mappings), unknown keys added, or sections dropped or replaced."""
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    keys = {section: {key: types[name] for key, name in names.items()}
+            for section, names in harness._SECTION_KEYS.items()}
+    keys["pathloss"] = {f.name: f.type for f in fields(PathlossParams)}
+    scheme_keys = {f.name: f.type for f in fields(SchemeSpec)}
+    raw = copy.deepcopy(_YAML_BASE)
+    for _ in range(draw(st.integers(0, 4))):
+        where = draw(st.sampled_from([*keys, "schemes", "config"]))
+        action = draw(st.sampled_from(["set", "set", "set", "unknown",
+                                       "drop", "junk"]))
+        if where == "config":
+            if action == "junk":
+                return draw(_YAML_JUNK)
+            raw[draw(st.sampled_from(_UNKNOWN_KEYS))] = draw(_YAML_JUNK)
+            continue
+        if action == "drop":
+            raw.pop(where, None)
+            continue
+        if action == "junk":
+            raw[where] = draw(_YAML_JUNK)
+            continue
+        if where == "schemes":
+            if not isinstance(raw.get(where), list):
+                raw[where] = []
+            k = draw(st.integers(0, len(raw[where])))
+            if k == len(raw[where]):
+                raw[where].append({})
+            node, annotations = raw[where][k], scheme_keys
+        else:
+            node, annotations = raw.setdefault(where, {}), keys[where]
+        if not isinstance(node, dict):
+            continue
+        if action == "unknown":
+            node[draw(st.sampled_from(_UNKNOWN_KEYS))] = draw(_YAML_JUNK)
+        else:
+            key = draw(st.sampled_from(sorted(annotations)))
+            node[key] = draw(st.one_of(_GOOD_VALUES[annotations[key]],
+                                       _YAML_JUNK))
+    return raw
+
+
+class TestYamlConfigFuzz:
+    # the roots of every path a config error may name
+    ROOTS = {"config", "pathloss", "schemes", *harness._SECTION_KEYS}
+
+    @given(yaml_mappings())
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    def test_builds_or_names_the_field(self, raw):
+        try:
+            ExperimentConfig.from_dict(raw).validate()
+        except ConfigError as exc:
+            for part in str(exc).split("; "):
+                path, sep, msg = part.partition(": ")
+                root = path.split(".")[0].split("[")[0]
+                assert sep and msg, part
+                assert root in self.ROOTS or (
+                    msg == "unknown key" and path in map(str, raw)), part
