@@ -69,11 +69,11 @@ def _frame_stage(n: int, blockages: int, side: float):
     """run_trial_point seconds per frame of an IBT scheme with hierarchical
     SU interference, and the bytes of its traffic trajectory."""
     import numpy as np
-    from hiersense import harness
+    from hiersense import ExperimentConfig, SchemeSpec, harness
 
-    cfg = harness.ExperimentConfig(
+    cfg = ExperimentConfig(
         n_cells=n, area=(side, side), n_blockages=blockages,
-        schemes=(harness.SchemeSpec("ibt", "ibt", gamma_delay=GAMMA_DELAY),),
+        schemes=(SchemeSpec("ibt", "ibt", gamma_delay=GAMMA_DELAY),),
         is_mode="hierarchical", frames=FRAMES, trials=1, master_seed=0,
         lambda_grid=(LAMBDA,))
     ctx = harness.prepare_trial(cfg, 0)
@@ -93,9 +93,9 @@ def _fading_layout_stage(topo):
     """Seconds to build the fading SU layout on ``topo``, and the bytes of
     its arrays."""
     import numpy as np
-    from hiersense import harness
+    from hiersense import ExperimentConfig, harness
 
-    cfg = harness.ExperimentConfig(m_per_cell=SU_PER_CELL)
+    cfg = ExperimentConfig(m_per_cell=SU_PER_CELL)
     layout, seconds = _timed(harness._build_fading_layout, cfg, topo,
                              np.random.default_rng(0))
     return seconds, b"".join(a.tobytes() for a in (

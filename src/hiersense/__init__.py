@@ -7,15 +7,14 @@ per cell from the resulting multi-scale view of the network.
 
 from .aggregation import (BufferUnderrunError, HierarchicalExchange,
                           RunningRingSums)
+from .config import ConfigError, ExperimentConfig, SchemeSpec
 from .control import (ControlParams, exact_throughput, inr_contributions,
                       network_inr, optimal_traffic, throughput_lb, utility)
 from .dynamics import (OccupancyModel, OccupancyState, k_step_marginal,
                        sample_steady_state, step_occupancy)
-from .harness import (ConfigError, ExperimentConfig, PointMetrics, SchemeSpec,
-                      Simulation, SweepResult, SweepRow, eval_fading_success,
-                      prepare_trial, run_experiment)
-from .hierarchy import (AggregationTree, build_ibt, build_random_tree,
-                        gamma_metric, pair_cost)
+from .harness import (PointMetrics, Simulation, SweepResult, SweepRow,
+                      eval_fading_success, prepare_trial, run_experiment)
+from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (BeliefTable, DelayCompensatedWeights, compute_weights,
                         estimate_ip, exact_belief, marginal_occupancy)
 from .sensing import (SensorModel, posterior_update, prior_propagate,

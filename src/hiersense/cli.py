@@ -14,40 +14,17 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import control, inference
 from .aggregation import RunningRingSums, identity_residual
-from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
-from .harness import (ConfigError, ExperimentConfig, prepare_scheme,
-                      prepare_trial, run_experiment, run_trial_point,
-                      scheme_ip_sequence, trial_topology)
+from .config import ConfigError, ExperimentConfig, load_config
+from .dynamics import OccupancyModel
+from .harness import (_simulate_occupancy, prepare_scheme, prepare_trial,
+                      run_experiment, run_trial_point, scheme_ip_sequence,
+                      trial_topology)
 from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
 from .topology import PathlossParams, build_topology, compute_phi
-
-
-def _apply_override(raw: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
-    path, value = assignment.split("=", 1)
-    keys = path.split(".")
-    node = raw
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"override {path!r} crosses a non-mapping entry")
-    node[keys[-1]] = yaml.safe_load(value)
-
-
-def load_config(path: str, overrides=()) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: must be a mapping of config sections")
-    for assignment in overrides:
-        _apply_override(raw, assignment)
-    return ExperimentConfig.from_dict(raw)
 
 
 def cmd_build_tree(args) -> int:
@@ -150,23 +127,14 @@ def _check(name: str, ok: bool, detail: str, failures: list) -> None:
         failures.append(name)
 
 
-def _occupancy_history(model, n_cells: int, frames: int, rng) -> np.ndarray:
-    """(frames, n_cells) occupancy bits of one chain run, as floats."""
-    state = sample_steady_state(model, n_cells, rng)
-    rows = []
-    for _ in range(frames):
-        rows.append(state.b.astype(float))
-        state = step_occupancy(model, state, rng)
-    return np.array(rows)
-
-
 def _check_aggregate_identity(model, rng) -> tuple[bool, str]:
     """Aggregates of a small built tree vs direct sums of delayed locals."""
     topology = build_topology("grid", 16, (400.0, 400.0), 2, rng_seed=3)
     phi = compute_phi(topology, PathlossParams())
     tree = build_ibt(topology, phi, float(model.mu), gamma_delay=0.02)
     pi_b = float(model.pi_b)
-    history = _occupancy_history(model, 16, 60, rng)
+    # the chain steps once past the last row; the later checks draw after it
+    history = _simulate_occupancy(model, 16, 61, rng)[:-1]
     running = RunningRingSums(tree, 60, pi_b)
     running.commit(history)
     worst = max(identity_residual(tree, running.aggregates(t), history, t, pi_b)
@@ -182,7 +150,7 @@ def _check_belief_oracle(model, rng) -> tuple[bool, str]:
             4, [[([(0, int(rng.integers(3))), (1, int(rng.integers(3)))], 1),
                  ([(2, int(rng.integers(3))), (3, int(rng.integers(3)))], 2)]])
         running = RunningRingSums(tree4, 12, float(model.pi_b))
-        running.commit(_occupancy_history(model, 4, 12, rng))
+        running.commit(_simulate_occupancy(model, 4, 13, rng)[:-1])
         hist = running.ring_sums(np.arange(12))[:, 0]
         belief = inference.exact_belief(hist, tree4, model, 0,
                                         SensorModel(0.0, 0.0))
@@ -216,9 +184,12 @@ def _check_traffic_optimum(model, rng) -> tuple[bool, str]:
         util = control.utility(grid, ip, is_, m, phi_ii, model, params)
         a_grid = grid[int(np.argmax(util))]
         worst = max(worst, abs(a_star - a_grid))
+        # the kernel run as Simulation runs it
         kernel = control.TrafficKernel(m, phi_ii, model, params.sinr_th)
         kernel.check_ip(ip)
-        a_kernel = kernel.decide(ip, is_, lam * kernel.phi_ii)
+        a_kernel = np.empty(())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel.step(ip, is_, kernel.gain(ip, lam * kernel.phi_ii), a_kernel)
         same += np.float64(a_kernel).tobytes() == np.float64(a_star).tobytes()
     return worst <= 1e-3 and same == len(params_pool), \
         (f"max |closed form - grid argmax| = {worst:.2e}; kernel equals the "
@@ -342,7 +313,7 @@ def main(argv=None) -> int:
         if getattr(args, "trial", 0) < 0:
             raise ConfigError(f"--trial: must be >= 0, got {args.trial}")
         return args.func(args)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a program fault, not bad input: keep its traceback

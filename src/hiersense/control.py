@@ -141,8 +141,7 @@ class TrafficKernel:
     is the rest of one frame.  The arithmetic is the oracle's, operation for
     operation, so a decision equals ``optimal_traffic(ip, is_, m, phi_ii,
     model, params, a_max)`` bit for bit.  The checks on ``ip`` run over a
-    whole block of frames (:meth:`check_ip`); :meth:`decide`, the two
-    pieces composed, checks ``is_``.
+    whole block of frames (:meth:`check_ip`); the caller checks ``is_``.
     """
 
     def __init__(self, m, phi_ii, model: OccupancyModel, sinr_th: float,
@@ -194,17 +193,6 @@ class TrafficKernel:
         # make short of an underflow at th near the float maximum
         np.fmax(val, 0.0, out=out)
         return np.minimum(out, self.upper, out=out)
-
-    def decide(self, ip, is_, lam_phi) -> np.ndarray:
-        """One frame's traffic; ``ip`` passed :meth:`check_ip` and
-        ``lam_phi`` is ``lam * phi_ii``."""
-        ip = np.asarray(ip, dtype=float)
-        is_ = np.asarray(is_, dtype=float)
-        if np.any(is_ < 0):
-            raise ValueError("interference estimates must be nonnegative")
-        out = np.empty(np.broadcast(ip, is_, self.upper).shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.step(ip, is_, self.gain(ip, lam_phi), out)
 
 
 def utility(a, ip, is_, m, phi_ii, model: OccupancyModel, params: ControlParams):

@@ -1,4 +1,4 @@
-"""Multi-scale aggregation trees: construction, h-distance and ring queries.
+"""Multi-scale aggregation trees: construction and ring queries.
 
 A tree is a sequence of levels; level 0 holds one singleton cluster per cell
 and each higher level partitions the clusters below it.  Estimates travel
@@ -25,7 +25,6 @@ import numpy as np
 from .topology import (NetworkTopology, _phi_array, coupling_matrix,
                        frame_delays)
 
-UNREACHABLE = math.inf
 _SCAN_CHUNK = 4096  # greedy pairs screened per vector step
 
 
@@ -120,16 +119,6 @@ class AggregationTree:
             return 0
         per_level = (self.delta[1:] - self.delta[:-1]).max(axis=1)
         return int(per_level.sum())
-
-    def h_distance(self, i: int, j: int):
-        """Smallest level whose cluster contains both cells; inf if none does."""
-        n = self.n_cells
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"cell id out of range: ({i}, {j})")
-        for lvl in range(self.depth + 1):
-            if self.cluster_of[lvl, i] == self.cluster_of[lvl, j]:
-                return lvl
-        return UNREACHABLE
 
     def ring_sets(self, i: int) -> list[np.ndarray]:
         """Cells at exactly h-distance L from cell i, for L = 0..depth."""
@@ -247,36 +236,6 @@ class AggregationTree:
     def load(cls, path) -> "AggregationTree":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def gamma_metric(phi, cluster_n, cluster_m, delays, edge_delay: int, mu: float
-                 ) -> float:
-    """Aggregation benefit of merging two disjoint clusters.
-
-    Sums the delay-discounted mutual interference weights between the two
-    member sets, then discounts the whole by mu**edge_delay for the extra
-    hop the merge introduces.
-    """
-    w = coupling_matrix(phi)
-    n_idx = np.asarray(sorted(cluster_n), dtype=int)
-    m_idx = np.asarray(sorted(cluster_m), dtype=int)
-    if np.intersect1d(n_idx, m_idx).size:
-        raise ValueError("clusters must be disjoint")
-    dl = np.asarray(delays, dtype=float)
-    mu = float(mu)
-    term_nm = ((mu ** dl[m_idx])[:, None] * w[np.ix_(m_idx, n_idx)]).sum()
-    term_mn = ((mu ** dl[n_idx])[:, None] * w[np.ix_(n_idx, m_idx)]).sum()
-    return float(mu ** edge_delay * (term_nm + term_mn))
-
-
-def pair_cost(topology: NetworkTopology, cluster_n, cluster_m) -> float:
-    """Worst-case aggregation cost per cell of joining two disjoint clusters."""
-    n_idx = np.asarray(sorted(cluster_n), dtype=int)
-    m_idx = np.asarray(sorted(cluster_m), dtype=int)
-    if np.intersect1d(n_idx, m_idx).size:
-        raise ValueError("clusters must be disjoint")
-    dmax = topology.distance_matrix[np.ix_(n_idx, m_idx)].max()
-    return float(dmax / topology.cell_count)
 
 
 def _random_merges(cost_mat, rows, cols, delay_mat, c_cell: float, c_max: float,

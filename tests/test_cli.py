@@ -419,14 +419,15 @@ class TestValidate:
     def test_faulty_traffic_kernel_fails(self, monkeypatch, capsys):
         # the decision kernel of every sweep is checked against its oracle,
         # off the clips too
-        decide = control.TrafficKernel.decide
+        step = control.TrafficKernel.step
 
-        def faulty(self, ip, is_, lam_phi):
-            a = decide(self, ip, is_, lam_phi)
-            return np.where((a > 0) & (a < self.upper),
-                            np.nextafter(a, np.inf), a)
+        def faulty(self, ip, is_, gain, out):
+            a = step(self, ip, is_, gain, out)
+            a[...] = np.where((a > 0) & (a < self.upper),
+                              np.nextafter(a, np.inf), a)
+            return a
 
-        monkeypatch.setattr(control.TrafficKernel, "decide", faulty)
+        monkeypatch.setattr(control.TrafficKernel, "step", faulty)
         assert main(["validate"]) == 1
         assert "FAIL  traffic-optimum" in capsys.readouterr().out
 

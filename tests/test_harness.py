@@ -11,7 +11,8 @@ from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        RunningRingSums, SchemeSpec, Simulation, control,
                        estimate_ip, eval_fading_success, harness,
                        run_experiment, throughput_lb)
-from hiersense.harness import (SCHEME_KINDS, FadingLayout, _fill_cells_uniform,
+from hiersense.config import _SECTION_KEYS, SCHEME_KINDS
+from hiersense.harness import (FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
@@ -46,7 +47,7 @@ def run_point(ctx, scheme_idx, grid_value):
 
 def with_occupancy(ctx, b_seq):
     """The trial with its occupancy replaced and sensed without noise."""
-    assert ctx.sensor.noiseless
+    assert ctx.config.sensor_model().noiseless
     return replace(ctx, b_seq=b_seq, bhat_seq=b_seq.astype(float))
 
 
@@ -955,7 +956,7 @@ def yaml_mappings(draw):
     mappings), unknown keys added, or sections dropped or replaced."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     keys = {section: {key: types[name] for key, name in names.items()}
-            for section, names in harness._SECTION_KEYS.items()}
+            for section, names in _SECTION_KEYS.items()}
     keys["pathloss"] = {f.name: f.type for f in fields(PathlossParams)}
     scheme_keys = {f.name: f.type for f in fields(SchemeSpec)}
     raw = copy.deepcopy(_YAML_BASE)
@@ -996,7 +997,7 @@ def yaml_mappings(draw):
 
 class TestYamlConfigFuzz:
     # the roots of every path a config error may name
-    ROOTS = {"config", "pathloss", "schemes", *harness._SECTION_KEYS}
+    ROOTS = {"config", "pathloss", "schemes", *_SECTION_KEYS}
 
     @given(yaml_mappings())
     @settings(max_examples=400, deadline=None, derandomize=True,

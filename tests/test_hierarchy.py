@@ -7,10 +7,11 @@ import pytest
 from hiersense import hierarchy
 from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
                        build_ibt, build_random_tree, build_topology,
-                       compute_phi, compute_weights, gamma_metric, pair_cost)
+                       compute_phi, compute_weights)
 from hiersense.hierarchy import ClusterNode, MergeRecord
 from hiersense.topology import coupling_matrix
 from tests.conftest import random_phi
+from tests.oracles import gamma_metric, h_distance, pair_cost
 
 
 @pytest.fixture
@@ -42,14 +43,14 @@ class TestManualTree:
         assert (np.diff(fig_tree.delta, axis=0) >= 0).all()
 
     def test_h_distance_examples(self, fig_tree):
-        assert fig_tree.h_distance(0, 0) == 0
-        assert fig_tree.h_distance(0, 1) == 1
-        assert fig_tree.h_distance(0, 4) == 1
-        assert fig_tree.h_distance(0, 2) == 2
-        assert fig_tree.h_distance(0, 7) == 2
+        assert h_distance(fig_tree, 0, 0) == 0
+        assert h_distance(fig_tree, 0, 1) == 1
+        assert h_distance(fig_tree, 0, 4) == 1
+        assert h_distance(fig_tree, 0, 2) == 2
+        assert h_distance(fig_tree, 0, 7) == 2
         for i in range(8):
             for j in range(8):
-                assert fig_tree.h_distance(i, j) == fig_tree.h_distance(j, i)
+                assert h_distance(fig_tree, i, j) == h_distance(fig_tree, j, i)
 
     def test_ring_sets_examples(self, fig_tree):
         rings = fig_tree.ring_sets(0)
@@ -71,7 +72,9 @@ class TestManualTree:
 
     def test_out_of_range_ids(self, fig_tree):
         with pytest.raises(IndexError):
-            fig_tree.h_distance(0, 8)
+            h_distance(fig_tree, 0, 8)
+        with pytest.raises(IndexError):
+            fig_tree.ring_sets(8)
 
     def test_mixed_leaf_depths_rejected(self):
         with pytest.raises(ValueError):
@@ -247,7 +250,7 @@ class TestBuildIbt:
         tree = build_ibt(topo, phi, 0.9, c_max=1e-9)
         assert tree.depth == 0
         assert tree.cost_per_cell == 0.0
-        assert tree.h_distance(0, 1) == math.inf
+        assert h_distance(tree, 0, 1) == math.inf
 
     def test_four_cell_line_pairs_neighbors(self):
         from hiersense.topology import NetworkTopology, PathlossParams
