@@ -5,22 +5,28 @@ Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 with 0, 12 and 16 blockages, the Rayleigh-fading SU layout
 (``fading_layout_s``: ``harness._build_fading_layout`` with ten SUs per
 cell, at N = 64 and 256 only, since its SU->SU block alone would take
-840 MB at N = 1024), and one per-frame stage: the ``run_trial_point``
-time of an IBT scheme with hierarchical SU interference divided by its
-frame count (``frame_s``: deciding and scoring every frame of one grid
-point, on a trial built by ``prepare_trial`` at the same N and blockage
-count).  Both sides run in one call: a parent revision
+840 MB at N = 1024), the Rayleigh evaluation of one grid point
+(``fading_eval_s``: ``harness.eval_fading_success`` on every frame of a
+trial with ten SUs per cell, once at low and once at high traffic, at
+N = 64 without blockages only, since ``fading_mc`` models none; revisions
+that score one frame per call are called frame by frame), and one
+per-frame stage: the ``run_trial_point`` time of an IBT scheme with
+hierarchical SU interference divided by its frame count (``frame_s``:
+deciding and scoring every frame of one grid point, on a trial built by
+``prepare_trial`` at the same N and blockage count).
+Both sides run in one call: a parent revision
 (extracted with ``git archive``) and the working tree's ``src/``.  Each
 repetition runs one worker process per side, and the side that runs first
 alternates between repetitions, so host load and cache warmth hit both
 sides alike.  Each worker first runs every stage once at the smallest
-size, untimed, so that lazy imports and other first-call costs do not show
-as the time of whichever stage meets them first.  Every worker also hashes
-the LOS matrix, the tree JSON, the fading layout's arrays and the frame
-stage's traffic trajectory, and the run records whether both sides built
-identical outputs.
+size, with and without blockages, untimed, so that lazy imports and other
+first-call costs do not show as the time of whichever stage meets them
+first.  Every worker also hashes the LOS matrix, the tree JSON, the
+fading layout's arrays, the fading evaluation's throughput and INR and the
+frame stage's traffic trajectory, and the run records whether both sides
+built identical outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_6.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_17.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -51,8 +57,12 @@ FRAMES = 100  # measured frames of the frame stage, after the tree's warm-up
 LAMBDA = 0.01
 SU_PER_CELL = 10  # the fading layout stage's M
 FADING_SIZES = (64, 256)  # the N at which the fading layout is timed
+FADING_EVAL_SIZES = (64,)  # the N at which the fading evaluation is timed
+# each SU's access probability in the fading evaluation stage: a few SUs
+# per frame, bound by per-call overhead, or half of them, bound by the draws
+FADING_EVAL_ACCESS = {"low": 0.01, "high": 0.5}
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
-          "fading_layout_s", "frame_s")
+          "fading_layout_s", "fading_eval_s", "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -102,6 +112,41 @@ def _fading_layout_stage(topo):
         layout.su_cell, layout.pl_su_su, layout.pl_pu_su, layout.pl_su_pu))
 
 
+def _fading_eval_stage(n: int, side: float):
+    """Seconds of one grid point's Rayleigh evaluation at each access level
+    of ``FADING_EVAL_ACCESS``, and the bytes of its throughput and INR."""
+    import inspect
+
+    import numpy as np
+    from hiersense import ExperimentConfig, SchemeSpec, harness
+
+    cfg = ExperimentConfig(
+        n_cells=n, area=(side, side), n_blockages=0,
+        schemes=(SchemeSpec("unc", "uncoordinated"),),
+        population_mode="constant", m_per_cell=SU_PER_CELL,
+        eval_mode="fading_mc", frames=FRAMES, trials=1, master_seed=0)
+    ctx = harness.prepare_trial(cfg, 0)
+    evaluate = harness.eval_fading_success
+    per_frame = "b_seq" not in inspect.signature(evaluate).parameters
+    pi_b, th = float(ctx.model.pi_b), cfg.sinr_th_linear()
+    seconds, out = {}, []
+    for level, access in FADING_EVAL_ACCESS.items():
+        traffic = np.full(ctx.b_seq.shape, access * SU_PER_CELL)
+        rng = np.random.default_rng(0)
+        t0 = time.perf_counter()
+        if per_frame:
+            counts, inr = zip(*(evaluate(ctx.fading, a, ctx.m, b, th, pi_b,
+                                         rng)
+                                for a, b in zip(traffic, ctx.b_seq)))
+            thr, inr = np.array([c.mean() for c in counts]), np.array(inr)
+        else:
+            thr, inr = evaluate(ctx.fading, traffic, ctx.m, ctx.b_seq, th,
+                                pi_b, rng)
+        seconds[level] = time.perf_counter() - t0
+        out += [thr.tobytes(), inr.tobytes()]
+    return seconds, b"".join(out)
+
+
 def _measure(n: int, b: int) -> dict:
     """Every stage's time at one (N, B), and the hash of what they built."""
     import numpy as np
@@ -120,21 +165,26 @@ def _measure(n: int, b: int) -> dict:
     _, weights_s = _timed(compute_weights, ibt, phi, MU)
     fading_s, fading = _fading_layout_stage(topo) \
         if n in FADING_SIZES else (None, b"")
+    fading_eval_s, scores = _fading_eval_stage(n, side) \
+        if n in FADING_EVAL_SIZES and b == 0 else (None, b"")
     frame_s, traffic = _frame_stage(n, b, side)
     digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
     for tree in (ibt, rt):
         digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
     digest.update(fading)
+    digest.update(scores)
     digest.update(traffic)
     return {"n": n, "blockages": b, "los_s": los_s, "phi_s": phi_s,
             "build_ibt_s": ibt_s, "build_rt_s": rt_s, "weights_s": weights_s,
-            "fading_layout_s": fading_s, "frame_s": frame_s,
+            "fading_layout_s": fading_s, "fading_eval_s": fading_eval_s,
+            "frame_s": frame_s,
             "output_sha256": digest.hexdigest()}
 
 
 def worker() -> list[dict]:
     """Time every stage once per (N, B); runs inside one side's process."""
-    _measure(min(SIZES), max(BLOCKAGES))  # warm-up, not recorded
+    for b in (0, max(BLOCKAGES)):  # warm-up of every stage, not recorded
+        _measure(min(SIZES), b)
     return [_measure(n, b) for n in SIZES for b in BLOCKAGES]
 
 
@@ -160,6 +210,16 @@ def _machine() -> dict:
             "numpy": numpy.__version__, "blas_threads": 1}
 
 
+def _median(times):
+    """Median over reps; per level for a stage timed at several levels,
+    and null for a stage not run at this size."""
+    if None in times:
+        return None
+    if isinstance(times[0], dict):
+        return {k: statistics.median(t[k] for t in times) for k in times[0]}
+    return statistics.median(times)
+
+
 def _summary(runs) -> dict:
     out = {}
     for n in SIZES:
@@ -172,9 +232,7 @@ def _summary(runs) -> dict:
                     times = [r[stage] for run in runs if run["side"] == side
                              for r in run["rows"]
                              if r["n"] == n and r["blockages"] == b]
-                    # a stage not run at this size is null on every rep
-                    out[key][stage][side] = None if None in times \
-                        else statistics.median(times)
+                    out[key][stage][side] = _median(times)
     return out
 
 
@@ -182,12 +240,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent-rev", default="HEAD",
                     help="git revision timed as the parent side")
-    ap.add_argument("--out", default="BENCH_6.json")
+    ap.add_argument("--out", help="JSON record to write (required)")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(worker()))
         return 0
+    if args.out is None:  # no default: it would overwrite a committed record
+        ap.error("--out is required")
 
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent_rev],
                          cwd=ROOT, check=True, capture_output=True,
@@ -223,16 +283,21 @@ def main(argv=None) -> int:
         targets[f"{stage} < {limit} s at N={largest}"] = {
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
-        "what": "trial set-up stage times, the fading SU layout time and "
-                "the hierarchical-IS frame time (run_trial_point per frame: "
-                "decide and score), parent vs change, grid layouts",
+        "what": "trial set-up stage times, the fading SU layout time, the "
+                "fading evaluation time of one grid point at low and high "
+                "access, and the hierarchical-IS frame time "
+                "(run_trial_point per frame: decide and score), parent vs "
+                "change, grid layouts",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
                    "rt_seed": 0, "fading_layout": {
                        "sizes": FADING_SIZES, "m_per_cell": SU_PER_CELL,
-                       "rng_seed": 0}, "frame_stage": {
+                       "rng_seed": 0}, "fading_eval": {
+                       "sizes": FADING_EVAL_SIZES, "m_per_cell": SU_PER_CELL,
+                       "frames": FRAMES, "access": FADING_EVAL_ACCESS,
+                       "master_seed": 0, "rng_seed": 0}, "frame_stage": {
                        "frames": FRAMES, "lambda": LAMBDA, "master_seed": 0,
                        "is_mode": "hierarchical"}},
         "machine": _machine(),

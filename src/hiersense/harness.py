@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,11 @@ class FadingLayout:
     pl_su_su: np.ndarray      # (n_su, n_su) SU tx -> SU rx
     pl_pu_su: np.ndarray      # (n_pu, n_su) PU tx -> SU rx
     pl_su_pu: np.ndarray      # (n_su, n_pu) SU tx -> PU rx
+    # eval_fading_success's gain, index and gather buffers: grown on demand
+    # and kept for the trial
+    buffers: tuple = field(init=False, repr=False, compare=False,
+                           default_factory=lambda: (
+                               np.empty(0), np.empty(0, np.intp), np.empty(0)))
 
 
 @dataclass
@@ -320,60 +325,89 @@ class PointMetrics:
     traffic: np.ndarray          # (frames, n_cells) committed traffic
 
 
-def eval_fading_success(layout: FadingLayout, traffic, m, b, sinr_th: float,
-                        pi_b: float, rng):
-    """One frame of per-user Rayleigh evaluation.
+def eval_fading_success(layout: FadingLayout, traffic, m, b_seq,
+                        sinr_th: float, pi_b: float, rng
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user Rayleigh evaluation of (frames, cells) traffic and occupancy
+    blocks, frame by frame on one stream.
 
-    Draws Bernoulli access per SU from its cell traffic and unit-mean
-    exponential power gains per active link, and counts SINR-threshold
-    successes at the receivers of transmitting SUs, per cell.  Also returns
-    the realized SU-caused INR averaged over the expected number of active
-    PUs.
+    A frame draws Bernoulli access per SU from its cell's traffic, then the
+    unit-mean exponential power gains of every link among its active SUs
+    and PUs in one draw, in the block order SU->SU, PU->SU, SU->PU, PU->PU
+    (no output reads the last).  Returns (frames,) arrays: the throughput,
+    SINR-threshold successes at the receivers of transmitting SUs per cell,
+    and the realized SU-caused INR averaged over the expected number of
+    active PUs.  The draws and products land in buffers kept on the layout
+    for its trial; the blocks keep the shapes and sums of fresh arrays, so
+    each frame equals a fresh-array frame bit for bit.
     """
-    n_cells = layout.pl_pu_su.shape[0]
-    p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
-    act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
-    apu = np.flatnonzero(np.asarray(b) == 1)
-    su_counts = np.zeros(n_cells)
-    n_act, n_apu = len(act), len(apu)
-    # every link gain of the frame in one draw, in the block order
-    # SU->SU, PU->SU, SU->PU, PU->PU; no output reads the PU->PU block
-    gains = rng.exponential(size=(n_act + n_apu) ** 2)
-    ss, sp = n_act * n_act, n_act * n_apu
-    g_ss, g_ps = gains[:ss], gains[ss:ss + sp]
-    g_sp = gains[ss + sp:ss + 2 * sp]
-    su = None if n_act == len(layout.su_cell) else act  # None: every SU
-
-    if n_act:
-        sub = _square_block(layout.pl_su_su, su) * g_ss.reshape(n_act, n_act)
+    n_su, n_cells = len(layout.su_cell), layout.pl_pu_su.shape[0]
+    pl_ss, pl_ps, pl_sp = (a.ravel() for a in (
+        layout.pl_su_su, layout.pl_pu_su, layout.pl_su_pu))
+    access = np.clip(np.asarray(traffic) / np.asarray(m),
+                     0.0, 1.0)[:, layout.su_cell]
+    busy = np.asarray(b_seq) == 1
+    # the gathers clip their flat indices instead of checking them
+    if (layout.pl_su_su.shape, layout.pl_pu_su.shape, layout.pl_su_pu.shape,
+            busy.shape) != ((n_su, n_su), (n_cells, n_su),
+                            (n_su, n_cells), (len(access), n_cells)):
+        raise ValueError("fading layout and occupancy shapes disagree")
+    apu = busy.nonzero()[1]  # every frame's active PUs, in frame order
+    pu_rows = apu * n_su  # their row offsets in the PU->SU block
+    bounds = [0, *np.cumsum(busy.sum(axis=1)).tolist()]
+    successes, inr = np.zeros((2, len(access)))
+    scale = n_cells * pi_b
+    gains, index, gathered = layout.buffers
+    for t, row in enumerate(access):
+        act = (rng.random(n_su) < row).nonzero()[0]
+        lo, hi = bounds[t], bounds[t + 1]
+        n_act, n_apu = len(act), hi - lo
+        size = (n_act + n_apu) ** 2
+        if size > len(gains):
+            gains = np.empty(size)
+        g = rng.standard_exponential(out=gains[:size])
+        if not n_act:
+            continue  # no success, and an INR of 0
+        ss, sp = n_act * n_act, n_act * n_apu
+        every_su = n_act == n_su
+        size = max(sp, 0 if every_su else ss)
+        if size > len(index):
+            index, gathered = np.empty(size, np.intp), np.empty(size)
+        sub = g[:ss]
+        if every_su:
+            np.multiply(sub, pl_ss, out=sub)
+        else:
+            _gather_times(pl_ss, act * n_su, act, sub, index, gathered)
+        sub = sub.reshape(n_act, n_act)
         own = sub.diagonal()
-        noise = 1.0 + (sub.sum(axis=0) - own)
-        if n_apu:  # adding the empty PU block's zeros changes nothing
-            noise = noise + (_block(layout.pl_pu_su, apu, su)
-                             * g_ps.reshape(n_apu, n_act)).sum(axis=0)
-        ok = act[own / noise > sinr_th]
-        su_counts = np.bincount(layout.su_cell[ok], minlength=n_cells).astype(float)
-
-    inr = 0.0
-    if n_apu:
-        i_sp = (_block(layout.pl_su_pu, su, apu)
-                * g_sp.reshape(n_act, n_apu)).sum(axis=0)
-        inr = float(i_sp.sum() / (n_cells * pi_b))
-    return su_counts, inr
-
-
-def _block(matrix, rows, cols) -> np.ndarray:
-    """matrix[np.ix_(rows, cols)], gathered with take; None keeps an axis."""
-    matrix = matrix if rows is None else matrix.take(rows, axis=0)
-    return matrix if cols is None else matrix.take(cols, axis=1)
+        noise = _sum(sub, 0)  # then 1 + (that - own) + the PU block's sum
+        noise -= own
+        noise += 1.0
+        if n_apu:
+            i_ps, i_sp = g[ss:ss + sp], g[ss + sp:ss + 2 * sp]
+            _gather_times(pl_ps, pu_rows[lo:hi], act, i_ps, index, gathered)
+            noise += _sum(i_ps.reshape(n_apu, n_act), 0)
+            _gather_times(pl_sp, act * n_cells, apu[lo:hi], i_sp, index,
+                          gathered)
+            inr[t] = _sum(_sum(i_sp.reshape(n_act, n_apu), 0)) / scale
+        np.divide(own, noise, out=noise)
+        successes[t] = np.count_nonzero(noise > sinr_th)
+    layout.buffers = gains, index, gathered
+    # the mean of small integer counts per cell: their sum is exact
+    return successes / n_cells, inr
 
 
-def _square_block(matrix, idx) -> np.ndarray:
-    """matrix[np.ix_(idx, idx)] of a C-ordered matrix in one flat take,
-    without the row block that two takes copy first; None keeps both axes."""
-    if idx is None:
-        return matrix
-    return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
+_sum = np.add.reduce  # ndarray.sum without its Python wrapper
+
+
+def _gather_times(flat, row_start, cols, out, index, gathered) -> None:
+    """Multiply the flat ``out`` in place by the ``(row_start, cols)`` block
+    of the flat matrix ``flat``, through the kept index and gather buffers."""
+    idx = index[:len(out)]
+    np.add(row_start[:, None], cols, out=idx.reshape(len(row_start), -1))
+    # a take with mode="raise" copies through a temporary
+    np.multiply(out, flat.take(idx, out=gathered[:len(out)], mode="clip"),
+                out=out)
 
 
 # frames per pass of a tree scheme's licensed-user estimate: the rings of
@@ -496,8 +530,9 @@ def score_frames(ctx: TrialContext, traffic, is_true,
     ``traffic`` and ``is_true`` are (frames, n_cells) blocks: the decisions
     never read the scores, so they are scored at once.  ``params.lam`` is
     None for uncoordinated access, whose utility is NaN.  Under
-    ``fading_mc`` the per-user draws still run frame by frame, in frame
-    order, on the grid point's own stream ``eval_rng``.
+    ``fading_mc`` one :func:`eval_fading_success` call draws every frame's
+    per-user channels, in frame order, on the grid point's own stream
+    ``eval_rng``.
     """
     ip_true, phi_b = ctx.occupancy_products
     if params.lam is None:
@@ -507,12 +542,9 @@ def score_frames(ctx: TrialContext, traffic, is_true,
                                ctx.model, params).mean(axis=1)
     if ctx.config.eval_mode == "fading_mc":
         # the measured INR stands in for the analytic one
-        counts, inr_lin = zip(*(
-            eval_fading_success(ctx.fading, traffic[t], ctx.m, ctx.b_seq[t],
-                                params.sinr_th, float(ctx.model.pi_b),
-                                eval_rng) for t in range(ctx.t_total)))
-        throughput = np.array([c.mean() for c in counts])
-        inr_lin = np.array(inr_lin)
+        throughput, inr_lin = eval_fading_success(
+            ctx.fading, traffic, ctx.m, ctx.b_seq, params.sinr_th,
+            float(ctx.model.pi_b), eval_rng)
     else:
         inr_lin, _ = control.inr_contributions(traffic, phi_b, ctx.model)
         throughput = control.throughput_lb(traffic, ctx.m, ip_true, is_true,

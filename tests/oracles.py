@@ -5,7 +5,9 @@ one candidate merge (``hierarchy._agglomerate`` scores every pair at once),
 the h-distance of one pair of cells (``compute_weights`` bins every pair in
 one pass), and one frame of the traffic rule with its two halves composed
 (``Simulation`` builds ``TrafficKernel.gain`` once per grid point and runs
-``TrafficKernel.step`` per frame).
+``TrafficKernel.step`` per frame), and one frame of Rayleigh evaluation with
+fresh arrays (``harness.eval_fading_success`` scores a grid point's frames
+in one call on buffers kept per trial).
 """
 
 import math
@@ -66,3 +68,60 @@ def decide(kernel, ip, is_, lam_phi) -> np.ndarray:
     out = np.empty(np.broadcast(ip, is_, kernel.upper).shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         return kernel.step(ip, is_, kernel.gain(ip, lam_phi), out)
+
+
+def eval_fading_frame(layout, traffic, m, b, sinr_th: float, pi_b: float,
+                      rng):
+    """One frame of per-user Rayleigh evaluation.
+
+    Draws Bernoulli access per SU from its cell traffic and unit-mean
+    exponential power gains per active link, and counts SINR-threshold
+    successes at the receivers of transmitting SUs, per cell.  Also returns
+    the realized SU-caused INR averaged over the expected number of active
+    PUs.
+    """
+    n_cells = layout.pl_pu_su.shape[0]
+    p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
+    act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
+    apu = np.flatnonzero(np.asarray(b) == 1)
+    su_counts = np.zeros(n_cells)
+    n_act, n_apu = len(act), len(apu)
+    # every link gain of the frame in one draw, in the block order
+    # SU->SU, PU->SU, SU->PU, PU->PU; no output reads the PU->PU block
+    gains = rng.exponential(size=(n_act + n_apu) ** 2)
+    ss, sp = n_act * n_act, n_act * n_apu
+    g_ss, g_ps = gains[:ss], gains[ss:ss + sp]
+    g_sp = gains[ss + sp:ss + 2 * sp]
+    su = None if n_act == len(layout.su_cell) else act  # None: every SU
+
+    if n_act:
+        sub = square_block(layout.pl_su_su, su) * g_ss.reshape(n_act, n_act)
+        own = sub.diagonal()
+        noise = 1.0 + (sub.sum(axis=0) - own)
+        if n_apu:  # adding the empty PU block's zeros changes nothing
+            noise = noise + (block(layout.pl_pu_su, apu, su)
+                             * g_ps.reshape(n_apu, n_act)).sum(axis=0)
+        ok = act[own / noise > sinr_th]
+        su_counts = np.bincount(layout.su_cell[ok],
+                                minlength=n_cells).astype(float)
+
+    inr = 0.0
+    if n_apu:
+        i_sp = (block(layout.pl_su_pu, su, apu)
+                * g_sp.reshape(n_act, n_apu)).sum(axis=0)
+        inr = float(i_sp.sum() / (n_cells * pi_b))
+    return su_counts, inr
+
+
+def block(matrix, rows, cols) -> np.ndarray:
+    """matrix[np.ix_(rows, cols)], gathered with take; None keeps an axis."""
+    matrix = matrix if rows is None else matrix.take(rows, axis=0)
+    return matrix if cols is None else matrix.take(cols, axis=1)
+
+
+def square_block(matrix, idx) -> np.ndarray:
+    """matrix[np.ix_(idx, idx)] of a C-ordered matrix in one flat take,
+    without the row block that two takes copy first; None keeps both axes."""
+    if idx is None:
+        return matrix
+    return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)

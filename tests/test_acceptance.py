@@ -184,22 +184,26 @@ def test_criterion_5_fading_success_calibration():
                           pl_su_su=np.array([[phi_own]]),
                           pl_pu_su=np.zeros((1, 1)),
                           pl_su_pu=np.zeros((1, 1)))
-    wins = sum(int(eval_fading_success(single, np.array([1.0]), np.array([1.0]),
-                                       np.array([0]), th, 0.05, rng)[0][0])
-               for _ in range(n))
+    # one cell, one SU: a frame's throughput is its success count
+    thr, _ = eval_fading_success(single, np.ones((n, 1)), np.array([1.0]),
+                                 np.zeros((n, 1), dtype=int), th, 0.05, rng)
+    wins = int(thr.sum())
     p1 = math.exp(-th / phi_own)
     err1 = abs(wins / n - p1)
     tol1 = 3 * math.sqrt(p1 * (1 - p1) / n)
 
     p_own, p_int = 25.0, 4.0
+    # SU 1's own link is cut, so it only interferes and every success is
+    # SU 0's; its draws and SU 0's SINR are unchanged
     two = FadingLayout(su_cell=np.array([0, 1]),
-                       pl_su_su=np.array([[p_own, p_int], [p_int, p_own]]),
+                       pl_su_su=np.array([[p_own, p_int], [p_int, 0.0]]),
                        pl_pu_su=np.zeros((2, 2)),
                        pl_su_pu=np.zeros((2, 2)))
-    wins2 = sum(int(eval_fading_success(two, np.ones(2), np.ones(2),
-                                        np.zeros(2, dtype=int), th, 0.05,
-                                        rng)[0][0])
-                for _ in range(n))
+    # both SUs always transmit; a frame's throughput is its successes over
+    # the two cells
+    thr2, _ = eval_fading_success(two, np.ones((n, 2)), np.ones(2),
+                                  np.zeros((n, 2), dtype=int), th, 0.05, rng)
+    wins2 = int(2 * thr2.sum())
     p2 = math.exp(-th / p_own) / (1 + th * p_int / p_own)
     err2 = abs(wins2 / n - p2)
     tol2 = 3 * math.sqrt(p2 * (1 - p2) / n)

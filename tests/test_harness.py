@@ -20,6 +20,7 @@ from hiersense.sensing import posterior_update, prior_propagate, \
     sample_detection_count
 from hiersense.topology import db_to_lin, frame_delays, lin_to_db, pathloss_db
 from hiersense import ControlParams, PathlossParams
+from tests.oracles import block, eval_fading_frame, square_block
 
 
 def small_config(**kw):
@@ -300,7 +301,7 @@ class FrameByFrame:
                 a, ip_true, is_true, ctx.m, ctx.phi_diag, ctx.model, self.params)))
 
         if cfg.eval_mode == "fading_mc":
-            counts, inr_lin = eval_fading_success(
+            counts, inr_lin = eval_fading_frame(
                 ctx.fading, a, ctx.m, b, self.params.sinr_th,
                 float(ctx.model.pi_b), self.eval_rng)
             throughput = float(counts.mean())
@@ -490,12 +491,11 @@ class TestFadingEvaluation:
                               pl_su_pu=np.zeros((1, 1)))
         th = 10 ** 0.5
         n = 40_000
-        wins = 0
-        for _ in range(n):
-            counts, _ = eval_fading_success(
-                layout, np.array([1.0]), np.array([1.0]), np.array([0]), th,
-                0.05, rng)
-            wins += int(counts[0])
+        # one cell, one SU: a frame's throughput is its success count
+        thr, _ = eval_fading_success(layout, np.ones((n, 1)), np.array([1.0]),
+                                     np.zeros((n, 1), dtype=int), th, 0.05,
+                                     rng)
+        wins = int(thr.sum())
         p = math.exp(-th / phi_own)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(wins / n - p) < 3 * sigma
@@ -504,22 +504,39 @@ class TestFadingEvaluation:
         # success probability with one Rayleigh interferer:
         #   exp(-th/p_own) / (1 + th * p_int / p_own)
         p_own, p_int = 25.0, 4.0
+        # SU 1's own link is cut, so it only interferes and every success
+        # is SU 0's; its draws and SU 0's SINR are unchanged
         layout = FadingLayout(
             su_cell=np.array([0, 1]),
-            pl_su_su=np.array([[p_own, p_int], [p_int, p_own]]),
+            pl_su_su=np.array([[p_own, p_int], [p_int, 0.0]]),
             pl_pu_su=np.zeros((2, 2)),
             pl_su_pu=np.zeros((2, 2)))
         th = 10 ** 0.5
         n = 40_000
-        wins = 0
-        for _ in range(n):
-            counts, _ = eval_fading_success(
-                layout, np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-                np.array([0, 0]), th, 0.05, rng)
-            wins += int(counts[0])
+        # both SUs always transmit; a frame's throughput is its successes
+        # over the two cells
+        thr, _ = eval_fading_success(layout, np.ones((n, 2)), np.ones(2),
+                                     np.zeros((n, 2), dtype=int), th, 0.05,
+                                     rng)
+        wins = int(2 * thr.sum())
         p = math.exp(-th / p_own) / (1 + th * p_int / p_own)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(wins / n - p) < 3 * sigma
+
+    def test_mismatched_shapes_rejected(self, rng):
+        layout = FadingLayout(su_cell=np.array([0, 1]),
+                              pl_su_su=np.ones((2, 2)),
+                              pl_pu_su=np.ones((2, 2)),
+                              pl_su_pu=np.ones((2, 2)))
+        traffic, m = np.ones((3, 2)), np.ones(2)
+        for busy in (np.ones((3, 3), dtype=int), np.ones((2, 2), dtype=int),
+                     np.ones(2, dtype=int)):
+            with pytest.raises(ValueError, match="shapes disagree"):
+                eval_fading_success(layout, traffic, m, busy, 3.16, 0.1, rng)
+        layout.pl_su_pu = np.ones((2, 3))
+        with pytest.raises(ValueError, match="shapes disagree"):
+            eval_fading_success(layout, traffic, m, np.ones((3, 2), dtype=int),
+                                3.16, 0.1, rng)
 
     def test_layout_respects_cell_quota(self):
         cfg = small_config(topology_kind="random", n_blockages=0,
@@ -542,8 +559,8 @@ class TestFadingEvaluation:
 
 
 def _eval_fading_by_blocks(layout, traffic, m, b, sinr_th, pi_b, rng):
-    """Oracle of eval_fading_success: one draw and one np.ix_ gather per
-    link block."""
+    """Oracle of eval_fading_frame: one draw and one np.ix_ gather per link
+    block."""
     n_cells = layout.pl_pu_su.shape[0]
     p = np.clip(np.asarray(traffic) / np.asarray(m), 0.0, 1.0)
     act = np.flatnonzero(rng.random(len(layout.su_cell)) < p[layout.su_cell])
@@ -590,8 +607,8 @@ class TestFadingMatchesBlockOracle:
             occupancy.append((pick.random(n) < 0.2).astype(int))
         for a in traffic:
             for b in occupancy:
-                got = eval_fading_success(ctx.fading, a, ctx.m, b, 3.16, 0.05,
-                                          rng)
+                got = eval_fading_frame(ctx.fading, a, ctx.m, b, 3.16, 0.05,
+                                        rng)
                 expect = _eval_fading_by_blocks(ctx.fading, a, ctx.m, b, 3.16,
                                                 0.05, ref_rng)
                 assert np.array_equal(got[0], expect[0])
@@ -611,13 +628,94 @@ class TestFadingMatchesBlockOracle:
         b[::3] = any_pu
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(3):
-            got = eval_fading_success(ctx.fading, traffic, ctx.m, b, 3.16,
-                                      0.05, rng)
+            got = eval_fading_frame(ctx.fading, traffic, ctx.m, b, 3.16,
+                                    0.05, rng)
             expect = _eval_fading_by_blocks(ctx.fading, traffic, ctx.m, b,
                                             3.16, 0.05, ref_rng)
             assert got[0].tobytes() == expect[0].tobytes()
             assert got[1] == expect[1]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestFadingBlockMatchesFrameOracle:
+    """eval_fading_success scores a block of frames as eval_fading_frame
+    scores them one by one, bit for bit, and leaves the stream where the
+    frames do."""
+
+    # SUs per cell: cell 0 holds one SU and cell 1 nine
+    PER_CELL = (1, 9, 2, 3, 4, 1, 5, 2, 3, 6, 2, 2)
+
+    @classmethod
+    def layout(cls):
+        n_cells = len(cls.PER_CELL)
+        n_su = sum(cls.PER_CELL)
+        pick = np.random.default_rng(4)
+        # gains over five decades, and own links three decades stronger,
+        # put SINRs on both sides of the threshold
+        pl = lambda *shape: 10.0 ** pick.uniform(-3.0, 2.0, shape)
+        su_su = pl(n_su, n_su)
+        su_su[np.diag_indices(n_su)] *= 1e3
+        return FadingLayout(su_cell=np.repeat(np.arange(n_cells), cls.PER_CELL),
+                            pl_su_su=su_su, pl_pu_su=pl(n_cells, n_su),
+                            pl_su_pu=pl(n_su, n_cells))
+
+    @staticmethod
+    def check(layout, access, busy, seed):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        m = np.ones(access.shape[1])
+        thr, inr = eval_fading_success(layout, access, m, busy, 3.16, 0.1, rng)
+        frames = [eval_fading_frame(layout, a, m, b, 3.16, 0.1, ref_rng)
+                  for a, b in zip(access, busy)]
+        assert thr.tobytes() == np.array([c.mean() for c, _ in frames]).tobytes()
+        assert inr.tobytes() == np.array([i for _, i in frames]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return thr, inr
+
+    def test_every_trap_then_smaller_frames_on_kept_buffers(self):
+        layout = self.layout()
+        n = len(self.PER_CELL)
+        pick = np.random.default_rng(11)
+        only = lambda cell: np.eye(n)[cell]  # every SU of one cell transmits
+        pus = lambda k: np.isin(np.arange(n), pick.choice(n, k, replace=False))
+        frames = [
+            (np.ones(n), pus(9)),     # every SU, 9 PUs: the largest frame
+            (np.zeros(n), pus(6)),    # no SU
+            (np.ones(n), pus(0)),     # every SU, no PU
+            (np.zeros(n), pus(0)),    # nothing active
+        ]
+        # (k, 1) blocks, whose axis-0 sums are pairwise: one SU under 10
+        # PUs (PU->SU), and nine SUs over one PU (SU->PU); then every PU,
+        # with the INR summed over 12.  Partial access with 8 or more PUs:
+        # the reused buffers hold larger frames' values, and sums run over
+        # 3 or more terms
+        for _ in range(4):
+            frames += [(only(0), pus(10)), (only(1), pus(1)),
+                       (only(1) + only(3), pus(12))]
+            frames += [(pick.uniform(0.2, 0.9, n), pus(k)) for k in (8, 3, 0)]
+        access, busy = (np.array(x) for x in zip(*frames))
+        thr, inr = self.check(layout, access, busy.astype(int), 0)
+        # SINRs fall on both sides of the threshold
+        assert 0 < thr[0] * n < sum(self.PER_CELL) and inr[0] > 0
+        assert thr[1] == thr[3] == inr[1] == inr[2] == inr[3] == 0.0
+        assert thr[4] == 1 / n and inr[4] > 0
+        kept = layout.buffers
+        assert len(kept[0]) == (sum(self.PER_CELL) + 9) ** 2
+        # smaller frames on the same layout reuse the grown buffers
+        access = pick.uniform(0.0, 0.3, (20, n))
+        busy = (pick.random((20, n)) < 0.5).astype(int)
+        self.check(layout, access, busy, 1)
+        assert all(a is b for a, b in zip(kept, layout.buffers))
+
+    def test_trial_layout(self):
+        cfg = small_config(topology_kind="random", n_blockages=0,
+                           population_mode="constant", m_per_cell=4,
+                           eval_mode="fading_mc", trials=1, master_seed=3)
+        layout = prepare_trial(cfg, 0).fading
+        pick = np.random.default_rng(3)
+        access = pick.uniform(0.0, 1.0, (30, cfg.n_cells)) \
+            * (pick.random((30, cfg.n_cells)) < 0.5)
+        busy = (pick.random((30, cfg.n_cells)) < 0.3).astype(int)
+        self.check(layout, access, busy, 2)
 
 
 def _fill_cells_per_point(centers, area, quota, rng, max_batches=20000):
@@ -755,9 +853,9 @@ class TestSquareGatherMatchesBlock:
         for n_act in (1, 2, 17, 39, 40):
             for _ in range(3):
                 act = np.sort(rng.choice(40, n_act, replace=False))
-                assert harness._square_block(matrix, act).tobytes() == \
-                    harness._block(matrix, act, act).tobytes()
-        assert harness._square_block(matrix, None) is matrix
+                assert square_block(matrix, act).tobytes() == \
+                    block(matrix, act, act).tobytes()
+        assert square_block(matrix, None) is matrix
 
 
 class TestSweepOutput:
