@@ -9,24 +9,29 @@ cell, at N = 64 and 256 only, since its SU->SU block alone would take
 (``fading_eval_s``: ``harness.eval_fading_success`` on every frame of a
 trial with ten SUs per cell, once at low and once at high traffic, at
 N = 64 without blockages only, since ``fading_mc`` models none; revisions
-that score one frame per call are called frame by frame), and one
-per-frame stage: the ``run_trial_point`` time of an IBT scheme with
-hierarchical SU interference divided by its frame count (``frame_s``:
-deciding and scoring every frame of one grid point, on a trial built by
-``prepare_trial`` at the same N and blockage count).
+that score one frame per call are called frame by frame), a trial's
+histories (``histories_s``: ``harness._simulate_occupancy`` and
+``harness._simulate_sensing`` with noisy sensing, ten SUs per cell and 100
+frames, at N = 64 and 256), and one per-frame stage: the
+``run_trial_point`` time of an IBT scheme with hierarchical SU interference
+divided by its frame count (``frame_s``: deciding and scoring every frame
+of a grid point, the median over ``FRAME_LAMBDAS``' grid points, on a trial
+built by ``prepare_trial`` at the same N and blockage count).
 Both sides run in one call: a parent revision
 (extracted with ``git archive``) and the working tree's ``src/``.  Each
 repetition runs one worker process per side, and the side that runs first
 alternates between repetitions, so host load and cache warmth hit both
 sides alike.  Each worker first runs every stage once at the smallest
-size, with and without blockages, untimed, so that lazy imports and other
-first-call costs do not show as the time of whichever stage meets them
-first.  Every worker also hashes the LOS matrix, the tree JSON, the
-fading layout's arrays, the fading evaluation's throughput and INR and the
-frame stage's traffic trajectory, and the run records whether both sides
-built identical outputs.
+size, with and without blockages, and the fading layout and the histories
+at each of their sizes, untimed, so that lazy imports and other first-call
+costs, such as the first fault-in of a size's blocks, do not show as the
+time of whichever stage meets them first.  Every worker also hashes the LOS
+matrix, the tree JSON, the fading layout's arrays, the fading evaluation's
+throughput and INR, the histories and the frame stage's traffic
+trajectories, and the run records whether both sides built identical
+outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_17.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_18.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -53,16 +58,21 @@ REPS = 5
 CELL_SIDE_M = 133.3
 MU = 0.9
 GAMMA_DELAY = 0.005
-FRAMES = 100  # measured frames of the frame stage, after the tree's warm-up
-LAMBDA = 0.01
+FRAMES = 100  # measured frames of the frame and histories stages
+# the frame stage's grid points: a rep reads the median of their per-frame
+# times, steadier than one point's ~100 frames
+FRAME_LAMBDAS = (0.005, 0.0075, 0.01, 0.015, 0.02)
 SU_PER_CELL = 10  # the fading layout stage's M
 FADING_SIZES = (64, 256)  # the N at which the fading layout is timed
 FADING_EVAL_SIZES = (64,)  # the N at which the fading evaluation is timed
+HISTORY_SIZES = (64, 256)  # the N at which the histories are timed
+NU1, NU0 = 0.005, 0.095  # the histories' occupancy chain: mu = MU
+EPS_F, EPS_M = 0.05, 0.1  # the histories' noisy sensing
 # each SU's access probability in the fading evaluation stage: a few SUs
 # per frame, bound by per-call overhead, or half of them, bound by the draws
 FADING_EVAL_ACCESS = {"low": 0.01, "high": 0.5}
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
-          "fading_layout_s", "fading_eval_s", "frame_s")
+          "fading_layout_s", "fading_eval_s", "histories_s", "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -77,7 +87,8 @@ def _timed(fn, *args, **kwargs):
 
 def _frame_stage(n: int, blockages: int, side: float):
     """run_trial_point seconds per frame of an IBT scheme with hierarchical
-    SU interference, and the bytes of its traffic trajectory."""
+    SU interference, the median over the grid points of ``FRAME_LAMBDAS``,
+    and the bytes of their traffic trajectories."""
     import numpy as np
     from hiersense import ExperimentConfig, SchemeSpec, harness
 
@@ -85,18 +96,38 @@ def _frame_stage(n: int, blockages: int, side: float):
         n_cells=n, area=(side, side), n_blockages=blockages,
         schemes=(SchemeSpec("ibt", "ibt", gamma_delay=GAMMA_DELAY),),
         is_mode="hierarchical", frames=FRAMES, trials=1, master_seed=0,
-        lambda_grid=(LAMBDA,))
+        lambda_grid=FRAME_LAMBDAS)
     ctx = harness.prepare_trial(cfg, 0)
     # revisions that build the estimate inside Simulation take no ip_seq
     ip_seq = (harness.scheme_ip_sequence(ctx, ctx.runtimes[0]),) \
         if hasattr(harness, "scheme_ip_sequence") else ()
+    per_frame, out = [], []
+    for grid_idx, lam in enumerate(FRAME_LAMBDAS):
+        t0 = time.perf_counter()
+        frames, _ = harness.run_trial_point(ctx, 0, lam, grid_idx, *ip_seq)
+        per_frame.append((time.perf_counter() - t0) / ctx.t_total)
+        # an array-form record, or one FrameMetrics per frame
+        traffic = frames.traffic if hasattr(frames, "traffic") \
+            else np.stack([f.traffic for f in frames])
+        out.append(traffic.tobytes())
+    return statistics.median(per_frame), b"".join(out)
+
+
+def _histories_stage(n: int):
+    """Seconds to build a trial's occupancy and noisy sensing histories of
+    ``FRAMES`` frames at N = n, and the bytes of both."""
+    import numpy as np
+    from hiersense import OccupancyModel, SensorModel, harness
+
+    model, sensor = OccupancyModel(NU1, NU0), SensorModel(EPS_F, EPS_M)
+    m = np.full(n, float(SU_PER_CELL))
     t0 = time.perf_counter()
-    frames, _ = harness.run_trial_point(ctx, 0, LAMBDA, 0, *ip_seq)
+    b_seq = harness._simulate_occupancy(model, n, FRAMES,
+                                        np.random.default_rng(0))
+    post = harness._simulate_sensing(model, sensor, m, b_seq,
+                                     np.random.default_rng(1))
     seconds = time.perf_counter() - t0
-    # an array-form record, or one FrameMetrics per frame
-    traffic = frames.traffic if hasattr(frames, "traffic") \
-        else np.stack([f.traffic for f in frames])
-    return seconds / ctx.t_total, traffic.tobytes()
+    return seconds, b_seq.tobytes() + post.tobytes()
 
 
 def _fading_layout_stage(topo):
@@ -167,24 +198,35 @@ def _measure(n: int, b: int) -> dict:
         if n in FADING_SIZES else (None, b"")
     fading_eval_s, scores = _fading_eval_stage(n, side) \
         if n in FADING_EVAL_SIZES and b == 0 else (None, b"")
+    histories_s, histories = _histories_stage(n) \
+        if n in HISTORY_SIZES else (None, b"")
     frame_s, traffic = _frame_stage(n, b, side)
     digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
     for tree in (ibt, rt):
         digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
     digest.update(fading)
     digest.update(scores)
+    digest.update(histories)
     digest.update(traffic)
     return {"n": n, "blockages": b, "los_s": los_s, "phi_s": phi_s,
             "build_ibt_s": ibt_s, "build_rt_s": rt_s, "weights_s": weights_s,
             "fading_layout_s": fading_s, "fading_eval_s": fading_eval_s,
-            "frame_s": frame_s,
+            "histories_s": histories_s, "frame_s": frame_s,
             "output_sha256": digest.hexdigest()}
 
 
 def worker() -> list[dict]:
     """Time every stage once per (N, B); runs inside one side's process."""
+    from hiersense import build_topology
+
     for b in (0, max(BLOCKAGES)):  # warm-up of every stage, not recorded
         _measure(min(SIZES), b)
+    for n in FADING_SIZES:  # and of each size of the per-size stages
+        side = CELL_SIDE_M * n ** 0.5
+        _fading_layout_stage(build_topology("grid", n, (side, side), 0,
+                                            rng_seed=0))
+    for n in HISTORY_SIZES:
+        _histories_stage(n)
     return [_measure(n, b) for n in SIZES for b in BLOCKAGES]
 
 
@@ -285,8 +327,9 @@ def main(argv=None) -> int:
     record = {
         "what": "trial set-up stage times, the fading SU layout time, the "
                 "fading evaluation time of one grid point at low and high "
-                "access, and the hierarchical-IS frame time "
-                "(run_trial_point per frame: decide and score), parent vs "
+                "access, the occupancy and noisy sensing history time, and "
+                "the hierarchical-IS frame time (run_trial_point per frame: "
+                "decide and score, median over grid points), parent vs "
                 "change, grid layouts",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
@@ -297,9 +340,14 @@ def main(argv=None) -> int:
                        "rng_seed": 0}, "fading_eval": {
                        "sizes": FADING_EVAL_SIZES, "m_per_cell": SU_PER_CELL,
                        "frames": FRAMES, "access": FADING_EVAL_ACCESS,
-                       "master_seed": 0, "rng_seed": 0}, "frame_stage": {
-                       "frames": FRAMES, "lambda": LAMBDA, "master_seed": 0,
-                       "is_mode": "hierarchical"}},
+                       "master_seed": 0, "rng_seed": 0}, "histories": {
+                       "sizes": HISTORY_SIZES, "frames": FRAMES,
+                       "nu1": NU1, "nu0": NU0, "eps_f": EPS_F,
+                       "eps_m": EPS_M, "m_per_cell": SU_PER_CELL,
+                       "rng_seeds": {"occupancy": 0, "sensing": 1}},
+                   "frame_stage": {
+                       "frames": FRAMES, "lambdas": FRAME_LAMBDAS,
+                       "master_seed": 0, "is_mode": "hierarchical"}},
         "machine": _machine(),
         "host_load": {"loadavg_before": load_before,
                       "loadavg_after": load_after},

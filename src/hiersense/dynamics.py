@@ -60,10 +60,22 @@ def sample_steady_state(model: OccupancyModel, n_cells: int, rng) -> OccupancySt
 
 def step_occupancy(model: OccupancyModel, state: OccupancyState, rng) -> OccupancyState:
     """Advance every cell one frame under the (nu1, nu0) transition law."""
-    u = rng.random(len(state.b))
-    occupied = state.b == 1
-    nxt = np.where(occupied, u >= float(model.nu0), u < float(model.nu1))
-    return OccupancyState(b=nxt.astype(np.int8), t=state.t + 1)
+    nxt = occupancy_chain(model, state.b, rng.random((1, len(state.b))))[1]
+    return OccupancyState(b=nxt, t=state.t + 1)
+
+
+def occupancy_chain(model: OccupancyModel, b0, u) -> np.ndarray:
+    """(len(u) + 1, cells) int8 occupancy rows: ``b0``, then one frame per
+    row of uniforms ``u``.  An occupied cell stays occupied when its draw is
+    at least nu0, and an empty one becomes occupied when it is below nu1."""
+    stay = u >= float(model.nu0)
+    arrive = u < float(model.nu1)
+    rows = np.empty((len(u) + 1, len(b0)), dtype=np.int8)
+    rows[0] = b0
+    occupied = rows.view(bool)  # the rows hold only 0 and 1
+    for t in range(len(u)):
+        rows[t + 1] = np.where(occupied[t], stay[t], arrive[t])
+    return rows
 
 
 def k_step_marginal(model: OccupancyModel, b_prob, delta: int):

@@ -31,14 +31,16 @@ import numpy as np
 from . import control
 from .aggregation import RunningRingSums
 from .config import ConfigError, ExperimentConfig, SchemeSpec
-from .dynamics import OccupancyModel, sample_steady_state, step_occupancy
+from .dynamics import OccupancyModel, occupancy_chain, sample_steady_state
 from .hierarchy import AggregationTree, build_ibt, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
                         estimate_is_oracle)
-# the frame loop inlines it; perfbench/tracer.py wraps it under this name
+from .sensing import SensorModel, filter_posteriors, sample_detection_count
+# set-up and the frame loop run block forms of these; perfbench/tracer.py
+# wraps them under these names
+from .dynamics import step_occupancy  # noqa: F401
 from .inference import estimate_is_hierarchical  # noqa: F401
-from .sensing import SensorModel, posterior_update, prior_propagate, \
-    sample_detection_count
+from .sensing import posterior_update, prior_propagate  # noqa: F401
 from .topology import (InterferenceMatrix, NetworkTopology, PathlossParams,
                        build_topology, compute_phi, db_to_lin, frame_delays,
                        lin_to_db, pathloss_db)
@@ -130,12 +132,9 @@ def occupancy_products(b_seq, coupling, phi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simulate_occupancy(model, n_cells, t_total, rng) -> np.ndarray:
-    state = sample_steady_state(model, n_cells, rng)
-    rows = [state.b]
-    for _ in range(t_total - 1):
-        state = step_occupancy(model, state, rng)
-        rows.append(state.b)
-    return np.stack(rows)
+    b0 = sample_steady_state(model, n_cells, rng).b
+    # one block in C order holds the draws of t_total - 1 step_occupancy calls
+    return occupancy_chain(model, b0, rng.random((t_total - 1, n_cells)))
 
 
 def _simulate_sensing(model: OccupancyModel, sensor: SensorModel, m,
@@ -143,18 +142,11 @@ def _simulate_sensing(model: OccupancyModel, sensor: SensorModel, m,
     """Posterior occupancy estimates per cell and frame."""
     if sensor.noiseless:
         return b_seq.astype(float)
-    t_total, n = b_seq.shape
     m_int = m.astype(int)
-    out = np.empty((t_total, n))
-    prior = np.full(n, float(model.pi_b))
     # one binomial draw fills the whole block in C order, frame by frame, so
     # it takes the draws that one call per frame would
     xi_seq = sample_detection_count(sensor, b_seq, m_int, rng)
-    for t in range(t_total):
-        post = posterior_update(sensor, prior, xi_seq[t], m_int)
-        out[t] = post
-        prior = np.asarray(prior_propagate(model, post), dtype=float)
-    return out
+    return filter_posteriors(model, sensor, xi_seq, m_int)
 
 
 def _fill_cells_uniform(centers, area, quota, rng, max_batches=20000):

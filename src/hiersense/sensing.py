@@ -51,6 +51,29 @@ def _log_likelihood(xi, m, p):
     return t_hit + t_miss
 
 
+def _count_log_likelihoods(model: SensorModel, xi, m):
+    """log P(xi | occupied) and log P(xi | empty) of detection counts."""
+    if ((xi < 0) | (xi > m)).any():
+        raise ValueError("detection count must lie in [0, m]")
+    return (_log_likelihood(xi, m, 1.0 - model.eps_m),
+            _log_likelihood(xi, m, model.eps_f))
+
+
+def _combine(prior, log_l1, log_l0):
+    """Posterior from a prior and the two hypotheses' log-likelihoods."""
+    if ((prior < 0) | (prior > 1)).any():
+        raise ValueError("prior must lie in [0, 1]")
+    with np.errstate(divide="ignore"):
+        log_num = np.log(prior) + log_l1
+        log_alt = np.log(1.0 - prior) + log_l0
+    log_evidence = np.logaddexp(log_num, log_alt)
+    # -inf exactly where both terms are -inf: a 0/0 posterior
+    if np.isneginf(log_evidence).any():
+        raise ValueError("observation impossible under both hypotheses "
+                         "(inconsistent sensor model or detection count)")
+    return np.exp(log_num - log_evidence)
+
+
 def posterior_update(model: SensorModel, prior, xi, m):
     """Bayes update of the occupancy belief from a detection count.
 
@@ -58,27 +81,27 @@ def posterior_update(model: SensorModel, prior, xi, m):
     underflow.  An observation impossible under both hypotheses (0/0
     posterior) signals an inconsistent model and raises.
     """
-    prior_arr = np.asarray(prior, dtype=float)
-    xi_arr = np.asarray(xi)
-    m_arr = np.asarray(m)
-    if ((xi_arr < 0) | (xi_arr > m_arr)).any():
-        raise ValueError("detection count must lie in [0, m]")
-    if ((prior_arr < 0) | (prior_arr > 1)).any():
-        raise ValueError("prior must lie in [0, 1]")
-
-    log_l1 = _log_likelihood(xi_arr, m_arr, 1.0 - model.eps_m)
-    log_l0 = _log_likelihood(xi_arr, m_arr, model.eps_f)
-    with np.errstate(divide="ignore"):
-        log_num = np.log(prior_arr) + log_l1
-        log_alt = np.log(1.0 - prior_arr) + log_l0
-    degenerate = np.isneginf(log_num) & np.isneginf(log_alt)
-    if degenerate.any():
-        raise ValueError("observation impossible under both hypotheses "
-                         "(inconsistent sensor model or detection count)")
-    post = np.exp(log_num - np.logaddexp(log_num, log_alt))
+    log_l1, log_l0 = _count_log_likelihoods(model, np.asarray(xi),
+                                            np.asarray(m))
+    post = _combine(np.asarray(prior, dtype=float), log_l1, log_l0)
     return float(post) if post.ndim == 0 else post
 
 
 def prior_propagate(model: OccupancyModel, posterior):
     """Push the posterior one frame forward through the occupancy chain."""
     return k_step_marginal(model, posterior, 1)
+
+
+def filter_posteriors(model: OccupancyModel, sensor: SensorModel, xi_seq, m
+                      ) -> np.ndarray:
+    """(frames, cells) posteriors of a run of detection counts, from the
+    steady-state prior: :func:`posterior_update` then
+    :func:`prior_propagate`, frame by frame.  The count checks and
+    likelihoods, which read no prior, are done once for the whole block."""
+    log_l1, log_l0 = _count_log_likelihoods(sensor, xi_seq, m)
+    out = np.empty(xi_seq.shape)
+    prior = np.full(xi_seq.shape[1], float(model.pi_b))
+    for t in range(len(out)):
+        out[t] = post = _combine(prior, log_l1[t], log_l0[t])
+        prior = np.asarray(prior_propagate(model, post), dtype=float)
+    return out

@@ -16,7 +16,12 @@ import numpy as np
 
 def db_to_lin(x):
     """Convert dB (power ratio) to linear scale."""
-    return 10.0 ** (np.asarray(x, dtype=float) / 10.0)
+    lin = np.asarray(x, dtype=float) / 10.0
+    if not isinstance(lin, np.ndarray):
+        # numpy's scalar power, which can differ from its array loop's in
+        # the last bit
+        return 10.0 ** lin
+    return np.power(10.0, lin, out=lin)
 
 
 def lin_to_db(x):
@@ -298,9 +303,15 @@ def pathloss_db(params: PathlossParams, distance_m, los) -> np.ndarray:
     reference distance; distances are taken as-is (callers clamp if needed).
     """
     d = np.asarray(distance_m, dtype=float)
-    alpha = np.where(np.asarray(los, dtype=bool), params.alpha_los, params.alpha_nlos)
-    return (params.tx_power_dbm - params.noise_power_dbm - params.ref_loss_db
-            - alpha * 10.0 * np.log10(d / params.ref_distance_m))
+    los = np.asarray(los, dtype=bool)
+    out = np.empty(np.broadcast_shapes(d.shape, los.shape))
+    np.divide(d, params.ref_distance_m, out=out)
+    np.log10(out, out=out)
+    # alpha * 10 takes one of two values: a 0-d factor for a scalar LOS flag
+    out *= np.where(los, params.alpha_los * 10.0, params.alpha_nlos * 10.0)
+    np.subtract(params.tx_power_dbm - params.noise_power_dbm
+                - params.ref_loss_db, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def compute_phi(topology: NetworkTopology, params: PathlossParams) -> InterferenceMatrix:

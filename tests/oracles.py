@@ -7,7 +7,9 @@ one pass), and one frame of the traffic rule with its two halves composed
 (``Simulation`` builds ``TrafficKernel.gain`` once per grid point and runs
 ``TrafficKernel.step`` per frame), and one frame of Rayleigh evaluation with
 fresh arrays (``harness.eval_fading_success`` scores a grid point's frames
-in one call on buffers kept per trial).
+in one call on buffers kept per trial), and the pathloss law and the dB
+conversion with a fresh array per operation (``topology.pathloss_db`` and
+``db_to_lin`` work in place on one output).
 """
 
 import math
@@ -125,3 +127,17 @@ def square_block(matrix, idx) -> np.ndarray:
     if idx is None:
         return matrix
     return matrix.ravel().take(idx[:, None] * matrix.shape[1] + idx)
+
+
+def pathloss_db_fresh(params, distance_m, los):
+    """INR in dB of ``topology.pathloss_db``, one fresh array per operation."""
+    d = np.asarray(distance_m, dtype=float)
+    alpha = np.where(np.asarray(los, dtype=bool), params.alpha_los,
+                     params.alpha_nlos)
+    return (params.tx_power_dbm - params.noise_power_dbm - params.ref_loss_db
+            - alpha * 10.0 * np.log10(d / params.ref_distance_m))
+
+
+def db_to_lin_fresh(x):
+    """``topology.db_to_lin`` with a fresh array per operation."""
+    return 10.0 ** (np.asarray(x, dtype=float) / 10.0)

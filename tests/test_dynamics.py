@@ -45,6 +45,21 @@ class TestSampling:
             state = nxt
         assert state.t == 10
 
+    @pytest.mark.parametrize("nu1, nu0", [
+        (0.005, 0.095), (0.3, 0.7), (0.05, 0.0),
+        (Fraction(1, 50), Fraction(9, 50))])
+    def test_step_is_the_transition_law(self, nu1, nu0):
+        model = OccupancyModel(nu1, nu0)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        b = rng.integers(0, 2, 500).astype(np.int8)
+        ref_rng.integers(0, 2, 500)
+        nxt = step_occupancy(model, OccupancyState(b=b, t=4), rng)
+        u = ref_rng.random(500)
+        expect = np.where(b == 1, u >= float(nu0), u < float(nu1))
+        assert nxt.t == 5 and nxt.b.dtype == np.int8
+        assert nxt.b.tobytes() == expect.astype(np.int8).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_memoryless_chain_forgets_state(self, rng):
         # nu1 + nu0 = 1 makes the next state i.i.d. Bernoulli(pi_b)
         model = OccupancyModel(0.3, 0.7)

@@ -1,6 +1,8 @@
 import copy
 import math
+import re
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +14,19 @@ from hiersense import (ConfigError, ExperimentConfig, HierarchicalExchange,
                        estimate_ip, eval_fading_success, harness,
                        run_experiment, throughput_lb)
 from hiersense.config import _SECTION_KEYS, SCHEME_KINDS
+from hiersense.dynamics import (OccupancyModel, sample_steady_state,
+                                step_occupancy)
 from hiersense.harness import (FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
                                scheme_ip_sequence)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
-from hiersense.sensing import posterior_update, prior_propagate, \
-    sample_detection_count
-from hiersense.topology import db_to_lin, frame_delays, lin_to_db, pathloss_db
+from hiersense.sensing import (SensorModel, filter_posteriors,
+                               posterior_update, prior_propagate,
+                               sample_detection_count)
+from hiersense.topology import frame_delays, lin_to_db
 from hiersense import ControlParams, PathlossParams
-from tests.oracles import block, eval_fading_frame, square_block
+from tests.oracles import (block, db_to_lin_fresh, eval_fading_frame,
+                           pathloss_db_fresh, square_block)
 
 
 def small_config(**kw):
@@ -763,11 +769,12 @@ class TestFillCellsMatchesPointLoop:
 
 
 def _pl_linear_broadcast(params, tx_pos, rx_pos):
-    """Oracle of the user-link pathloss: 3-D broadcast distances and an
-    all-LOS mask."""
+    """Oracle of the user-link pathloss: 3-D broadcast distances, an
+    all-LOS mask and a fresh array per operation."""
     d = np.sqrt(((tx_pos[:, None, :] - rx_pos[None, :, :]) ** 2).sum(-1))
     d = np.maximum(d, 1.0)
-    return db_to_lin(pathloss_db(params, d, np.ones_like(d, dtype=bool)))
+    return db_to_lin_fresh(pathloss_db_fresh(params, d,
+                                             np.ones_like(d, dtype=bool)))
 
 
 def _fading_layout_by_broadcast(config, topology, rng):
@@ -833,9 +840,10 @@ def _simulate_sensing_per_frame(model, sensor, m, b_seq, rng):
 
 
 class TestSensingMatchesPerFrameDraws:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_posteriors_and_draws(self, seed):
-        cfg = small_config(population_mode="constant", eps_f=0.05, eps_m=0.1)
+    @staticmethod
+    def check(seed, eps_f=0.05, eps_m=0.1):
+        cfg = small_config(population_mode="constant", eps_f=eps_f,
+                           eps_m=eps_m)
         model, sensor = cfg.occupancy_model(), cfg.sensor_model()
         pick = np.random.default_rng(seed)
         m = pick.integers(1, 30, cfg.n_cells).astype(float)  # uneven heads
@@ -843,6 +851,55 @@ class TestSensingMatchesPerFrameDraws:
         rng, ref_rng = (np.random.default_rng(seed + 10) for _ in range(2))
         got = harness._simulate_sensing(model, sensor, m, b_seq, rng)
         expect = _simulate_sensing_per_frame(model, sensor, m, b_seq, ref_rng)
+        assert got.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_posteriors_and_draws(self, seed):
+        self.check(seed)
+
+    @pytest.mark.parametrize("eps_f, eps_m", [
+        (0.0, 0.1),  # no false alarm: any detection proves occupancy
+        (0.05, 0.0)])  # no miss: a silent cell is proven empty
+    def test_one_sided_sensors(self, eps_f, eps_m):
+        self.check(3, eps_f, eps_m)
+
+    def test_same_errors_as_posterior_update(self, paper_model):
+        sensor, m = SensorModel(0.0, 0.0), np.array([4, 4])
+        # two of four noiseless detections, then a count above m
+        for xi in (np.array([[4, 0], [2, 4]]), np.array([[4, 5], [4, 4]])):
+            with pytest.raises(ValueError) as expect:
+                prior = np.full(2, float(paper_model.pi_b))
+                for row in xi:
+                    post = posterior_update(sensor, prior, row, m)
+                    prior = prior_propagate(paper_model, post)
+            with pytest.raises(ValueError, match=re.escape(str(expect.value))):
+                filter_posteriors(paper_model, sensor, xi, m)
+
+
+def _simulate_occupancy_per_step(model, n_cells, t_total, rng):
+    """Oracle of _simulate_occupancy: one step_occupancy call per frame."""
+    state = sample_steady_state(model, n_cells, rng)
+    rows = [state.b]
+    for _ in range(t_total - 1):
+        state = step_occupancy(model, state, rng)
+        rows.append(state.b)
+    return np.stack(rows)
+
+
+class TestOccupancyMatchesPerStep:
+    @pytest.mark.parametrize("nu1, nu0, t_total", [
+        (0.01, 0.09, 60),
+        (0.3, 0.7, 40),  # mu = 0: no memory
+        (0.05, 0.0, 40),  # nu0 = 0: an occupied cell stays occupied
+        (Fraction(1, 50), Fraction(9, 50), 40),
+        (0.01, 0.09, 1)])  # frame 0 alone takes no step draws
+    def test_same_rows_and_draws(self, nu1, nu0, t_total):
+        model = OccupancyModel(nu1, nu0)
+        rng, ref_rng = (np.random.default_rng(t_total) for _ in range(2))
+        got = harness._simulate_occupancy(model, 33, t_total, rng)
+        expect = _simulate_occupancy_per_step(model, 33, t_total, ref_rng)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -86,6 +86,28 @@ class TestPosteriorUpdate:
                    for p, x, m in zip(priors, xis, ms)]
         assert np.allclose(vec, scalars, atol=0, rtol=1e-15)
 
+    def test_equals_the_log_space_formula(self, rng):
+        # the Bayes combine written out, with a fresh array per operation
+        model = SensorModel(0.15, 0.05)
+        # small priors round in 1 - prior, so log1p(-prior) would differ
+        priors = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 100),
+                                 10.0 ** rng.uniform(-12.0, 0.0, 200)])
+        ms = rng.integers(1, 30, priors.size)
+        xis = rng.integers(0, ms + 1)
+
+        def log_lik(p):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (np.where(xis > 0, xis * np.log(p), 0.0)
+                        + np.where(ms - xis > 0, (ms - xis) * np.log1p(-p),
+                                   0.0))
+
+        with np.errstate(divide="ignore"):
+            log_num = np.log(priors) + log_lik(1.0 - model.eps_m)
+            log_alt = np.log(1.0 - priors) + log_lik(model.eps_f)
+        expect = np.exp(log_num - np.logaddexp(log_num, log_alt))
+        got = posterior_update(model, priors, xis, ms)
+        assert got.tobytes() == expect.tobytes()
+
     @given(st.floats(0.01, 0.99), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_count(self, prior, m):
