@@ -123,33 +123,24 @@ class RunningRingSums:
 
     Row r of one (frames, clusters) array holds frame r - 1 - reach (reach:
     the sum over levels of the longest edge delay), each level's clusters
-    after those of the level below; gathers are flat offsets from a row.
-    Rows before frame 0 hold the cluster size times ``pre``, each cell's
-    pre-start value.  Committing a frame fuses its row in the exchange's
-    order, one gather and one reduceat per level, so the ring sums of a
-    committed frame equal the exchange's ``sigma_all`` bit for bit.
+    after those of the level below; gathers are flat offsets from a row,
+    taken from the tree's :attr:`~AggregationTree.ring_sum_plan`, which
+    engines on one tree share.  Rows before frame 0 hold the cluster size
+    times ``pre``, each cell's pre-start value.  Committing one frame fuses
+    its row in one gather and one reduceat per run of levels: a level whose
+    edge delays are all >= 1 reads only rows of earlier frames, so it joins
+    the run of the level below.  Each cluster sums the same values in the
+    same order as the exchange, so the ring sums of a committed frame equal
+    its ``sigma_all`` bit for bit.
     """
 
     def __init__(self, tree: AggregationTree, n_frames: int, pre: float = 0.0):
-        size = np.array([len(c.members) for lv in tree.levels for c in lv])
-        self._width = width = len(size)
-        off = np.cumsum([0] + [len(level) for level in tree.levels])
+        self._plan = plan = tree.ring_sum_plan
+        self._width = len(plan.size)
         self._origin = -1 - tree.total_edge_delay_sum
-        self._agg = np.empty((n_frames - self._origin, width))
-        self._agg[:-self._origin] = size * float(pre)
+        self._agg = np.empty((n_frames - self._origin, self._width))
+        self._agg[:-self._origin] = plan.size * float(pre)
         self._flat = self._agg.reshape(-1)
-        # level L fuses its children's aggregates at their edge delays
-        self._plan = [(-lag * width + off[lvl - 1] + idx, seg, off[lvl],
-                       off[lvl + 1])
-                      for lvl, (idx, lag, seg) in enumerate(tree.fusion_plan(),
-                                                            start=1)]
-        # ring L of a cell: its level-L head's aggregate now, minus its
-        # level-(L-1) head's aggregate one edge delay earlier
-        edge = tree.delta[1:] - tree.delta[:-1]
-        self._own = np.ascontiguousarray((off[:-1, None] + tree.cluster_of).T)
-        self._own_outer = np.ascontiguousarray(self._own[:, 1:])
-        self._sub = np.ascontiguousarray(
-            (-edge * width + off[:-2, None] + tree.cluster_of[:-1]).T)
         self._n_cells = tree.n_cells
         self.t = -1
 
@@ -157,45 +148,50 @@ class RunningRingSums:
         """Append the next frame's local values, (n_cells,), or the next
         frames', (frames, n_cells), and fuse their aggregates.
 
-        A block fuses level by level over all of its rows: edge delays are
-        >= 0, so a level reads only rows of the level below that are
-        already fused, and each row's sums are the ones a frame-by-frame
-        commit makes.
+        A block fuses level by level over all of its rows, since its rows
+        read each other: edge delays are >= 0, so a level reads only rows
+        of the level below that are already fused, and each row's sums are
+        the ones a frame-by-frame commit makes.
         """
         values = np.asarray(values, dtype=float)
         first = self.t + 1 - self._origin
+        # gathers for frame t are offsets from row t + 1 (see ring_sum_plan)
         if values.ndim == 1:
-            n, rows, at = 1, self._agg[first], first * self._width
-        else:
-            n = len(values)
-            rows = self._agg[first:first + n]
-            at = np.arange(first, first + n)[:, None] * self._width
-        rows[..., :self._n_cells] = values
-        flat = self._flat
-        for base, seg, start, stop in self._plan:
-            np.add.reduceat(flat.take(base + at), seg, axis=-1,
-                            out=rows[..., start:stop])
+            row = self._agg[first]
+            row[:self._n_cells] = values
+            view = self._flat[(self.t + 2) * self._width:]
+            for idx, seg, start, stop in self._plan.runs:
+                np.add.reduceat(view.take(idx), seg, out=row[start:stop])
+            self.t += 1
+            return
+        n = len(values)
+        rows = self._agg[first:first + n]
+        rows[:, :self._n_cells] = values
+        at = np.arange(self.t + 2, self.t + 2 + n)[:, None] * self._width
+        for idx, seg, start, stop in self._plan.levels:
+            np.add.reduceat(self._flat.take(idx + at), seg, axis=1,
+                            out=rows[:, start:stop])
         self.t += n
 
-    def _rows(self, frames) -> np.ndarray:
-        """Row indices of frames from -1 to the last commit."""
+    def _frames(self, frames) -> np.ndarray:
+        """Frames from -1 to the last commit, as an array."""
         frames = np.asarray(frames, dtype=int)
         if (frames < -1).any() or (frames > self.t).any():
             raise ValueError(f"frame {frames.tolist()} not committed "
                              f"(last is {self.t})")
-        return frames - self._origin
+        return frames
 
     def aggregates(self, t: int) -> np.ndarray:
         """Every cluster's aggregate at committed frame t, level by level,
         each level's clusters in index order."""
-        return self._agg[self._rows(t)].copy()
+        return self._agg[self._frames(t) - self._origin].copy()
 
     def ring_sums(self, frames) -> np.ndarray:
         """(n_cells, depth+1) ring sums at a frame, or (frames, n_cells,
         depth+1) at an array of frames, each from -1 to the last commit."""
-        at = (self._rows(frames) * self._width)[..., None, None]
-        sigma = self._flat.take(at + self._own)
-        sigma[..., 1:] -= self._flat.take(at + self._sub)
+        at = ((self._frames(frames) + 1) * self._width)[..., None, None]
+        sigma = self._flat.take(at + self._plan.own)
+        sigma[..., 1:] -= self._flat.take(at + self._plan.sub)
         return sigma
 
     def outer_ring_sums(self, t: int) -> np.ndarray:
@@ -203,10 +199,9 @@ class RunningRingSums:
         commit: ``ring_sums(t)[:, 1:]``, without each cell's own ring 0."""
         if not -1 <= t <= self.t:
             raise ValueError(f"frame {t} not committed (last is {self.t})")
-        at = (t - self._origin) * self._width
-        rings = self._flat.take(at + self._own_outer)
-        rings -= self._flat.take(at + self._sub)
-        return rings
+        own, sub = self._flat[(t + 1) * self._width:].take(self._plan.rings)
+        own -= sub
+        return own
 
 
 def identity_residual(tree: AggregationTree, aggregates, history, t: int,

@@ -335,9 +335,10 @@ def _apply_override(raw: dict, assignment: str) -> None:
 
 
 def _load_yaml(stream):
-    """``yaml.safe_load``, whose parse errors are config errors."""
+    """``yaml.safe_load``, through libyaml where PyYAML has it, whose parse
+    errors are config errors."""
     try:
-        return yaml.safe_load(stream)
+        return yaml.load(stream, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(str(exc)) from None
 

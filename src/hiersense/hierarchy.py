@@ -19,6 +19,8 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +48,25 @@ class MergeRecord:
     new_index: int
     gamma: float | None
     cost: float
+
+
+class RingSumPlan(NamedTuple):
+    """Flat gather indices of :class:`~hiersense.aggregation.RunningRingSums`,
+    offsets from ``total_edge_delay_sum`` rows before the row they serve.
+
+    ``levels`` and ``runs`` hold (index, segment starts, first and past-last
+    output column) per level >= 1 and per run of levels: a level and the
+    levels after it whose edge delays are all >= 1.  ``rings`` stacks rings
+    1 to depth of ``own`` (each cell's level-L head now) over ``sub`` (its
+    level-(L-1) head one edge delay earlier).
+    """
+
+    size: np.ndarray  # cluster sizes, level by level
+    levels: list
+    runs: list
+    own: np.ndarray
+    sub: np.ndarray
+    rings: np.ndarray
 
 
 class AggregationTree:
@@ -145,6 +166,36 @@ class AggregationTree:
         """Per level >= 1: flattened child ids, their edge delays, and where
         each cluster's children start; the order in which aggregates fuse."""
         return self._fusion_plan
+
+    @cached_property
+    def ring_sum_plan(self) -> RingSumPlan:
+        """The :class:`RingSumPlan` of this tree, built once; read-only."""
+        size = np.array([len(c.members) for lv in self.levels for c in lv])
+        width, reach = len(size), self.total_edge_delay_sum
+        off = np.cumsum([0] + [len(level) for level in self.levels])
+        levels = [((reach - lag) * width + off[lvl - 1] + idx, seg, off[lvl],
+                   off[lvl + 1])
+                  for lvl, (idx, lag, seg) in enumerate(self._fusion_plan, 1)]
+        # a level with a zero delay reads the level below in its own row, so
+        # it starts a run; the others read only rows already fused
+        runs = []
+        for (_, lag, _), (idx, seg, start, stop) in zip(self._fusion_plan,
+                                                        levels):
+            if runs and (lag > 0).all():
+                last, last_seg, start, _ = runs.pop()
+                idx, seg = (np.concatenate([last, idx]),
+                            np.concatenate([last_seg, seg + len(last)]))
+            runs.append((idx, seg, start, stop))
+        edge = self.delta[1:] - self.delta[:-1]
+        own = (reach * width + off[:-1, None] + self.cluster_of).T.copy()
+        sub = ((reach - edge) * width + off[:-2, None]
+               + self.cluster_of[:-1]).T.copy()
+        plan = RingSumPlan(size, levels, runs, own, sub,
+                           np.stack([own[:, 1:], sub]))
+        for arr in (size, own, sub, plan.rings,
+                    *(a for part in levels + runs for a in part[:2])):
+            arr.setflags(write=False)
+        return plan
 
     # -------------------------------------------------------------- construction
 

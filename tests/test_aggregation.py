@@ -252,6 +252,14 @@ class TestDelayedRingSums:
 def running_sums_tree(name):
     if name == "delayed":
         return delayed_tree()
+    if name == "zero_mid":
+        # delays >= 1 at levels 1 and 3 and a zero delay at level 2: a
+        # single-frame commit fuses level 1, then levels 2 and 3 together
+        pairs = [[(0, 1), (1, 2)], [(2, 1), (3, 3)], [(4, 1), (5, 1)],
+                 [(6, 2), (7, 1)]]
+        return AggregationTree.from_nested(8, [[
+            ([(pairs[0], 0), (pairs[1], 1)], 1),
+            ([(pairs[2], 2), (pairs[3], 0)], 2)]])
     if name == "single":
         return AggregationTree.from_nested(1, [0])
     if name == "wide":
@@ -266,11 +274,26 @@ def running_sums_tree(name):
     return build_ibt(topo, phi, 0.9, gamma_delay=0.02, c_max=c_max)
 
 
+RUNNING_SUMS_TREES = ["delayed", "single", "ibt", "forest", "wide",
+                      "zero_mid"]
+
+
 class TestRunningRingSums:
     """Per-level aggregates kept across frames against both oracles."""
 
-    @pytest.mark.parametrize("name", ["delayed", "single", "ibt", "forest",
-                                      "wide"])
+    def test_trees_cover_fused_and_split_runs(self):
+        """A single-frame commit fuses a run of levels in one reduceat; the
+        trees below must include both a run of several levels and a tree
+        of several runs, so that the row checks cover both."""
+        plans = [running_sums_tree(name).ring_sum_plan
+                 for name in RUNNING_SUMS_TREES]
+        assert any(len(plan.runs) < len(plan.levels) for plan in plans)
+        assert any(len(plan.runs) > 1 for plan in plans)
+        zero_mid = running_sums_tree("zero_mid").ring_sum_plan
+        assert [(start, stop) for *_, start, stop in zero_mid.runs] == \
+            [(8, 12), (12, 15)]
+
+    @pytest.mark.parametrize("name", RUNNING_SUMS_TREES)
     def test_every_frame_matches_closed_form_and_exchange(self, name, rng):
         tree = running_sums_tree(name)
         if name == "forest":
@@ -297,7 +320,8 @@ class TestRunningRingSums:
                                sigma_oracle(tree, x, 0.0, i, frames - 1),
                                rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["delayed", "ibt", "forest", "wide"])
+    @pytest.mark.parametrize("name", ["delayed", "ibt", "forest", "wide",
+                                      "zero_mid"])
     def test_block_commit_matches_row_commits(self, name, rng):
         tree = running_sums_tree(name)
         x = rng.random((12, tree.n_cells))
@@ -314,6 +338,38 @@ class TestRunningRingSums:
         # a block fuses level by level, each row's sums bit for bit
         for t in frames:
             assert blocks.aggregates(t).tobytes() == rows.aggregates(t).tobytes()
+
+    def test_engines_on_one_tree_keep_their_own_aggregates(self, rng):
+        tree = running_sums_tree("zero_mid")
+        x = rng.random((9, tree.n_cells))
+        specs = [(6, 0.5), (9, 0.0)]  # (n_frames, pre)
+        # interleaved commits on two engines that share the tree's plan...
+        shared = [RunningRingSums(tree, n, pre) for n, pre in specs]
+        shared[1].commit(x[:3])
+        for t in range(6):
+            shared[0].commit(x[t])
+            shared[1].commit(x[t + 3])
+        # ...read what each engine reads alone, on its own copy of the tree
+        alone = [RunningRingSums(AggregationTree.from_dict(tree.to_dict()),
+                                 n, pre) for n, pre in specs]
+        for t in range(6):
+            alone[0].commit(x[t])
+        alone[1].commit(x[:3])
+        for t in range(3, 9):
+            alone[1].commit(x[t])
+        for one, other in zip(shared, alone):
+            frames = np.arange(-1, one.t + 1)
+            assert np.array_equal(one.ring_sums(frames),
+                                  other.ring_sums(frames))
+            for t in frames:
+                assert np.array_equal(one.aggregates(t), other.aggregates(t))
+
+    def test_shared_plan_is_read_only(self):
+        plan = running_sums_tree("zero_mid").ring_sum_plan
+        for arr in (plan.size, plan.own, plan.sub, plan.rings,
+                    *(a for part in plan.levels + plan.runs for a in part[:2])):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
     def test_uncommitted_frames_are_refused(self):
         running = RunningRingSums(delayed_tree(), 5)

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hiersense import (ControlParams, HierarchicalExchange, RunningRingSums,
                        control, harness, optimal_traffic)
 from hiersense.cli import load_config, main
+from hiersense.config import _load_yaml
 from hiersense.harness import prepare_trial, scheme_ip_sequence
 from hiersense.inference import estimate_is_hierarchical
 
@@ -388,6 +390,13 @@ class TestSweep:
                      "-D", "experiment.lambda_grid=[0.05]",
                      "-D", "experiment.ptx_grid=[0.01]"])
         assert code == 0
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_shipped_config_parses_as_safe_load(self, config):
+        with open(ROOT / config) as fh:
+            parsed = _load_yaml(fh)
+        with open(ROOT / config) as fh:
+            assert parsed == yaml.safe_load(fh)
 
 
 class TestValidate:
