@@ -12,7 +12,11 @@ N = 64 without blockages only, since ``fading_mc`` models none; revisions
 that score one frame per call are called frame by frame), a trial's
 histories (``histories_s``: ``harness._simulate_occupancy`` and
 ``harness._simulate_sensing`` with noisy sensing, ten SUs per cell and 100
-frames, at N = 64 and 256), and one per-frame stage: the
+frames, at N = 64 and 256), a budget sweep of the IBT
+(``ibt_budgets_s``: the unbudgeted IBT and the IBTs under budgets of a half
+and a quarter of its cost, from one ``build_ibts`` call, or one
+``build_ibt`` call per budget in revisions without it, at N = 256 and 1024
+with 12 and 16 blockages), and one per-frame stage: the
 ``run_trial_point`` time of an IBT scheme with hierarchical SU interference
 divided by its frame count (``frame_s``: deciding and scoring every frame
 of a grid point, the median over ``FRAME_LAMBDAS``' grid points, on a trial
@@ -26,12 +30,12 @@ size, with and without blockages, and the fading layout and the histories
 at each of their sizes, untimed, so that lazy imports and other first-call
 costs, such as the first fault-in of a size's blocks, do not show as the
 time of whichever stage meets them first.  Every worker also hashes the LOS
-matrix, the tree JSON, the fading layout's arrays, the fading evaluation's
-throughput and INR, the histories and the frame stage's traffic
-trajectories, and the run records whether both sides built identical
-outputs.
+matrix, the tree JSON (the budget sweep's too), the fading layout's
+arrays, the fading evaluation's throughput and INR, the histories and the
+frame stage's traffic trajectories, and the run records whether both sides
+built identical outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_18.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_20.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -66,13 +70,17 @@ SU_PER_CELL = 10  # the fading layout stage's M
 FADING_SIZES = (64, 256)  # the N at which the fading layout is timed
 FADING_EVAL_SIZES = (64,)  # the N at which the fading evaluation is timed
 HISTORY_SIZES = (64, 256)  # the N at which the histories are timed
+IBT_BUDGET_SIZES = (256, 1024)  # the (N, B) at which the budget sweep of
+IBT_BUDGET_BLOCKAGES = (12, 16)  # the IBT is timed
+IBT_BUDGET_FRACTIONS = (0.5, 0.25)  # its budgets, of the unbudgeted cost
 NU1, NU0 = 0.005, 0.095  # the histories' occupancy chain: mu = MU
 EPS_F, EPS_M = 0.05, 0.1  # the histories' noisy sensing
 # each SU's access probability in the fading evaluation stage: a few SUs
 # per frame, bound by per-call overhead, or half of them, bound by the draws
 FADING_EVAL_ACCESS = {"low": 0.01, "high": 0.5}
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
-          "fading_layout_s", "fading_eval_s", "histories_s", "frame_s")
+          "ibt_budgets_s", "fading_layout_s", "fading_eval_s", "histories_s",
+          "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -111,6 +119,27 @@ def _frame_stage(n: int, blockages: int, side: float):
             else np.stack([f.traffic for f in frames])
         out.append(traffic.tobytes())
     return statistics.median(per_frame), b"".join(out)
+
+
+def _ibt_budgets_stage(topo, phi, free):
+    """Seconds to build the IBT with no budget and with each fraction of
+    ``IBT_BUDGET_FRACTIONS`` of ``free``'s cost as its budget, and the
+    bytes of their JSON."""
+    import math
+
+    from hiersense import hierarchy
+
+    budgets = [math.inf] + [f * free.cost_per_cell
+                            for f in IBT_BUDGET_FRACTIONS]
+    t0 = time.perf_counter()
+    if hasattr(hierarchy, "build_ibts"):
+        trees = hierarchy.build_ibts(topo, phi, MU, GAMMA_DELAY, budgets)
+    else:
+        trees = [hierarchy.build_ibt(topo, phi, MU, GAMMA_DELAY, c_max)
+                 for c_max in budgets]
+    seconds = time.perf_counter() - t0
+    return seconds, "".join(json.dumps(tree.to_dict(), sort_keys=True)
+                            for tree in trees).encode()
 
 
 def _histories_stage(n: int):
@@ -194,6 +223,8 @@ def _measure(n: int, b: int) -> dict:
     rt, rt_s = _timed(build_random_tree, topo, GAMMA_DELAY,
                       rng=np.random.default_rng(0))
     _, weights_s = _timed(compute_weights, ibt, phi, MU)
+    budgets_s, budget_trees = _ibt_budgets_stage(topo, phi, ibt) \
+        if n in IBT_BUDGET_SIZES and b in IBT_BUDGET_BLOCKAGES else (None, b"")
     fading_s, fading = _fading_layout_stage(topo) \
         if n in FADING_SIZES else (None, b"")
     fading_eval_s, scores = _fading_eval_stage(n, side) \
@@ -204,12 +235,14 @@ def _measure(n: int, b: int) -> dict:
     digest = hashlib.sha256(np.packbits(topo.los_matrix).tobytes())
     for tree in (ibt, rt):
         digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+    digest.update(budget_trees)
     digest.update(fading)
     digest.update(scores)
     digest.update(histories)
     digest.update(traffic)
     return {"n": n, "blockages": b, "los_s": los_s, "phi_s": phi_s,
             "build_ibt_s": ibt_s, "build_rt_s": rt_s, "weights_s": weights_s,
+            "ibt_budgets_s": budgets_s,
             "fading_layout_s": fading_s, "fading_eval_s": fading_eval_s,
             "histories_s": histories_s, "frame_s": frame_s,
             "output_sha256": digest.hexdigest()}
@@ -325,7 +358,8 @@ def main(argv=None) -> int:
         targets[f"{stage} < {limit} s at N={largest}"] = {
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
-        "what": "trial set-up stage times, the fading SU layout time, the "
+        "what": "trial set-up stage times, the IBT budget sweep time, the "
+                "fading SU layout time, the "
                 "fading evaluation time of one grid point at low and high "
                 "access, the occupancy and noisy sensing history time, and "
                 "the hierarchical-IS frame time (run_trial_point per frame: "
@@ -335,7 +369,12 @@ def main(argv=None) -> int:
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
-                   "rt_seed": 0, "fading_layout": {
+                   "rt_seed": 0, "ibt_budgets": {
+                       "sizes": IBT_BUDGET_SIZES,
+                       "blockages": IBT_BUDGET_BLOCKAGES,
+                       "budgets": ["inf"] + [f"{f} x unbudgeted cost"
+                                             for f in IBT_BUDGET_FRACTIONS]},
+                   "fading_layout": {
                        "sizes": FADING_SIZES, "m_per_cell": SU_PER_CELL,
                        "rng_seed": 0}, "fading_eval": {
                        "sizes": FADING_EVAL_SIZES, "m_per_cell": SU_PER_CELL,

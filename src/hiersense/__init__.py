@@ -14,7 +14,8 @@ from .dynamics import (OccupancyModel, OccupancyState, k_step_marginal,
                        sample_steady_state, step_occupancy)
 from .harness import (PointMetrics, Simulation, SweepResult, SweepRow,
                       eval_fading_success, prepare_trial, run_experiment)
-from .hierarchy import AggregationTree, build_ibt, build_random_tree
+from .hierarchy import (AggregationTree, build_ibt, build_ibts,
+                        build_random_tree)
 from .inference import (BeliefTable, DelayCompensatedWeights, compute_weights,
                         estimate_ip, exact_belief, marginal_occupancy)
 from .sensing import (SensorModel, posterior_update, prior_propagate,

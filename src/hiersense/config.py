@@ -65,7 +65,7 @@ class SchemeSpec:
         if self.kind not in SCHEME_KINDS:
             errors.append(("kind", f"must be one of {', '.join(SCHEME_KINDS)}"
                            f", got {self.kind!r}"))
-        for name in ("gamma_delay", "radius", "rounds"):
+        for name in ("gamma_delay", "c_max", "radius", "rounds"):
             if getattr(self, name) < 0:
                 errors.append((name, "must be >= 0"))
         if errors:

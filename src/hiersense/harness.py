@@ -32,7 +32,8 @@ from . import control
 from .aggregation import RunningRingSums
 from .config import ConfigError, ExperimentConfig, SchemeSpec
 from .dynamics import OccupancyModel, occupancy_chain, sample_steady_state
-from .hierarchy import AggregationTree, build_ibt, build_random_tree
+from .hierarchy import (AggregationTree, build_ibt, build_ibts,
+                        build_random_tree)
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
                         estimate_is_oracle)
 from .sensing import SensorModel, filter_posteriors, sample_detection_count
@@ -226,13 +227,16 @@ def _build_fading_layout(config, topology, rng) -> FadingLayout:
 
 
 def prepare_scheme(config: ExperimentConfig, topology, phi, model,
-                   trial: int, scheme_idx: int) -> SchemeRuntime:
+                   trial: int, scheme_idx: int, tree=None) -> SchemeRuntime:
+    """A scheme's per-trial state; an IBT scheme builds its tree unless it
+    is given one."""
     spec = config.schemes[scheme_idx]
     rt = SchemeRuntime(spec=spec)
     mu = float(model.mu)
     if spec.kind in ("ibt", "rt"):
         if spec.kind == "ibt":
-            rt.tree = build_ibt(topology, phi, mu, spec.gamma_delay, spec.c_max)
+            rt.tree = tree or build_ibt(topology, phi, mu, spec.gamma_delay,
+                                        spec.c_max)
         else:
             rng = _seed_rng(config.master_seed, trial, 5, scheme_idx)
             rt.tree = build_random_tree(topology, spec.gamma_delay, spec.c_max,
@@ -280,7 +284,16 @@ def prepare_trial(config: ExperimentConfig, trial: int) -> TrialContext:
     m = np.full(config.n_cells, float(config.m_per_cell)
                 if config.population_mode == "constant" else np.inf)
 
-    runtimes = [prepare_scheme(config, topology, phi, model, trial, k)
+    # the IBT schemes that share a gamma_delay are built in one greedy pass
+    ibt = [k for k, spec in enumerate(config.schemes) if spec.kind == "ibt"]
+    trees = {}
+    for delay in dict.fromkeys(config.schemes[k].gamma_delay for k in ibt):
+        same = [k for k in ibt if config.schemes[k].gamma_delay == delay]
+        trees.update(zip(same, build_ibts(
+            topology, phi, float(model.mu), delay,
+            [config.schemes[k].c_max for k in same])))
+    runtimes = [prepare_scheme(config, topology, phi, model, trial, k,
+                               trees.get(k))
                 for k in range(len(config.schemes))]
     warmup = max((rt.warmup for rt in runtimes), default=0) + config.extra_warmup
     t_total = config.frames + warmup
@@ -482,8 +495,10 @@ class Simulation:
             self.is_est = np.zeros(shape)
             # estimate_is_hierarchical's terms of rings 1 to depth: an empty
             # ring's sum and phi_del are both exactly zero
-            self._ring_size = np.maximum(w.ring_size[:, 1:], 1)
-            self._phi_del = w.phi_del[:, 1:]
+            # in float and contiguous, so that a frame's divide casts
+            # nothing and its multiply reads no strided view
+            self._ring_size = np.maximum(w.ring_size[:, 1:], 1).astype(float)
+            self._phi_del = w.phi_del[:, 1:].copy()
         self.t = -1
 
     def run_frame(self) -> None:

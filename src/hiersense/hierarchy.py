@@ -27,7 +27,7 @@ import numpy as np
 from .topology import (NetworkTopology, _phi_array, coupling_matrix,
                        frame_delays)
 
-_SCAN_CHUNK = 4096  # greedy pairs screened per vector step
+_FIRST_BLOCK = 4  # greedy pairs sorted first per level, per cluster
 
 
 @dataclass(frozen=True)
@@ -289,14 +289,15 @@ class AggregationTree:
             return cls.from_dict(json.load(fh))
 
 
-def _random_merges(cost_mat, rows, cols, delay_mat, c_cell: float, c_max: float,
-                   rng):
-    """Uniform draws among the feasible pairs of ``rows, cols`` (row-major),
-    as a candidate list filtered after each merge gives them.  ``cnt[r]``
-    counts row r's feasible pairs.  Once the budget can bind, the feasible
-    pairs are those below ``top`` in the pairs sorted by cost."""
+def _random_merges(cost_mat, cost, rows, cols, delay_mat, c_cell: float,
+                   c_max: float, rng):
+    """Uniform draws among the feasible pairs of ``rows, cols`` (row-major,
+    costing ``cost``), as a candidate list filtered after each merge gives
+    them.  ``cnt[r]`` counts row r's feasible pairs.  Once the budget can
+    bind, the feasible pairs are those below ``top`` in the pairs sorted by
+    cost."""
     n = len(cost_mat)
-    cost, by_col = cost_mat[rows, cols], cost_mat.T.copy()
+    by_col = cost_mat.T.copy()
     alive = np.ones(n, dtype=bool)
     worst, cnt, by_cost = cost.max(), n - 1 - np.arange(n), None
     merges = []
@@ -327,114 +328,162 @@ def _random_merges(cost_mat, rows, cols, delay_mat, c_cell: float, c_max: float,
         c_cell += cost_mat[a, b]
 
 
+def _greedy_scan(order, rows, cols, cost, gamma, delay_mat, alive, c_cell,
+                 c_max, merges) -> float:
+    """Merge, in ``order``, every pair whose clusters are both alive and
+    that the budget still affords; returns the closing cost."""
+    pairs = zip(*(x[order].tolist() for x in (rows, cols, cost, gamma)))
+    for a, b, ab_cost, ab_gamma in pairs:
+        if alive[a] and alive[b] and c_cell + ab_cost <= c_max:
+            merges.append((a, b, ab_gamma, ab_cost, int(delay_mat[a, b])))
+            c_cell += ab_cost
+            alive[a] = alive[b] = False
+    return c_cell
+
+
+def _next_level(state, centers, merges, alive, c_cell):
+    """The next level: merged clusters in merge order, then carried ones."""
+    levels, merge_log, _, cluster, heads, far, delta = state
+    carried = np.flatnonzero(alive).tolist()
+    first, second = (np.array([m[k] for m in merges] + carried) for k in (0, 1))
+    new_of = np.empty(len(heads), dtype=int)
+    new_of[first] = new_of[second] = np.arange(len(first))
+    cluster = new_of[cluster]
+    edge = [m[4] for m in merges]
+    delta = delta + np.array(edge + [0] * len(carried))[cluster]
+    far = np.maximum(far[first], far[second])  # the children's rows,
+    far = np.maximum(far[:, first], far[:, second])  # then their columns
+    order = np.argsort(cluster, kind="stable")
+    size = np.bincount(cluster)
+    start = np.cumsum(size) - size
+    # head sites: the member nearest the centroid, lowest id on ties;
+    # clusters of equal size stack to (C, k, 2), whose sum over k adds
+    # in the order pts.mean(axis=0) does
+    heads = np.concatenate([np.zeros(len(merges), int), heads[carried]])
+    for k in np.flatnonzero(np.bincount(size[:len(merges)])):
+        sel = np.flatnonzero(size[:len(merges)] == k)
+        mem = order[start[sel][:, None] + np.arange(k)]
+        pts = centers[mem]
+        d2 = ((pts - pts.sum(axis=1, keepdims=True) / k) ** 2).sum(axis=2)
+        heads[sel] = mem[np.arange(len(sel)), d2.argmin(axis=1)]
+
+    lvl, flat, ends = len(levels), order.tolist(), np.cumsum(size).tolist()
+    children = [m[:2] for m in merges] + [(k,) for k in carried]
+    delays = [(e, e) for e in edge] + [(0,)] * len(carried)
+    levels = levels + [[ClusterNode(lvl, k, tuple(flat[s:e]), ch, dl, hd)
+                        for k, (s, e, ch, dl, hd) in enumerate(zip(
+                            start.tolist(), ends, children, delays,
+                            heads.tolist()))]]
+    merge_log = merge_log + [MergeRecord(lvl - 1, k, m[2], m[3])
+                             for k, m in enumerate(merges)]
+    return levels, merge_log, c_cell, cluster, heads, far, delta
+
+
 def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
-                 c_max: float, rng=None) -> AggregationTree:
-    """Shared engine for the greedy and random tree builders.
+                 budgets, rng=None) -> list[AggregationTree]:
+    """Shared engine for the greedy and random tree builders: the tree of
+    each budget of ``budgets``, in their order.
 
     ``rng is None`` selects the max-benefit pair (ties broken towards the
     lexicographically smallest index pair); otherwise a uniform choice among
-    feasible pairs.  Each level is a few array passes over ``cluster``, the
-    cluster of every cell, and ``far``, the largest distance between the
-    cells of two clusters.
+    feasible pairs, under one budget.  Each level is a few array passes over
+    ``cluster``, the cluster of every cell, and ``far``, the largest distance
+    between the cells of two clusters.  Budgets share a level's work while
+    their trees agree: the greedy scan under a branch's largest budget takes
+    exactly the merges that every budget at or above its closing cost would,
+    since none of its merges exceeds that cost and each pair it skips is
+    skipped under a smaller budget too; the budgets below split off and
+    scan the same sorted pairs from the same state.
     """
     n_cells = topology.cell_count
     centers = topology.cell_centers
     dist = topology.distance_matrix
-    use_gamma = rng is None
-    if use_gamma:
+    if rng is None:
         w = coupling_matrix(phi)
     mu = float(mu)
 
-    levels = [[ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]]
-    cluster, heads, far = np.arange(n_cells), np.arange(n_cells), dist
-    delta = np.zeros(n_cells)
-    c_cell = 0.0
-    merge_log: list[MergeRecord] = []
-
-    while True:
+    trees = [None] * len(budgets)
+    # (a level's start: the levels and merge log so far, their cost, every
+    # cell's cluster, every cluster's head site, the largest distance between
+    # two clusters' cells and every cell's delay; the budgets that reach it)
+    level0 = [ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]
+    branches = [(([level0], [], 0.0, np.arange(n_cells), np.arange(n_cells),
+                  dist, np.zeros(n_cells)), range(len(budgets)))]
+    while branches:
+        state, group = branches.pop()
+        levels, merge_log, c_cell, cluster, heads, far, delta = state
         n = len(heads)
-        if n <= 1:
-            break
         delay_mat = frame_delays(dist[np.ix_(heads, heads)], gamma_delay)
         cost_mat = far / n_cells  # worst-case pair distance per cell
-
         rows, cols = np.triu_indices(n, 1)
-        if not (c_cell + cost_mat[rows, cols] <= c_max).any():
-            break  # no feasible pair at this level: budget exhausted or done
+        cost = cost_mat[rows, cols]
+        # a budget that affords no pair at this level is exhausted or done
+        least = c_cell + cost.min() if n > 1 else None
+        done = [k for k in group if least is None or not least <= budgets[k]]
+        if done:
+            tree = AggregationTree(levels, n_cells, c_cell, merge_log)
+            for k in done:
+                trees[k] = tree
+        group = sorted(set(group) - set(done), key=lambda k: -budgets[k])
+        if not group:
+            continue
 
-        if not use_gamma:
-            merges, alive, c_cell = _random_merges(cost_mat, rows, cols, delay_mat,
-                                                   c_cell, c_max, rng)
-        else:
-            pair_sum = (mu ** delta)[:, None] * w
-            if n < n_cells:  # level 0 is all singletons: the sums are the cells
-                ind = np.zeros((n, n_cells))
-                ind[cluster, np.arange(n_cells)] = 1.0
-                pair_sum = ind @ pair_sum @ ind.T
-            gamma_mat = (mu ** delay_mat) * (pair_sum + pair_sum.T)
-            # descending benefit, row-major among ties: the first argmax
-            by_gamma = np.argsort(-gamma_mat[rows, cols], kind="stable")
-            rows, cols = rows[by_gamma], cols[by_gamma]
-            cost = cost_mat[rows, cols]
-            alive = np.ones(n, dtype=bool)
-            merges = []
-            # one scan: a pair skipped for a merged cluster or the budget stays
-            # infeasible, so each chunk drops those pairs before the exact loop
-            for lo in range(0, len(rows), _SCAN_CHUNK):
-                part = slice(lo, lo + _SCAN_CHUNK)
-                r, c, k = rows[part], cols[part], cost[part]
-                ok = alive[r] & alive[c] & (c_cell + k <= c_max)
-                for a, b, ab_cost in zip(r[ok].tolist(), c[ok].tolist(),
-                                         k[ok].tolist()):
-                    if alive[a] and alive[b] and c_cell + ab_cost <= c_max:
-                        merges.append((a, b, float(gamma_mat[a, b]), ab_cost,
-                                       int(delay_mat[a, b])))
-                        c_cell += ab_cost
-                        alive[a] = alive[b] = False
+        if rng is not None:
+            merges, alive, c_next = _random_merges(
+                cost_mat, cost, rows, cols, delay_mat, c_cell,
+                budgets[group[0]], rng)
+            branches.append((_next_level(state, centers, merges, alive,
+                                         c_next), group))
+            continue
+        pair_sum = (mu ** delta)[:, None] * w
+        if n < n_cells:  # level 0 is all singletons: the sums are the cells
+            ind = np.zeros((n, n_cells))
+            ind[cluster, np.arange(n_cells)] = 1.0
+            pair_sum = ind @ pair_sum @ ind.T
+        gamma = ((mu ** delay_mat) * (pair_sum + pair_sum.T))[rows, cols]
+        # pairs in descending benefit, row-major among ties (the first
+        # argmax): the best _FIRST_BLOCK * n, with every pair tied at the
+        # last, are a prefix of that order and are sorted first
+        top = len(gamma) - _FIRST_BLOCK * n
+        head = gamma >= np.partition(gamma, top)[top] if top > 0 else None
+        first = np.arange(len(gamma)) if head is None else np.flatnonzero(head)
+        first = first[np.argsort(-gamma[first], kind="stable")]
+        while group:
+            c_max, alive, merges = budgets[group[0]], np.ones(n, bool), []
+            c_next = _greedy_scan(first, rows, cols, cost, gamma, delay_mat,
+                                  alive, c_cell, c_max, merges)
+            if head is not None and alive.sum() > 1:
+                # a pair skipped for a merged cluster or the budget stays
+                # skipped, so only the rest's feasible pairs are sorted
+                rest = np.flatnonzero(~head & alive[rows] & alive[cols]
+                                      & (c_next + cost <= c_max))
+                c_next = _greedy_scan(rest[np.argsort(-gamma[rest],
+                                                      kind="stable")],
+                                      rows, cols, cost, gamma, delay_mat,
+                                      alive, c_next, c_max, merges)
+            keep = [k for k in group if budgets[k] >= c_next]
+            group = group[len(keep):]
+            branches.append((_next_level(state, centers, merges, alive,
+                                         c_next), keep))
+    return trees
 
-        # the next level: merged clusters in merge order, then carried ones
-        carried = np.flatnonzero(alive).tolist()
-        first, second = (np.array([m[k] for m in merges] + carried) for k in (0, 1))
-        new_of = np.empty(n, dtype=int)
-        new_of[first] = new_of[second] = np.arange(len(first))
-        cluster = new_of[cluster]
-        edge = [m[4] for m in merges]
-        delta += np.array(edge + [0] * len(carried))[cluster]
-        far = np.maximum(far[first], far[second])  # the children's rows,
-        far = np.maximum(far[:, first], far[:, second])  # then their columns
-        order = np.argsort(cluster, kind="stable")
-        size = np.bincount(cluster)
-        start = np.cumsum(size) - size
-        # head sites: the member nearest the centroid, lowest id on ties;
-        # clusters of equal size stack to (C, k, 2), whose sum over k adds
-        # in the order pts.mean(axis=0) does
-        heads = np.concatenate([np.zeros(len(merges), int), heads[carried]])
-        for k in np.flatnonzero(np.bincount(size[:len(merges)])):
-            sel = np.flatnonzero(size[:len(merges)] == k)
-            mem = order[start[sel][:, None] + np.arange(k)]
-            pts = centers[mem]
-            d2 = ((pts - pts.sum(axis=1, keepdims=True) / k) ** 2).sum(axis=2)
-            heads[sel] = mem[np.arange(len(sel)), d2.argmin(axis=1)]
 
-        lvl, flat, ends = len(levels), order.tolist(), np.cumsum(size).tolist()
-        children = [m[:2] for m in merges] + [(k,) for k in carried]
-        delays = [(e, e) for e in edge] + [(0,)] * len(carried)
-        levels.append([ClusterNode(lvl, k, tuple(flat[s:e]), ch, dl, hd)
-                       for k, (s, e, ch, dl, hd) in enumerate(zip(
-                           start.tolist(), ends, children, delays,
-                           heads.tolist()))])
-        merge_log += [MergeRecord(lvl - 1, k, m[2], m[3]) for k, m in enumerate(merges)]
-
-    return AggregationTree(levels, n_cells, c_cell, merge_log)
+def build_ibts(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
+               budgets) -> list[AggregationTree]:
+    """The interference-matched tree of every aggregation-cost budget of
+    ``budgets``, in their order, each equal to :func:`build_ibt`'s under
+    that budget, from one greedy pass; budgets that end on the same tree
+    share it."""
+    if _phi_array(phi).shape[0] != topology.cell_count:
+        raise ValueError("phi and topology disagree on the cell count")
+    return _agglomerate(topology, phi, mu, gamma_delay, list(budgets))
 
 
 def build_ibt(topology: NetworkTopology, phi, mu: float,
               gamma_delay: float = 0.0, c_max: float = math.inf
               ) -> AggregationTree:
     """Interference-matched tree: greedy max-benefit agglomeration."""
-    if _phi_array(phi).shape[0] != topology.cell_count:
-        raise ValueError("phi and topology disagree on the cell count")
-    return _agglomerate(topology, phi, mu, gamma_delay, c_max, rng=None)
+    return build_ibts(topology, phi, mu, gamma_delay, [c_max])[0]
 
 
 def build_random_tree(topology: NetworkTopology, gamma_delay: float = 0.0,
@@ -442,5 +491,4 @@ def build_random_tree(topology: NetworkTopology, gamma_delay: float = 0.0,
     """Random-association baseline: same control flow, uniform pair choice."""
     if rng is None:
         rng = np.random.default_rng(0)
-    return _agglomerate(topology, phi=None, mu=0.0, gamma_delay=gamma_delay,
-                        c_max=c_max, rng=rng)
+    return _agglomerate(topology, None, 0.0, gamma_delay, [c_max], rng)[0]

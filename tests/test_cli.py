@@ -261,6 +261,7 @@ class TestSweep:
         ("schemes=[{name: a, kind: nope}]", "schemes[0].kind"),
         ("schemes=[{name: a, kind: ibt}, {name: b, kind: ibt, gamma_delay: -1}]",
          "schemes[1].gamma_delay"),
+        ("schemes=[{name: ibt, kind: ibt, c_max: -1.0}]", "schemes[0].c_max"),
         ("experiment.lambda_grid=[0.01,0.01]", "experiment.lambda_grid"),
         ("experiment.ptx_grid=[0.02,0.01,0.02]", "experiment.ptx_grid"),
         ("experiment.hop_distance_m=0", "experiment.hop_distance_m"),

@@ -142,6 +142,42 @@ class TestDeterminism:
         assert {r.seed for r in res.rows} == {0, 1}
 
 
+class TestIbtSchemesBuiltTogether:
+    def test_each_scheme_gets_the_tree_it_gets_alone(self, monkeypatch):
+        # the first two IBT schemes share a gamma_delay, so one greedy pass
+        # builds both; the last has its own
+        alone = lambda spec: prepare_trial(small_config(schemes=(spec,)),
+                                           0).runtimes[0]
+        free = alone(SchemeSpec("free", "ibt", gamma_delay=0.02)).tree
+        passes, build_ibts = [], harness.build_ibts
+
+        def one_pass(*args):
+            passes.append((args[3:], build_ibts(*args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(harness, "build_ibts", one_pass)
+        schemes = (SchemeSpec("free", "ibt", gamma_delay=0.02),
+                   SchemeSpec("rt", "rt", gamma_delay=0.02),
+                   SchemeSpec("half", "ibt", gamma_delay=0.02,
+                              c_max=free.cost_per_cell / 2),
+                   SchemeSpec("far", "ibt", gamma_delay=0.05,
+                              c_max=free.cost_per_cell / 4))
+        ctx = prepare_trial(small_config(schemes=schemes), 0)
+        assert [args for args, _ in passes] == [
+            (0.02, [math.inf, schemes[2].c_max]), (0.05, [schemes[3].c_max])]
+        built = [tree for _, trees in passes for tree in trees]
+        assert all(ctx.runtimes[k].tree is tree
+                   for k, tree in zip((0, 2, 3), built))
+        trees = [ctx.runtimes[k].tree.to_dict() for k in (0, 2, 3)]
+        assert trees[0] != trees[1] and trees[1] != trees[2]
+        for k in (0, 2, 3):
+            got, want = ctx.runtimes[k], alone(schemes[k])
+            assert got.tree.to_dict() == want.tree.to_dict()
+            assert got.warmup == want.warmup
+            assert got.agg_cost_per_cell == want.agg_cost_per_cell
+            assert np.array_equal(got.weights.phi_del, want.weights.phi_del)
+
+
 class TestFrameLoop:
     @pytest.mark.parametrize("scheme_idx", [0, 1])  # ibt, full_nsi
     def test_causality_traffic_ignores_future(self, scheme_idx):

@@ -475,9 +475,9 @@ class TestOneScanMatchesArgmaxLoop:
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_ibt_small_scan_chunks(self, layout, monkeypatch):
-        # many chunks per level: each screens with the alive/budget state
-        # left by the merges of the chunks before it
-        monkeypatch.setattr(hierarchy, "_SCAN_CHUNK", 5)
+        # a first block of n pairs per level: most merges come from the
+        # second round, filtered with the alive/budget state the first left
+        monkeypatch.setattr(hierarchy, "_FIRST_BLOCK", 1)
         topo = LAYOUTS[layout]()
         phi = compute_phi(topo, PathlossParams())
         free = build_ibt(topo, phi, 0.9, 0.02)
@@ -520,6 +520,84 @@ class TestOneScanMatchesArgmaxLoop:
             assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
                 topo, None, 0.0, 0.02, c_max, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestBuildIbtsMatchesOneBuildPerBudget:
+    """One greedy pass over a list of budgets gives every budget the tree
+    that its own build, the argmax loop and a scan of all pairs give it."""
+
+    @staticmethod
+    def budgets(free):
+        cost = free.cost_per_cell
+        return [math.inf, 0.0, 1e-9, _mid_level_budget(free, 0),
+                _mid_level_budget(free, 1), cost / 2, cost / 4]
+
+    @pytest.mark.parametrize("layout", ["grid-ties", "random"])
+    @pytest.mark.parametrize("gamma_delay", [0.0, 0.02])
+    def test_each_budget_gets_its_own_tree(self, layout, gamma_delay,
+                                           monkeypatch):
+        topo = LAYOUTS[layout]()
+        phi = compute_phi(topo, PathlossParams())
+        budgets = self.budgets(build_ibt(topo, phi, 0.9, gamma_delay))
+        alone = {c_max: build_ibt(topo, phi, 0.9, gamma_delay, c_max)
+                 for c_max in budgets}
+        assert len({_tree_json(t) for t in alone.values()}) == len(budgets) - 1
+        for c_max, tree in alone.items():
+            assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
+                topo, phi, 0.9, gamma_delay, c_max))
+        # unsorted, and with duplicates
+        for order in (budgets, budgets[::-1] + budgets[2:5],
+                      [budgets[3]] * 2 + budgets[::2]):
+            trees = hierarchy.build_ibts(topo, phi, 0.9, gamma_delay, order)
+            assert len(trees) == len(order)
+            for c_max, tree in zip(order, trees):
+                assert _tree_json(tree) == _tree_json(alone[c_max])
+                assert tree.merge_log == alone[c_max].merge_log
+        # every pair sorted at every level: the full-sort scan
+        monkeypatch.setattr(hierarchy, "_FIRST_BLOCK", len(topo.cell_centers))
+        for c_max, tree in zip(budgets, hierarchy.build_ibts(
+                topo, phi, 0.9, gamma_delay, budgets)):
+            assert _tree_json(tree) == _tree_json(alone[c_max])
+
+    def test_second_round_runs(self, monkeypatch):
+        # each (level, budget) scan appends to its own merge list: a list
+        # scanned twice had clusters left after its first block; the pairs
+        # its second round is given are all feasible, so it takes the first
+        scans = []
+        scan = hierarchy._greedy_scan
+
+        def spy(order, *args):
+            merges = args[-1]
+            scans.append((merges, len(merges) if len(order) else None))
+            return scan(order, *args)
+
+        monkeypatch.setattr(hierarchy, "_greedy_scan", spy)
+        topo = LAYOUTS["random"]()
+        phi = compute_phi(topo, PathlossParams())
+        free = build_ibt(topo, phi, 0.9, 0.0)
+        budgets = self.budgets(free)
+        scans.clear()
+        trees = hierarchy.build_ibts(topo, phi, 0.9, 0.0, budgets)
+        second = [(merges, before) for k, (merges, before) in enumerate(scans)
+                  if before is not None
+                  and any(m is merges for m, _ in scans[:k])]
+        assert second and all(len(m) > before for m, before in second)
+        for c_max, tree in zip(budgets, trees):
+            assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
+                topo, phi, 0.9, 0.0, c_max))
+
+    def test_budgets_that_agree_share_a_tree(self, grid16):
+        topo, phi = grid16
+        trees = hierarchy.build_ibts(topo, phi, 0.9, 0.02,
+                                     [math.inf, 1e9, 1e-9, 0.0])
+        assert trees[0] is trees[1] and trees[2] is trees[3]
+        assert trees[0].depth == 4 and trees[2].depth == 0
+
+    def test_phi_of_another_size_rejected(self, grid16):
+        topo, _ = grid16
+        with pytest.raises(ValueError, match="cell count"):
+            hierarchy.build_ibts(topo, random_phi(np.random.default_rng(0), 9),
+                                 0.9, 0.0, [math.inf])
 
 
 def _ring_masks(tree):
