@@ -8,24 +8,25 @@ cell, at N = 64 and 256 only, since its SU->SU block alone would take
 840 MB at N = 1024), the Rayleigh evaluation of one grid point
 (``fading_eval_s``: ``harness.eval_fading_success`` on every frame of a
 trial with ten SUs per cell, once at low and once at high traffic, at
-N = 64 without blockages only, since ``fading_mc`` models none; revisions
-that score one frame per call are called frame by frame), a trial's
+N = 64 without blockages only, since ``fading_mc`` models none), a trial's
 histories (``histories_s``: ``harness._simulate_occupancy`` and
 ``harness._simulate_sensing`` with noisy sensing, ten SUs per cell and 100
 frames, at N = 64 and 256), a budget sweep of the IBT
 (``ibt_budgets_s``: the unbudgeted IBT and the IBTs under budgets of a half
-and a quarter of its cost, from one ``build_ibts`` call, or one
-``build_ibt`` call per budget in revisions without it, at N = 256 and 1024
+and a quarter of its cost, from one ``build_ibts`` call, at N = 256 and 1024
 with 12 and 16 blockages), and one per-frame stage: the
 ``run_trial_point`` time of an IBT scheme with hierarchical SU interference
 divided by its frame count (``frame_s``: deciding and scoring every frame
 of a grid point, the median over ``FRAME_LAMBDAS``' grid points, on a trial
 built by ``prepare_trial`` at the same N and blockage count).
 Both sides run in one call: a parent revision
-(extracted with ``git archive``) and the working tree's ``src/``.  Each
-repetition runs one worker process per side, and the side that runs first
-alternates between repetitions, so host load and cache warmth hit both
-sides alike.  Each worker first runs every stage once at the smallest
+(extracted with ``git archive``) and the working tree's ``src/``.  The
+parent must be commit b3d8e98 or later: the script calls
+``hierarchy.build_ibts``, ``harness.scheme_ip_sequence`` and the block form
+of ``harness.eval_fading_success`` directly, and reads
+``PointMetrics.traffic``.  Each repetition runs one worker process per
+side, and the side that runs first alternates between repetitions, so host
+load and cache warmth hit both sides alike.  Each worker first runs every stage once at the smallest
 size, with and without blockages, and the fading layout and the histories
 at each of their sizes, untimed, so that lazy imports and other first-call
 costs, such as the first fault-in of a size's blocks, do not show as the
@@ -35,7 +36,7 @@ arrays, the fading evaluation's throughput and INR, the histories and the
 frame stage's traffic trajectories, and the run records whether both sides
 built identical outputs.
 
-    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH_20.json
+    python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH.json
 
 BLAS is pinned to one thread in the workers, as in ``perfbench``.
 """
@@ -97,7 +98,6 @@ def _frame_stage(n: int, blockages: int, side: float):
     """run_trial_point seconds per frame of an IBT scheme with hierarchical
     SU interference, the median over the grid points of ``FRAME_LAMBDAS``,
     and the bytes of their traffic trajectories."""
-    import numpy as np
     from hiersense import ExperimentConfig, SchemeSpec, harness
 
     cfg = ExperimentConfig(
@@ -106,18 +106,13 @@ def _frame_stage(n: int, blockages: int, side: float):
         is_mode="hierarchical", frames=FRAMES, trials=1, master_seed=0,
         lambda_grid=FRAME_LAMBDAS)
     ctx = harness.prepare_trial(cfg, 0)
-    # revisions that build the estimate inside Simulation take no ip_seq
-    ip_seq = (harness.scheme_ip_sequence(ctx, ctx.runtimes[0]),) \
-        if hasattr(harness, "scheme_ip_sequence") else ()
+    ip_seq = harness.scheme_ip_sequence(ctx, ctx.runtimes[0])
     per_frame, out = [], []
     for grid_idx, lam in enumerate(FRAME_LAMBDAS):
         t0 = time.perf_counter()
-        frames, _ = harness.run_trial_point(ctx, 0, lam, grid_idx, *ip_seq)
+        frames, _ = harness.run_trial_point(ctx, 0, lam, grid_idx, ip_seq)
         per_frame.append((time.perf_counter() - t0) / ctx.t_total)
-        # an array-form record, or one FrameMetrics per frame
-        traffic = frames.traffic if hasattr(frames, "traffic") \
-            else np.stack([f.traffic for f in frames])
-        out.append(traffic.tobytes())
+        out.append(frames.traffic.tobytes())
     return statistics.median(per_frame), b"".join(out)
 
 
@@ -131,13 +126,8 @@ def _ibt_budgets_stage(topo, phi, free):
 
     budgets = [math.inf] + [f * free.cost_per_cell
                             for f in IBT_BUDGET_FRACTIONS]
-    t0 = time.perf_counter()
-    if hasattr(hierarchy, "build_ibts"):
-        trees = hierarchy.build_ibts(topo, phi, MU, GAMMA_DELAY, budgets)
-    else:
-        trees = [hierarchy.build_ibt(topo, phi, MU, GAMMA_DELAY, c_max)
-                 for c_max in budgets]
-    seconds = time.perf_counter() - t0
+    trees, seconds = _timed(hierarchy.build_ibts, topo, phi, MU, GAMMA_DELAY,
+                            budgets)
     return seconds, "".join(json.dumps(tree.to_dict(), sort_keys=True)
                             for tree in trees).encode()
 
@@ -175,8 +165,6 @@ def _fading_layout_stage(topo):
 def _fading_eval_stage(n: int, side: float):
     """Seconds of one grid point's Rayleigh evaluation at each access level
     of ``FADING_EVAL_ACCESS``, and the bytes of its throughput and INR."""
-    import inspect
-
     import numpy as np
     from hiersense import ExperimentConfig, SchemeSpec, harness
 
@@ -186,23 +174,14 @@ def _fading_eval_stage(n: int, side: float):
         population_mode="constant", m_per_cell=SU_PER_CELL,
         eval_mode="fading_mc", frames=FRAMES, trials=1, master_seed=0)
     ctx = harness.prepare_trial(cfg, 0)
-    evaluate = harness.eval_fading_success
-    per_frame = "b_seq" not in inspect.signature(evaluate).parameters
     pi_b, th = float(ctx.model.pi_b), cfg.sinr_th_linear()
     seconds, out = {}, []
     for level, access in FADING_EVAL_ACCESS.items():
         traffic = np.full(ctx.b_seq.shape, access * SU_PER_CELL)
         rng = np.random.default_rng(0)
-        t0 = time.perf_counter()
-        if per_frame:
-            counts, inr = zip(*(evaluate(ctx.fading, a, ctx.m, b, th, pi_b,
-                                         rng)
-                                for a, b in zip(traffic, ctx.b_seq)))
-            thr, inr = np.array([c.mean() for c in counts]), np.array(inr)
-        else:
-            thr, inr = evaluate(ctx.fading, traffic, ctx.m, ctx.b_seq, th,
-                                pi_b, rng)
-        seconds[level] = time.perf_counter() - t0
+        (thr, inr), seconds[level] = _timed(
+            harness.eval_fading_success, ctx.fading, traffic, ctx.m,
+            ctx.b_seq, th, pi_b, rng)
         out += [thr.tobytes(), inr.tobytes()]
     return seconds, b"".join(out)
 

@@ -61,7 +61,8 @@ class SchemeSpec:
     rounds: int = 10
 
     def __post_init__(self):
-        errors = _nan_errors(self)
+        # inf means no budget (c_max) and no horizon (radius)
+        errors = _finite_errors(self, infinite_ok=("c_max", "radius"))
         if self.kind not in SCHEME_KINDS:
             errors.append(("kind", f"must be one of {', '.join(SCHEME_KINDS)}"
                            f", got {self.kind!r}"))
@@ -103,8 +104,11 @@ class ExperimentConfig:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        # (field name or section, message)
-        errors = _nan_errors(self) + _nan_errors(self.pathloss, "pathloss.")
+        # (field name or section, message); layout_errors checks the area's
+        # infinities, and the range check below those of the nullable fields
+        errors = _finite_errors(self, infinite_ok=(
+            "area", "cell_radius", "a_max", "hop_distance_m"))
+        errors += _finite_errors(self.pathloss, "pathloss.")
         errors += [(f"topology.{name}", msg) for name, msg in layout_errors(
             self.topology_kind, self.n_cells, self.area, self.n_blockages)]
         if self.frames < 1:
@@ -128,7 +132,12 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             errors.append(("schemes", "names must be unique"))
         n, lowest = self.n_cells, min(2, self.n_cells - 1)
+        diagonal = math.hypot(*self.area)
         for k, spec in enumerate(self.schemes):
+            # frame delays, ceil(gamma_delay * distance), are cast to int64
+            if spec.gamma_delay * diagonal >= 2.0 ** 63:
+                errors.append((f"schemes[{k}].gamma_delay", "must be below "
+                               f"{2.0 ** 63 / diagonal:.6g} on this area"))
             # exactly these degrees have a connected regular graph on n cells
             if spec.kind == "consensus" and n >= 1 and not (
                     lowest <= spec.degree < n and spec.degree * n % 2 == 0):
@@ -290,12 +299,20 @@ def _parse(value, annotation: str, path: str):
     return out
 
 
-def _nan_errors(spec, prefix: str = "") -> list[tuple[str, str]]:
-    """(name, message) for each field of ``spec`` holding NaN, alone or in
-    a tuple, which the YAML reader rejects too."""
-    return [(prefix + name, "must not be NaN") for name, v in vars(spec).items()
-            if any(isinstance(x, float) and math.isnan(x)
-                   for x in (v if isinstance(v, tuple) else (v,)))]
+def _finite_errors(spec, prefix: str = "", infinite_ok=()
+                   ) -> list[tuple[str, str]]:
+    """(name, message) for each field of ``spec`` holding NaN, which the
+    YAML reader rejects too, or an infinity, alone or in a tuple; the
+    fields named in ``infinite_ok`` may hold an infinity."""
+    errors = []
+    for name, v in vars(spec).items():
+        floats = [x for x in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(x, float)]
+        if any(math.isnan(x) for x in floats):
+            errors.append((prefix + name, "must not be NaN"))
+        elif name not in infinite_ok and any(map(math.isinf, floats)):
+            errors.append((prefix + name, "must be finite"))
+    return errors
 
 
 def _reject_unknown(left: dict, prefix: str) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +59,7 @@ def _seed_int(*entropy) -> int:
 # Per-trial world and per-scheme runtime state
 
 
-@dataclass
+@dataclass(frozen=True)
 class FadingLayout:
     """Per-user geometry and linear pathloss blocks for the realistic mode."""
 
@@ -67,11 +67,6 @@ class FadingLayout:
     pl_su_su: np.ndarray      # (n_su, n_su) SU tx -> SU rx
     pl_pu_su: np.ndarray      # (n_pu, n_su) PU tx -> SU rx
     pl_su_pu: np.ndarray      # (n_su, n_pu) SU tx -> PU rx
-    # eval_fading_success's gain, index and gather buffers: grown on demand
-    # and kept for the trial
-    buffers: tuple = field(init=False, repr=False, compare=False,
-                           default_factory=lambda: (
-                               np.empty(0), np.empty(0, np.intp), np.empty(0)))
 
 
 @dataclass
@@ -342,17 +337,13 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b_seq,
     (no output reads the last).  Returns (frames,) arrays: the throughput,
     SINR-threshold successes at the receivers of transmitting SUs per cell,
     and the realized SU-caused INR averaged over the expected number of
-    active PUs.  The draws and products land in buffers kept on the layout
-    for its trial; the blocks keep the shapes and sums of fresh arrays, so
-    each frame equals a fresh-array frame bit for bit.
+    active PUs.
     """
     n_su, n_cells = len(layout.su_cell), layout.pl_pu_su.shape[0]
-    pl_ss, pl_ps, pl_sp = (a.ravel() for a in (
-        layout.pl_su_su, layout.pl_pu_su, layout.pl_su_pu))
     access = np.clip(np.asarray(traffic) / np.asarray(m),
                      0.0, 1.0)[:, layout.su_cell]
     busy = np.asarray(b_seq) == 1
-    # the gathers clip their flat indices instead of checking them
+    # a flat index into a block of the wrong shape reads the wrong links
     if (layout.pl_su_su.shape, layout.pl_pu_su.shape, layout.pl_su_pu.shape,
             busy.shape) != ((n_su, n_su), (n_cells, n_su),
                             (n_su, n_cells), (len(access), n_cells)):
@@ -362,57 +353,35 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b_seq,
     bounds = [0, *np.cumsum(busy.sum(axis=1)).tolist()]
     successes, inr = np.zeros((2, len(access)))
     scale = n_cells * pi_b
-    gains, index, gathered = layout.buffers
     for t, row in enumerate(access):
         act = (rng.random(n_su) < row).nonzero()[0]
         lo, hi = bounds[t], bounds[t + 1]
         n_act, n_apu = len(act), hi - lo
-        size = (n_act + n_apu) ** 2
-        if size > len(gains):
-            gains = np.empty(size)
-        g = rng.standard_exponential(out=gains[:size])
+        g = rng.standard_exponential((n_act + n_apu) ** 2)
         if not n_act:
             continue  # no success, and an INR of 0
         ss, sp = n_act * n_act, n_act * n_apu
-        every_su = n_act == n_su
-        size = max(sp, 0 if every_su else ss)
-        if size > len(index):
-            index, gathered = np.empty(size, np.intp), np.empty(size)
-        sub = g[:ss]
-        if every_su:
-            np.multiply(sub, pl_ss, out=sub)
-        else:
-            _gather_times(pl_ss, act * n_su, act, sub, index, gathered)
-        sub = sub.reshape(n_act, n_act)
+        sub = g[:ss].reshape(n_act, n_act)
+        sub *= layout.pl_su_su if n_act == n_su else \
+            layout.pl_su_su.take(act[:, None] * n_su + act)
         own = sub.diagonal()
         noise = _sum(sub, 0)  # then 1 + (that - own) + the PU block's sum
         noise -= own
         noise += 1.0
         if n_apu:
-            i_ps, i_sp = g[ss:ss + sp], g[ss + sp:ss + 2 * sp]
-            _gather_times(pl_ps, pu_rows[lo:hi], act, i_ps, index, gathered)
-            noise += _sum(i_ps.reshape(n_apu, n_act), 0)
-            _gather_times(pl_sp, act * n_cells, apu[lo:hi], i_sp, index,
-                          gathered)
-            inr[t] = _sum(_sum(i_sp.reshape(n_act, n_apu), 0)) / scale
+            i_ps = g[ss:ss + sp].reshape(n_apu, n_act)
+            i_ps *= layout.pl_pu_su.take(pu_rows[lo:hi, None] + act)
+            noise += _sum(i_ps, 0)
+            i_sp = g[ss + sp:ss + 2 * sp].reshape(n_act, n_apu)
+            i_sp *= layout.pl_su_pu.take(act[:, None] * n_cells + apu[lo:hi])
+            inr[t] = _sum(_sum(i_sp, 0)) / scale
         np.divide(own, noise, out=noise)
         successes[t] = np.count_nonzero(noise > sinr_th)
-    layout.buffers = gains, index, gathered
     # the mean of small integer counts per cell: their sum is exact
     return successes / n_cells, inr
 
 
 _sum = np.add.reduce  # ndarray.sum without its Python wrapper
-
-
-def _gather_times(flat, row_start, cols, out, index, gathered) -> None:
-    """Multiply the flat ``out`` in place by the ``(row_start, cols)`` block
-    of the flat matrix ``flat``, through the kept index and gather buffers."""
-    idx = index[:len(out)]
-    np.add(row_start[:, None], cols, out=idx.reshape(len(row_start), -1))
-    # a take with mode="raise" copies through a temporary
-    np.multiply(out, flat.take(idx, out=gathered[:len(out)], mode="clip"),
-                out=out)
 
 
 # frames per pass of a tree scheme's licensed-user estimate: the rings of

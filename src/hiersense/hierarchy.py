@@ -28,6 +28,7 @@ from .topology import (NetworkTopology, _phi_array, coupling_matrix,
                        frame_delays)
 
 _FIRST_BLOCK = 4  # greedy pairs sorted first per level, per cluster
+_UNION = "cluster members must equal the union of its children's members"
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,6 @@ class AggregationTree:
         self.cluster_of = np.zeros((depth + 1, n_cells), dtype=int)
         self.cluster_of[0] = np.arange(n_cells)
         self._fusion_plan: list[tuple[np.ndarray, ...]] = []
-        # the level below as cells grouped by cluster: flat, start, size
-        flat, start, size = (np.arange(n_cells),) * 2 + (np.ones(n_cells, int),)
         for lvl in range(1, depth + 1):
             nodes = self.levels[lvl]
             if any(node.index != pos for pos, node in enumerate(nodes)):
@@ -99,28 +98,36 @@ class AggregationTree:
             delays = np.array([d for node in nodes for d in node.child_delays], dtype=int)
             if (delays < 0).any():
                 raise ValueError("edge delays must be nonnegative")
-            # every child's members, node by node, sorted within each node
-            got_size = size[children]
-            got = flat[np.repeat(start[children] - np.cumsum(got_size)
-                                 + got_size, got_size) + np.arange(got_size.sum())]
-            n_child = [len(node.children) for node in nodes]
-            got_node = np.arange(len(nodes)).repeat(n_child).repeat(got_size)
-            by_node = np.lexsort((got, got_node))
+            if any(len(node.child_delays) != len(node.children)
+                   for node in nodes):
+                raise ValueError("each child must have one edge delay")
+            n_below = len(self.levels[lvl - 1])
+            if ((children < 0) | (children >= n_below)).any():
+                raise ValueError("child indices must lie in the level below")
             members = np.array([i for node in nodes for i in node.members], dtype=int)
             size = np.array([len(node.members) for node in nodes], dtype=int)
             member_node = np.arange(len(nodes)).repeat(size)
-            if not (np.array_equal(got_node[by_node], member_node)
-                    and np.array_equal(got[by_node], members)):
-                raise ValueError("cluster members must equal the union of its "
-                                 "children's members")
+            n_child = [len(node.children) for node in nodes]
+            # cells in range, listed in order within each node
+            if ((members < 0) | (members >= n_cells)).any() \
+                    or (np.diff(member_node * n_cells + members) <= 0).any():
+                raise ValueError(_UNION)
             count = np.bincount(members, minlength=n_cells)
             if (count > 1).any():
                 raise ValueError("clusters within a level must be disjoint")
             if (count == 0).any():
                 raise ValueError("every cell must belong to a cluster at each level")
             self.cluster_of[lvl, members] = member_node
-            self.delta[lvl, got] = self.delta[lvl - 1, got] + delays.repeat(got_size)
-            flat, start = members, np.cumsum(size) - size
+            # each cluster below is one node's child, held whole by that node
+            parent = np.empty(n_below, dtype=int)
+            parent[children] = np.arange(len(nodes)).repeat(n_child)
+            below = self.cluster_of[lvl - 1]
+            if (np.bincount(children, minlength=n_below) != 1).any() \
+                    or (parent[below] != self.cluster_of[lvl]).any():
+                raise ValueError(_UNION)
+            edge = np.empty(n_below, dtype=int)
+            edge[children] = delays
+            self.delta[lvl] = self.delta[lvl - 1] + edge[below]
             self._fusion_plan.append((children, delays,
                                       np.cumsum(n_child, dtype=int) - n_child))
         self.delta.setflags(write=False)

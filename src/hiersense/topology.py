@@ -203,8 +203,9 @@ def layout_errors(kind: str, n_cells: int, area, n_blockages: int
     segments = 2 * k * (k - 1) if kind == "grid" else 0
     checks = (
         ("kind", kind in ("grid", "random"), "must be 'grid' or 'random'"),
-        ("area", all(0 < v < math.inf for v in area),
-         "must be positive and finite"),
+        ("area", all(0 < v < math.inf for v in area)
+         and math.isfinite(area[0] * area[0] + area[1] * area[1]),
+         "must be positive and finite, with a finite squared diagonal"),
         ("n_cells", n_cells >= 1, "must be >= 1"),
         ("n_cells", kind != "grid" or k * k == max(n_cells, 0),
          f"must be a square number for a grid topology, got {n_cells}"),

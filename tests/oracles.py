@@ -6,8 +6,9 @@ the h-distance of one pair of cells (``compute_weights`` bins every pair in
 one pass), and one frame of the traffic rule with its two halves composed
 (``Simulation`` builds ``TrafficKernel.gain`` once per grid point and runs
 ``TrafficKernel.step`` per frame), and one frame of Rayleigh evaluation with
-fresh arrays (``harness.eval_fading_success`` scores a grid point's frames
-in one call on buffers kept per trial), and the pathloss law and the dB
+a fresh array per operation (``harness.eval_fading_success`` scores a grid
+point's frames in one call and multiplies each link block into its gains
+in place), and the pathloss law and the dB
 conversion with a fresh array per operation (``topology.pathloss_db`` and
 ``db_to_lin`` work in place on one output).
 """

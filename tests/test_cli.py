@@ -284,6 +284,19 @@ class TestSweep:
         ("schemes=[{name: c, kind: consensus, rounds: -1}]",
          "schemes[0].rounds"),
         ("sensing={eps_f: 0.05, eps_m: 0.05}", "sensing"),
+        ("pathloss.ref_distance_m=.inf", "pathloss.ref_distance_m"),
+        ("pathloss.tx_power_dbm=.inf", "pathloss.tx_power_dbm"),
+        ("pathloss.alpha_nlos=.inf", "pathloss.alpha_nlos"),
+        ("control.sinr_th_db=-.inf", "control.sinr_th_db"),
+        ("control.sinr_th_db=.inf", "control.sinr_th_db"),
+        ("experiment.lambda_grid=[.inf]", "experiment.lambda_grid"),
+        ("schemes=[{name: f, kind: full_nsi, gamma_delay: .inf}]",
+         "schemes[0].gamma_delay"),
+        ("schemes=[{name: f, kind: full_nsi, gamma_delay: 1.0e+30}]",
+         "schemes[0].gamma_delay"),
+        ("schemes=[{name: i, kind: ibt, gamma_delay: .inf}]",
+         "schemes[0].gamma_delay"),
+        ("topology.area=[1.0e+300, 1.0e+300]", "topology.area"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):

@@ -1,7 +1,7 @@
 import copy
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +79,8 @@ class TestConfig:
             "occupancy": {"nu1": 0.005, "nu0": 0.095},
             "population": {"mode": "dense"},
             "schemes": [{"name": "ibt", "kind": "ibt", "c_max": "inf"},
+                        {"name": "rad", "kind": "radius_nsi",
+                         "radius": ".inf"},
                         {"name": "unc", "kind": "uncoordinated"}],
             "experiment": {"frames": 10, "trials": 1, "lambda_grid": [0.1],
                            "ptx_grid": [0.0, 0.5]},
@@ -86,7 +88,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(raw)
         cfg.validate()
         assert cfg.n_cells == 16
-        assert cfg.schemes[0].c_max == math.inf
+        assert cfg.schemes[0].c_max == cfg.schemes[1].radius == math.inf
         assert cfg.resolved_a_max() == pytest.approx(0.5)
 
     def test_missing_keys_take_the_field_defaults(self):
@@ -575,10 +577,13 @@ class TestFadingEvaluation:
                      np.ones(2, dtype=int)):
             with pytest.raises(ValueError, match="shapes disagree"):
                 eval_fading_success(layout, traffic, m, busy, 3.16, 0.1, rng)
-        layout.pl_su_pu = np.ones((2, 3))
+        # the layout is frozen: scoring keeps no state on it
+        with pytest.raises(FrozenInstanceError):
+            layout.pl_su_pu = np.ones((2, 3))
         with pytest.raises(ValueError, match="shapes disagree"):
-            eval_fading_success(layout, traffic, m, np.ones((3, 2), dtype=int),
-                                3.16, 0.1, rng)
+            eval_fading_success(replace(layout, pl_su_pu=np.ones((2, 3))),
+                                traffic, m, np.ones((3, 2), dtype=int), 3.16,
+                                0.1, rng)
 
     def test_layout_respects_cell_quota(self):
         cfg = small_config(topology_kind="random", n_blockages=0,
@@ -713,7 +718,7 @@ class TestFadingBlockMatchesFrameOracle:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return thr, inr
 
-    def test_every_trap_then_smaller_frames_on_kept_buffers(self):
+    def test_every_trap_then_smaller_frames(self):
         layout = self.layout()
         n = len(self.PER_CELL)
         pick = np.random.default_rng(11)
@@ -728,8 +733,7 @@ class TestFadingBlockMatchesFrameOracle:
         # (k, 1) blocks, whose axis-0 sums are pairwise: one SU under 10
         # PUs (PU->SU), and nine SUs over one PU (SU->PU); then every PU,
         # with the INR summed over 12.  Partial access with 8 or more PUs:
-        # the reused buffers hold larger frames' values, and sums run over
-        # 3 or more terms
+        # sums run over 3 or more terms
         for _ in range(4):
             frames += [(only(0), pus(10)), (only(1), pus(1)),
                        (only(1) + only(3), pus(12))]
@@ -740,13 +744,13 @@ class TestFadingBlockMatchesFrameOracle:
         assert 0 < thr[0] * n < sum(self.PER_CELL) and inr[0] > 0
         assert thr[1] == thr[3] == inr[1] == inr[2] == inr[3] == 0.0
         assert thr[4] == 1 / n and inr[4] > 0
-        kept = layout.buffers
-        assert len(kept[0]) == (sum(self.PER_CELL) + 9) ** 2
-        # smaller frames on the same layout reuse the grown buffers
+        # smaller frames score the same after larger ones as on a fresh
+        # layout
         access = pick.uniform(0.0, 0.3, (20, n))
         busy = (pick.random((20, n)) < 0.5).astype(int)
-        self.check(layout, access, busy, 1)
-        assert all(a is b for a, b in zip(kept, layout.buffers))
+        after = self.check(layout, access, busy, 1)
+        fresh = self.check(self.layout(), access, busy, 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, fresh))
 
     def test_trial_layout(self):
         cfg = small_config(topology_kind="random", n_blockages=0,

@@ -109,8 +109,22 @@ class TestTreeConstructorErrors:
         ([ClusterNode(1, 0, (1, 0), (0, 1), (0, 0), 0),
           ClusterNode(1, 1, (2, 3), (2, 3), (0, 0), 2)],
          "cluster members must equal the union of its children's members"),
+        # numpy would wrap -1 to the last cluster below
+        ([ClusterNode(1, 0, (0, 3), (0, -1), (1, 1), 0),
+          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1)],
+         "child indices must lie in the level below"),
+        ([ClusterNode(1, 0, (0, 3), (0, 7), (1, 1), 0),
+          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1)],
+         "child indices must lie in the level below"),
+        ([ClusterNode(1, 0, (0, 1), (0, 1), (1,), 0),
+          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0, 0), 2)],
+         "each child must have one edge delay"),
+        ([ClusterNode(1, 0, (0, 1), (0, 1, 1), (0, 0, 0), 0),
+          ClusterNode(1, 1, (2, 3), (3,), (0,), 3)],
+         "cluster members must equal the union of its children's members"),
     ], ids=["index-order", "negative-delay", "overlap", "missing-cell",
-            "extra-member", "unsorted-members"])
+            "extra-member", "unsorted-members", "child-minus-one", "child-7",
+            "delay-count", "repeated-child"])
     def test_level_fault(self, level1, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             AggregationTree([_leaves(4), level1], 4)
