@@ -14,7 +14,10 @@ histories (``histories_s``: ``harness._simulate_occupancy`` and
 frames, at N = 64 and 256), a budget sweep of the IBT
 (``ibt_budgets_s``: the unbudgeted IBT and the IBTs under budgets of a half
 and a quarter of its cost, from one ``build_ibts`` call, at N = 256 and 1024
-with 12 and 16 blockages), and one per-frame stage: the
+with 12 and 16 blockages), the random trees under budgets of a half and a
+quarter of the unbudgeted random tree's cost (``rt_budgets_s``: two
+``build_random_tree`` calls at the same points, the only timing of draws
+while the budget binds), and one per-frame stage: the
 ``run_trial_point`` time of an IBT scheme with hierarchical SU interference
 divided by its frame count (``frame_s``: deciding and scoring every frame
 of a grid point, the median over ``FRAME_LAMBDAS``' grid points, on a trial
@@ -71,17 +74,17 @@ SU_PER_CELL = 10  # the fading layout stage's M
 FADING_SIZES = (64, 256)  # the N at which the fading layout is timed
 FADING_EVAL_SIZES = (64,)  # the N at which the fading evaluation is timed
 HISTORY_SIZES = (64, 256)  # the N at which the histories are timed
-IBT_BUDGET_SIZES = (256, 1024)  # the (N, B) at which the budget sweep of
-IBT_BUDGET_BLOCKAGES = (12, 16)  # the IBT is timed
-IBT_BUDGET_FRACTIONS = (0.5, 0.25)  # its budgets, of the unbudgeted cost
+BUDGET_SIZES = (256, 1024)  # the (N, B) at which the budget sweeps of
+BUDGET_BLOCKAGES = (12, 16)  # the IBT and the random tree are timed
+BUDGET_FRACTIONS = (0.5, 0.25)  # their budgets, of the unbudgeted cost
 NU1, NU0 = 0.005, 0.095  # the histories' occupancy chain: mu = MU
 EPS_F, EPS_M = 0.05, 0.1  # the histories' noisy sensing
 # each SU's access probability in the fading evaluation stage: a few SUs
 # per frame, bound by per-call overhead, or half of them, bound by the draws
 FADING_EVAL_ACCESS = {"low": 0.01, "high": 0.5}
 STAGES = ("los_s", "phi_s", "build_ibt_s", "build_rt_s", "weights_s",
-          "ibt_budgets_s", "fading_layout_s", "fading_eval_s", "histories_s",
-          "frame_s")
+          "ibt_budgets_s", "rt_budgets_s", "fading_layout_s", "fading_eval_s",
+          "histories_s", "frame_s")
 TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
@@ -118,18 +121,34 @@ def _frame_stage(n: int, blockages: int, side: float):
 
 def _ibt_budgets_stage(topo, phi, free):
     """Seconds to build the IBT with no budget and with each fraction of
-    ``IBT_BUDGET_FRACTIONS`` of ``free``'s cost as its budget, and the
+    ``BUDGET_FRACTIONS`` of ``free``'s cost as its budget, and the
     bytes of their JSON."""
     import math
 
     from hiersense import hierarchy
 
     budgets = [math.inf] + [f * free.cost_per_cell
-                            for f in IBT_BUDGET_FRACTIONS]
+                            for f in BUDGET_FRACTIONS]
     trees, seconds = _timed(hierarchy.build_ibts, topo, phi, MU, GAMMA_DELAY,
                             budgets)
     return seconds, "".join(json.dumps(tree.to_dict(), sort_keys=True)
                             for tree in trees).encode()
+
+
+def _rt_budgets_stage(topo, free):
+    """Seconds to build the random tree under each fraction of
+    ``BUDGET_FRACTIONS`` of ``free``'s cost as its budget, each drawn from
+    seed 0 as ``free`` was, and the bytes of their JSON."""
+    import numpy as np
+    from hiersense import build_random_tree
+
+    seconds, out = 0.0, []
+    for f in BUDGET_FRACTIONS:
+        tree, s = _timed(build_random_tree, topo, GAMMA_DELAY,
+                         f * free.cost_per_cell, np.random.default_rng(0))
+        seconds += s
+        out.append(json.dumps(tree.to_dict(), sort_keys=True))
+    return seconds, "".join(out).encode()
 
 
 def _histories_stage(n: int):
@@ -202,8 +221,11 @@ def _measure(n: int, b: int) -> dict:
     rt, rt_s = _timed(build_random_tree, topo, GAMMA_DELAY,
                       rng=np.random.default_rng(0))
     _, weights_s = _timed(compute_weights, ibt, phi, MU)
+    budgeted = n in BUDGET_SIZES and b in BUDGET_BLOCKAGES
     budgets_s, budget_trees = _ibt_budgets_stage(topo, phi, ibt) \
-        if n in IBT_BUDGET_SIZES and b in IBT_BUDGET_BLOCKAGES else (None, b"")
+        if budgeted else (None, b"")
+    rt_budgets_s, rt_budget_trees = _rt_budgets_stage(topo, rt) \
+        if budgeted else (None, b"")
     fading_s, fading = _fading_layout_stage(topo) \
         if n in FADING_SIZES else (None, b"")
     fading_eval_s, scores = _fading_eval_stage(n, side) \
@@ -215,13 +237,14 @@ def _measure(n: int, b: int) -> dict:
     for tree in (ibt, rt):
         digest.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
     digest.update(budget_trees)
+    digest.update(rt_budget_trees)
     digest.update(fading)
     digest.update(scores)
     digest.update(histories)
     digest.update(traffic)
     return {"n": n, "blockages": b, "los_s": los_s, "phi_s": phi_s,
             "build_ibt_s": ibt_s, "build_rt_s": rt_s, "weights_s": weights_s,
-            "ibt_budgets_s": budgets_s,
+            "ibt_budgets_s": budgets_s, "rt_budgets_s": rt_budgets_s,
             "fading_layout_s": fading_s, "fading_eval_s": fading_eval_s,
             "histories_s": histories_s, "frame_s": frame_s,
             "output_sha256": digest.hexdigest()}
@@ -338,6 +361,7 @@ def main(argv=None) -> int:
             "median_worst_over_blockages_s": worst, "met": worst < limit}
     record = {
         "what": "trial set-up stage times, the IBT budget sweep time, the "
+                "budgeted random trees' time, the "
                 "fading SU layout time, the "
                 "fading evaluation time of one grid point at low and high "
                 "access, the occupancy and noisy sensing history time, and "
@@ -349,10 +373,13 @@ def main(argv=None) -> int:
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
                    "gamma_delay": GAMMA_DELAY, "topology_seed": 0,
                    "rt_seed": 0, "ibt_budgets": {
-                       "sizes": IBT_BUDGET_SIZES,
-                       "blockages": IBT_BUDGET_BLOCKAGES,
+                       "sizes": BUDGET_SIZES, "blockages": BUDGET_BLOCKAGES,
                        "budgets": ["inf"] + [f"{f} x unbudgeted cost"
-                                             for f in IBT_BUDGET_FRACTIONS]},
+                                             for f in BUDGET_FRACTIONS]},
+                   "rt_budgets": {
+                       "sizes": BUDGET_SIZES, "blockages": BUDGET_BLOCKAGES,
+                       "budgets": [f"{f} x unbudgeted cost"
+                                   for f in BUDGET_FRACTIONS]},
                    "fading_layout": {
                        "sizes": FADING_SIZES, "m_per_cell": SU_PER_CELL,
                        "rng_seed": 0}, "fading_eval": {

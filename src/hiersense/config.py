@@ -132,12 +132,26 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             errors.append(("schemes", "names must be unique"))
         n, lowest = self.n_cells, min(2, self.n_cells - 1)
+        # numpy indexes a (frames + extra_warmup + warm-up, n_cells) float64
+        # history only below 2**63 bytes; a warm-up is at most ceil(gamma_delay
+        # * diagonal) per level, over 1 level for full NSI and at most
+        # n_cells - 1 for a tree, which merges at least one pair per level
+        rows = (2 ** 63 - 1) // (8 * max(n, 1))
+        room = rows - self.frames - max(self.extra_warmup, 0)
+        limit = f"for a float64 history of {n} cells below 2**63 bytes"
+        for name, most in (("frames", rows),
+                           ("extra_warmup", rows - self.frames)):
+            if 0 <= most < getattr(self, name):
+                errors.append((name, f"must be at most {most} {limit}"))
         diagonal = math.hypot(*self.area)
         for k, spec in enumerate(self.schemes):
-            # frame delays, ceil(gamma_delay * distance), are cast to int64
-            if spec.gamma_delay * diagonal >= 2.0 ** 63:
-                errors.append((f"schemes[{k}].gamma_delay", "must be below "
-                               f"{2.0 ** 63 / diagonal:.6g} on this area"))
+            depth = {"ibt": n - 1, "rt": n - 1, "full_nsi": 1}.get(spec.kind, 0)
+            # ceil(x) <= room // depth exactly when x <= room // depth
+            if room >= 0 and depth > 0 and math.isfinite(spec.gamma_delay) \
+                    and spec.gamma_delay * diagonal > room // depth:
+                errors.append((f"schemes[{k}].gamma_delay", "must be at most "
+                               f"{room // depth / diagonal:.6g} on this "
+                               f"layout, {limit} after the warm-up"))
             # exactly these degrees have a connected regular graph on n cells
             if spec.kind == "consensus" and n >= 1 and not (
                     lowest <= spec.degree < n and spec.degree * n % 2 == 0):

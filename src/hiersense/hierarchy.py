@@ -15,7 +15,6 @@ the identical control flow but picks feasible pairs uniformly.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -128,11 +127,12 @@ class AggregationTree:
             edge = np.empty(n_below, dtype=int)
             edge[children] = delays
             self.delta[lvl] = self.delta[lvl - 1] + edge[below]
+            if (self.delta[lvl] < self.delta[lvl - 1]).any():  # int64 wrapped
+                raise ValueError("accumulated delays must fit a 64-bit integer")
             self._fusion_plan.append((children, delays,
                                       np.cumsum(n_child, dtype=int) - n_child))
         self.delta.setflags(write=False)
         self.cluster_of.setflags(write=False)
-        self._ring_cache: dict[int, list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------ queries
 
@@ -152,16 +152,8 @@ class AggregationTree:
         """Cells at exactly h-distance L from cell i, for L = 0..depth."""
         if not (0 <= i < self.n_cells):
             raise IndexError(f"cell id out of range: {i}")
-        if i not in self._ring_cache:
-            rings = [np.array([i], dtype=int)]
-            for lvl in range(1, self.depth + 1):
-                outer = self.levels[lvl][self.cluster_of[lvl, i]].members
-                inner = self.levels[lvl - 1][self.cluster_of[lvl - 1, i]].members
-                rings.append(np.setdiff1d(np.array(outer, dtype=int),
-                                          np.array(inner, dtype=int),
-                                          assume_unique=True))
-            self._ring_cache[i] = rings
-        return self._ring_cache[i]
+        same = self.cluster_of == self.cluster_of[:, i, None]
+        return [np.array([i]), *map(np.flatnonzero, same[1:] & ~same[:-1])]
 
     def ring_size_matrix(self) -> np.ndarray:
         """(n_cells, depth+1) ring cardinalities |D_i^(L)|."""
@@ -299,37 +291,30 @@ class AggregationTree:
 def _random_merges(cost_mat, cost, rows, cols, delay_mat, c_cell: float,
                    c_max: float, rng):
     """Uniform draws among the feasible pairs of ``rows, cols`` (row-major,
-    costing ``cost``), as a candidate list filtered after each merge gives
-    them.  ``cnt[r]`` counts row r's feasible pairs.  Once the budget can
-    bind, the feasible pairs are those below ``top`` in the pairs sorted by
-    cost."""
-    n = len(cost_mat)
-    by_col = cost_mat.T.copy()
-    alive = np.ones(n, dtype=bool)
-    worst, cnt, by_cost = cost.max(), n - 1 - np.arange(n), None
-    merges = []
-    fits = lambda c: True if by_cost is None else c_cell + c <= c_max
+    costing ``cost``): each merge takes the k-th feasible pair in row-major
+    order for a uniform k.  While the budget cannot bind, every pair of the
+    m ``live`` clusters is feasible and the last t rows hold t(t+1)/2 pairs,
+    so the k-th is found by counting.  Once it can, for good since ``c_cell``
+    only grows, ``pairs`` is filtered to the feasible ones after each merge."""
+    alive, worst = np.ones(len(cost_mat), dtype=bool), cost.max()
+    live, pairs, merges = list(range(len(alive))), np.arange(len(cost)), []
     while True:
-        if by_cost is None and not c_cell + worst <= c_max:
-            ok = alive[rows] & alive[cols] & (c_cell + cost <= c_max)
-            by_cost = np.flatnonzero(ok)[np.argsort(cost[ok])]
-            cnt, top = np.bincount(rows[ok], minlength=n), len(by_cost)
-        elif by_cost is not None:  # drop the pairs the budget now excludes
-            low = bisect.bisect_left(range(top), True,
-                                     key=lambda s: not fits(cost[by_cost[s]]))
-            out = by_cost[low:top]
-            cnt -= np.bincount(rows[out][alive[rows[out]] & alive[cols[out]]], minlength=n)
-            top = low
-        cum = np.cumsum(cnt)
-        if not cum[-1]:
-            return merges, alive, c_cell
-        k = int(rng.integers(int(cum[-1])))
-        a = int(np.searchsorted(cum, k, side="right"))
-        ok = alive[a + 1:] & fits(cost_mat[a, a + 1:])
-        b = a + 1 + int(np.flatnonzero(ok)[k - (cum[a] - cnt[a])])
-        for x in (a, b):  # the counted pairs (r, x), r < x, leave with x
-            cnt[:x] -= alive[:x] & fits(by_col[x, :x])
-        cnt[a] = cnt[b] = 0
+        if c_cell + worst <= c_max:
+            m = len(live)
+            if m < 2:
+                return merges, alive, c_cell
+            # counted from the last pair, the draw is in the row of t pairs
+            back = m * (m - 1) // 2 - 1 - int(rng.integers(m * (m - 1) // 2))
+            t = (1 + math.isqrt(8 * back + 1)) // 2
+            b = live.pop(m - 1 - (back - t * (t - 1) // 2))
+            a = live.pop(m - 1 - t)
+        else:
+            pairs = pairs[alive[rows[pairs]] & alive[cols[pairs]]
+                          & (c_cell + cost[pairs] <= c_max)]
+            if not len(pairs):
+                return merges, alive, c_cell
+            p = pairs[rng.integers(len(pairs))]
+            a, b = int(rows[p]), int(cols[p])
         alive[a] = alive[b] = False
         merges.append((a, b, None, float(cost_mat[a, b]), int(delay_mat[a, b])))
         c_cell += cost_mat[a, b]
@@ -392,15 +377,15 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
     each budget of ``budgets``, in their order.
 
     ``rng is None`` selects the max-benefit pair (ties broken towards the
-    lexicographically smallest index pair); otherwise a uniform choice among
-    feasible pairs, under one budget.  Each level is a few array passes over
-    ``cluster``, the cluster of every cell, and ``far``, the largest distance
-    between the cells of two clusters.  Budgets share a level's work while
-    their trees agree: the greedy scan under a branch's largest budget takes
-    exactly the merges that every budget at or above its closing cost would,
-    since none of its merges exceeds that cost and each pair it skips is
-    skipped under a smaller budget too; the budgets below split off and
-    scan the same sorted pairs from the same state.
+    lexicographically smallest index pair); otherwise :func:`_random_merges`
+    draws uniformly among the feasible pairs, under one budget.  Each level
+    is a few array passes over ``cluster``, the cluster of every cell, and
+    ``far``, the largest distance between two clusters' cells.  Budgets
+    share a level's work while their trees agree: the greedy scan under a
+    branch's largest budget takes exactly the merges that every budget at
+    or above its closing cost would, since none of its merges exceeds that
+    cost and each pair it skips is skipped under a smaller budget too; the
+    budgets below split off and scan the same sorted pairs from there.
     """
     n_cells = topology.cell_count
     centers = topology.cell_centers

@@ -297,6 +297,21 @@ class TestSweep:
         ("schemes=[{name: i, kind: ibt, gamma_delay: .inf}]",
          "schemes[0].gamma_delay"),
         ("topology.area=[1.0e+300, 1.0e+300]", "topology.area"),
+        # histories numpy cannot index: a warm-up over 1e18 frames, tree
+        # delays that would wrap int64, or too many frames
+        pytest.param(("experiment.frames=5",
+                      "schemes=[{name: f, kind: rt, gamma_delay: 1.0e+16}]"),
+                     "schemes[0].gamma_delay", id="rt-warm-up"),
+        pytest.param(("experiment.frames=5",
+                      "schemes=[{name: f, kind: full_nsi, "
+                      "gamma_delay: 1.0e+16}]"),
+                     "schemes[0].gamma_delay", id="full-nsi-warm-up"),
+        pytest.param(("experiment.frames=5",
+                      "schemes=[{name: f, kind: ibt, gamma_delay: 1.6e+16}]"),
+                     "schemes[0].gamma_delay", id="ibt-delays-wrap"),
+        ("experiment.frames=1000000000000000000", "experiment.frames"),
+        ("experiment.extra_warmup=1000000000000000000",
+         "experiment.extra_warmup"),
     ])
     def test_bad_value_named_with_exit_code_2(self, tmp_path, capsys,
                                               override, path):

@@ -129,6 +129,12 @@ class TestTreeConstructorErrors:
         with pytest.raises(ValueError, match=f"^{message}$"):
             AggregationTree([_leaves(4), level1], 4)
 
+    def test_accumulated_delay_overflow(self):
+        # 2**62 + 2**62 wraps int64 to -2**63
+        with pytest.raises(ValueError, match="must fit a 64-bit integer"):
+            AggregationTree.from_nested(4, [[([(0, 2**62), (1, 0)], 2**62),
+                                             ([(2, 0), (3, 0)], 0)]])
+
     def test_level_zero_faults(self):
         with pytest.raises(ValueError, match="one singleton per cell"):
             AggregationTree([_leaves(3)], 4)
@@ -469,6 +475,18 @@ LAYOUTS = {
 }
 
 
+class _EndDraws:
+    """A generator stub whose ``integers(n)`` always draws the first (0) or
+    the last (n - 1) value of its range; ``calls`` lists every n."""
+
+    def __init__(self, last: bool):
+        self.last, self.calls = last, []
+
+    def integers(self, n):
+        self.calls.append(n)
+        return n - 1 if self.last else 0
+
+
 class TestOneScanMatchesArgmaxLoop:
     """The one-scan builders give byte-identical trees to the mask loop."""
 
@@ -534,6 +552,23 @@ class TestOneScanMatchesArgmaxLoop:
             assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
                 topo, None, 0.0, 0.02, c_max, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    def test_rt_draws_at_the_range_ends(self, layout, last):
+        # always the first or the last feasible pair: the ends of every row
+        # count and of the filtered list, which random seeds rarely draw
+        topo = LAYOUTS[layout]()
+        free = build_random_tree(topo, 0.02, math.inf, _EndDraws(last))
+        for c_max in (math.inf, _mid_level_budget(free, 0),
+                      _mid_level_budget(free, 1)):
+            rng, ref_rng = _EndDraws(last), _EndDraws(last)
+            tree = build_random_tree(topo, 0.02, c_max, rng)
+            assert _tree_json(tree) == _tree_json(_agglomerate_by_argmax(
+                topo, None, 0.0, 0.02, c_max, ref_rng))
+            assert rng.calls == ref_rng.calls
+            assert c_max == math.inf \
+                or len(tree.merge_log) < len(free.merge_log)
 
 
 class TestBuildIbtsMatchesOneBuildPerBudget:
