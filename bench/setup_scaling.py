@@ -47,6 +47,7 @@ BLAS is pinned to one thread in the workers, as in ``perfbench``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -89,6 +90,20 @@ TARGETS = {"los_s": 0.5, "build_ibt_s": 1.0, "build_rt_s": 0.3,
            "weights_s": 0.06}  # seconds at N = 1024
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def extracted_src(rev: str):
+    """The ``src/`` directory of ``rev``, extracted with ``git archive`` into
+    a temporary directory that is removed on exit."""
+    tmp = Path(tempfile.mkdtemp(prefix="hiersense-src-"))
+    try:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
+        yield tmp / "src"
+    finally:
+        shutil.rmtree(tmp)
 
 
 def _timed(fn, *args, **kwargs):
@@ -329,12 +344,8 @@ def main(argv=None) -> int:
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent_rev],
                          cwd=ROOT, check=True, capture_output=True,
                          text=True).stdout.strip()
-    tmp = Path(tempfile.mkdtemp(prefix="setup-scaling-"))
-    try:
-        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
-        sides = {"parent": tmp / "src", "change": ROOT / "src"}
+    with extracted_src(rev) as parent_src:
+        sides = {"parent": parent_src, "change": ROOT / "src"}
         load_before = os.getloadavg()
         runs = []
         for rep in range(REPS):
@@ -345,8 +356,6 @@ def main(argv=None) -> int:
                              "loadavg_1m": os.getloadavg()[0]})
                 print(f"rep {rep} {side}: done", file=sys.stderr)
         load_after = os.getloadavg()
-    finally:
-        shutil.rmtree(tmp)
 
     digests = {side: {(r["n"], r["blockages"]): r["output_sha256"]
                       for run in runs if run["side"] == side

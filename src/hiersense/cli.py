@@ -8,7 +8,6 @@ overridden on the command line with dotted ``key=value`` pairs, e.g.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import traceback
 from pathlib import Path
@@ -21,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import OccupancyModel
 from .harness import (_simulate_occupancy, prepare_scheme, prepare_trial,
                       run_experiment, run_trial_point, scheme_ip_sequence,
-                      trial_topology)
+                      trial_topology, write_table)
 from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
 from .topology import PathlossParams, build_topology, compute_phi
@@ -51,18 +50,15 @@ def cmd_build_tree(args) -> int:
 
 def _write_trace(path: str, ctx, tree) -> None:
     """Every frame's per-level aggregates of the sensed occupancy."""
-    with open(path, "w", newline="") as fh:
-        trace = csv.writer(fh)
-        trace.writerow(["frame", "level", "head", "aggregate"])
-        if tree is None:
-            return
+    rows = []
+    if tree is not None:
         occupancy = RunningRingSums(tree, ctx.t_total, float(ctx.model.pi_b))
         occupancy.commit(ctx.bhat_seq)
         heads = [(lvl, k) for lvl, level in enumerate(tree.levels)
                  for k in range(len(level))]
-        for t in range(ctx.t_total):
-            for (lvl, head), value in zip(heads, occupancy.aggregates(t)):
-                trace.writerow([t, lvl, head, repr(float(value))])
+        rows = ((t, lvl, head, value) for t in range(ctx.t_total)
+                for (lvl, head), value in zip(heads, occupancy.aggregates(t)))
+    write_table(path, ["frame", "level", "head", "aggregate"], rows)
 
 
 def cmd_simulate(args) -> int:
@@ -91,15 +87,10 @@ def cmd_simulate(args) -> int:
     if args.trace:
         _write_trace(args.trace, ctx, runtime.tree)
 
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "su_throughput", "inr_db", "utility",
-                         "mean_traffic"])
-        for t in frames.t:
-            writer.writerow([t, repr(float(frames.su_throughput[t])),
-                             repr(float(frames.inr_db[t])),
-                             repr(float(frames.utility[t])),
-                             repr(float(frames.traffic[t].mean()))])
+    write_table(args.output, ["frame", "su_throughput", "inr_db", "utility",
+                              "mean_traffic"],
+                zip(frames.t, frames.su_throughput, frames.inr_db,
+                    frames.utility, map(np.mean, frames.traffic)))
     print(f"per-frame metrics written to {args.output}")
     if args.trace:
         print(f"aggregate trace written to {args.trace}")

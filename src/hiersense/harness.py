@@ -555,29 +555,32 @@ CSV_COLUMNS = ("scheme", "lambda_or_ptx", "seed", "mean_su_throughput",
                "n_cells")
 
 
+def write_table(path, header, rows) -> None:
+    """One CSV file: text and integers as they are, every other number as
+    the ``repr`` of its float, which reads back to the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, (str, int, np.integer))
+                          else repr(float(v)) for v in row] for row in rows)
+
+
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
 
-    def rows_for(self, scheme: str, grid_value: float | None = None
-                 ) -> list[SweepRow]:
-        out = [r for r in self.rows if r.scheme == scheme]
-        if grid_value is not None:
-            out = [r for r in out if r.lambda_or_ptx == grid_value]
-        return out
-
-    def grid_values(self, scheme: str) -> list[float]:
-        seen = []
+    def groups(self, scheme: str) -> dict[float, list[SweepRow]]:
+        """The scheme's rows by grid value, in order of first appearance."""
+        out: dict[float, list[SweepRow]] = {}
         for r in self.rows:
-            if r.scheme == scheme and r.lambda_or_ptx not in seen:
-                seen.append(r.lambda_or_ptx)
-        return seen
+            if r.scheme == scheme:
+                out.setdefault(r.lambda_or_ptx, []).append(r)
+        return out
 
     def summary(self) -> list[dict]:
         out = []
         for scheme in dict.fromkeys(r.scheme for r in self.rows):
-            for gval in self.grid_values(scheme):
-                rows = self.rows_for(scheme, gval)
+            for gval, rows in self.groups(scheme).items():
                 thr = np.array([r.mean_su_throughput for r in rows])
                 lin = np.array([r.mean_inr_linear for r in rows])
                 util = np.array([r.mean_utility for r in rows])
@@ -596,24 +599,13 @@ class SweepResult:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([r.scheme, repr(r.lambda_or_ptx), r.seed,
-                                 repr(r.mean_su_throughput), repr(r.mean_inr_db),
-                                 repr(r.mean_utility), repr(r.agg_cost_per_cell),
-                                 r.frames, r.n_cells])
+        write_table(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS]
+                                        for r in self.rows))
 
     def write_summary_csv(self, path) -> None:
         rows = self.summary()
-        cols = list(rows[0].keys()) if rows else []
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in rows:
-                writer.writerow([r[c] if isinstance(r[c], (str, int))
-                                 else repr(float(r[c])) for c in cols])
+        write_table(path, list(rows[0]) if rows else [],
+                    (r.values() for r in rows))
 
 
 def run_trial_point(ctx: TrialContext, scheme_idx: int, grid_value: float,

@@ -274,6 +274,18 @@ class AggregationTree:
              for idx, c in enumerate(lv)]
             for lvl, lv in enumerate(d["levels"])
         ]
+        for node in (node for level in levels for node in level):
+            where = f"level {node.level} cluster {node.index}"
+            for key in ("members", "children", "child_delays", "head_site"):
+                values = getattr(node, key)
+                bad = [v for v in (values if key != "head_site" else (values,))
+                       if type(v) is not int or not -2**63 <= v < 2**63]
+                if bad:
+                    raise ValueError(f"{where}: {key} must be 64-bit integers, "
+                                     f"got {bad[0]!r}")
+            if node.head_site not in node.members:
+                raise ValueError(f"{where}: head_site {node.head_site} is not "
+                                 "a member")
         merges = [MergeRecord(m["level"], m["new_index"], m["gamma"], m["cost"])
                   for m in d.get("merges", ())]
         return cls(levels, d["n_cells"], d["cost_per_cell"], merges)

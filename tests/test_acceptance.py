@@ -43,8 +43,7 @@ def paired_sem(diffs):
 def nearest_zero_db(result, scheme):
     """Grid value and trial rows at the scheme's INR point closest to 0 dB."""
     best = None
-    for gval in result.grid_values(scheme):
-        rows = result.rows_for(scheme, gval)
+    for gval, rows in result.groups(scheme).items():
         inr_db = 10 * math.log10(np.mean([r.mean_inr_linear for r in rows]))
         if best is None or abs(inr_db) < abs(best[1]):
             best = (gval, inr_db, rows)
@@ -283,8 +282,7 @@ def test_criterion_7_aggregation_cost_tradeoff():
         for key in keys:
             name = f"{prefix}@{key}"
             best = None
-            for gval in result.grid_values(name):
-                rows = result.rows_for(name, gval)
+            for rows in result.groups(name).values():
                 inr = np.mean([r.mean_inr_linear for r in rows])
                 if inr > 1.0:  # cap: average INR at most 0 dB
                     continue

@@ -76,6 +76,24 @@ class TestBuildTree:
         ctx = prepare_trial(load_config(config_path, override[1:]), 1)
         assert json.loads(out.read_text()) == ctx.runtimes[1].tree.to_dict()
 
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_budgeted_ibt_matches_the_sweep(self, tmp_path, fraction):
+        # the sweep builds the three budgets of one gamma_delay in one pass,
+        # build-tree the first alone
+        config = str(ROOT / "configs" / "sweep_small.yaml")
+        full = "{name: full, kind: ibt, gamma_delay: 0.02}"
+        free = prepare_trial(load_config(config, [f"schemes=[{full}]"]), 1)
+        c_max = fraction * free.runtimes[0].tree.cost_per_cell
+        override = ["-D", f"schemes=[{{name: half, kind: ibt, gamma_delay: "
+                          f"0.02, c_max: {c_max!r}}}, {full}, {{name: q, "
+                          f"kind: ibt, gamma_delay: 0.02, c_max: "
+                          f"{c_max / 2!r}}}]"]
+        out = tmp_path / "tree.json"
+        assert main(["build-tree", "--config", config, "-o", str(out),
+                     "--trial", "1"] + override) == 0
+        ctx = prepare_trial(load_config(config, override[1:]), 1)
+        assert json.loads(out.read_text()) == ctx.runtimes[0].tree.to_dict()
+
     def test_budget_override_gives_flat_forest(self, tmp_path, config_path,
                                                capsys):
         out = tmp_path / "tree.json"

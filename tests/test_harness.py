@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
@@ -18,7 +19,7 @@ from hiersense.dynamics import (OccupancyModel, sample_steady_state,
                                 step_occupancy)
 from hiersense.harness import (FadingLayout, _fill_cells_uniform,
                                prepare_trial, run_trial_point,
-                               scheme_ip_sequence)
+                               scheme_ip_sequence, write_table)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
 from hiersense.sensing import (SensorModel, filter_posteriors,
                                posterior_update, prior_propagate,
@@ -139,8 +140,8 @@ class TestDeterminism:
         res = run_experiment(cfg)
         # ibt: 2 lambda x 2 trials; unc: 2 ptx x 2 trials
         assert len(res.rows) == 8
-        assert res.grid_values("ibt") == [0.01, 0.1]
-        assert res.grid_values("unc") == [0.005, 0.02]
+        assert list(res.groups("ibt")) == [0.01, 0.1]
+        assert list(res.groups("unc")) == [0.005, 0.02]
         assert {r.seed for r in res.rows} == {0, 1}
 
 
@@ -262,7 +263,7 @@ class TestFrameLoop:
         ), trials=1, frames=15, lambda_grid=(0.05,))
         res = run_experiment(cfg)
         assert len(res.rows) == 3
-        radius_row = res.rows_for("radius")[0]
+        [[radius_row]] = res.groups("radius").values()
         assert radius_row.agg_cost_per_cell > 0
 
     def test_nsi_warmup_and_cost_come_from_the_delays(self):
@@ -968,6 +969,20 @@ class TestSweepOutput:
         summary = tmp_path / "summary.csv"
         res.write_summary_csv(summary)
         assert "sem_su_throughput" in summary.read_text().splitlines()[0]
+
+    def test_write_table_number_rule(self, tmp_path):
+        # text and integers as they are, other numbers as the repr of a float
+        row = ["ibt", 0, np.int64(3), 0.1, np.float64(1 / 3), -0.0, 5e-324,
+               1e300, math.inf, -math.inf, math.nan]
+        path = tmp_path / "table.csv"
+        write_table(path, [f"c{k}" for k in range(len(row))], [row])
+        with open(path, newline="") as fh:
+            header, back = list(csv.reader(fh))
+        assert header == [f"c{k}" for k in range(len(row))]
+        assert back[:3] == ["ibt", "0", "3"]
+        for text, value in zip(back[3:], row[3:]):
+            assert np.float64(float(text)).tobytes() == \
+                np.float64(value).tobytes()
 
     def test_summary_aggregates_over_trials(self):
         res = run_experiment(small_config(trials=3, frames=10,

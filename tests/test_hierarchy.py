@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -728,3 +729,47 @@ class TestSerialization:
             tree.save(p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    @staticmethod
+    def two_cell_dict(level0_head=1, **root):
+        """Both cells under one root; ``root`` replaces fields of the root."""
+        leaves = [{"members": [i], "children": [], "child_delays": [],
+                   "head_site": i} for i in range(2)]
+        leaves[1]["head_site"] = level0_head
+        top = {"members": [0, 1], "children": [0, 1], "child_delays": [0, 0],
+               "head_site": 0, **root}
+        return {"n_cells": 2, "cost_per_cell": 0.0, "levels": [leaves, [top]]}
+
+    def test_well_formed_json_loads(self):
+        d = self.two_cell_dict(child_delays=[2, 0], head_site=1)
+        tree = AggregationTree.from_dict(d)
+        assert tree.delta.tolist() == [[0, 0], [2, 0]]
+        assert tree.to_dict()["levels"] == d["levels"]
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"child_delays": [1.5, 0]}, "child_delays must be 64-bit integers, "
+                                     "got 1.5"),
+        ({"child_delays": ["1", 0]}, "child_delays must be 64-bit integers, "
+                                     "got '1'"),
+        ({"child_delays": [True, 0]}, "child_delays must be 64-bit integers, "
+                                      "got True"),
+        ({"child_delays": [2**63, 0]}, "child_delays must be 64-bit integers, "
+                                       "got 9223372036854775808"),
+        ({"members": ["0", 1]}, "members must be 64-bit integers, got '0'"),
+        ({"children": ["0", 1]}, "children must be 64-bit integers, got '0'"),
+        ({"children": [0.0, 1]}, "children must be 64-bit integers, got 0.0"),
+        ({"head_site": 99}, "head_site 99 is not a member"),
+        ({"head_site": 1.0}, "head_site must be 64-bit integers, got 1.0"),
+    ], ids=["fractional-delay", "text-delay", "bool-delay", "delay-2**63",
+            "text-member", "text-child", "float-child", "head-99",
+            "float-head"])
+    def test_malformed_root_rejected(self, fault, message):
+        with pytest.raises(ValueError,
+                           match=f"^level 1 cluster 0: {re.escape(message)}$"):
+            AggregationTree.from_dict(self.two_cell_dict(**fault))
+
+    def test_level_zero_head_outside_its_cell_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^level 0 cluster 1: head_site 0 is not a "
+                                 "member$"):
+            AggregationTree.from_dict(self.two_cell_dict(level0_head=0))
