@@ -103,12 +103,9 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, args.override)
     result = run_experiment(config)
     result.write_csv(args.output)
-    output = Path(args.output)
-    summary_path = args.summary or output.with_name(output.stem
-                                                    + "_summary.csv")
-    result.write_summary_csv(summary_path)
+    result.write_summary_csv(args.summary)
     print(f"{len(result.rows)} rows written to {args.output}")
-    print(f"summary written to {summary_path}")
+    print(f"summary written to {args.summary}")
     return 0
 
 
@@ -298,11 +295,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(flag: str, path) -> None:
+    """Fail before any work on an output path that cannot be written: its
+    directory must exist, and it must not be a directory itself."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"--{flag}: {path.parent} is not an existing "
+                          "directory")
+    if path.is_dir():
+        raise ConfigError(f"--{flag}: {path} is a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "trial", 0) < 0:
             raise ConfigError(f"--trial: must be >= 0, got {args.trial}")
+        if args.command == "sweep" and args.summary is None:
+            output = Path(args.output)  # the summary goes beside the rows
+            args.summary = str(output.with_name(output.stem + "_summary.csv"))
+        for flag in ("output", "summary", "trace"):
+            if getattr(args, flag, None) is not None:
+                _check_output(flag, getattr(args, flag))
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

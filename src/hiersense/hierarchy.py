@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -70,7 +71,7 @@ class RingSumPlan(NamedTuple):
 
 
 class AggregationTree:
-    """Immutable level hierarchy with per-cell per-level delays."""
+    """Immutable level hierarchy with per-cell per-level delays, as arrays."""
 
     def __init__(self, levels, n_cells: int, cost_per_cell: float = 0.0,
                  merge_log=()):
@@ -79,18 +80,10 @@ class AggregationTree:
         for i, node in enumerate(levels[0]):
             if node.members != (i,):
                 raise ValueError("level-0 clusters must be singletons in cell order")
-        self.levels = [list(lv) for lv in levels]
-        self.n_cells = n_cells
-        self.cost_per_cell = float(cost_per_cell)
-        self.merge_log = list(merge_log)
-
-        depth = len(self.levels) - 1
-        self.delta = np.zeros((depth + 1, n_cells), dtype=int)
-        self.cluster_of = np.zeros((depth + 1, n_cells), dtype=int)
-        self.cluster_of[0] = np.arange(n_cells)
-        self._fusion_plan: list[tuple[np.ndarray, ...]] = []
-        for lvl in range(1, depth + 1):
-            nodes = self.levels[lvl]
+        rows = [(np.arange(n_cells), np.zeros(n_cells, dtype=int), np.array(
+            [c.head_site for c in levels[0]], dtype=int), None, ())]
+        for lvl in range(1, len(levels)):
+            nodes = levels[lvl]
             if any(node.index != pos for pos, node in enumerate(nodes)):
                 raise ValueError("cluster indices must match list positions")
             children = np.array([c for node in nodes for c in node.children], dtype=int)
@@ -100,7 +93,7 @@ class AggregationTree:
             if any(len(node.child_delays) != len(node.children)
                    for node in nodes):
                 raise ValueError("each child must have one edge delay")
-            n_below = len(self.levels[lvl - 1])
+            n_below = len(levels[lvl - 1])
             if ((children < 0) | (children >= n_below)).any():
                 raise ValueError("child indices must lie in the level below")
             members = np.array([i for node in nodes for i in node.members], dtype=int)
@@ -116,29 +109,61 @@ class AggregationTree:
                 raise ValueError("clusters within a level must be disjoint")
             if (count == 0).any():
                 raise ValueError("every cell must belong to a cluster at each level")
-            self.cluster_of[lvl, members] = member_node
+            cluster = member_node[np.argsort(members)]  # a permutation
             # each cluster below is one node's child, held whole by that node
             parent = np.empty(n_below, dtype=int)
             parent[children] = np.arange(len(nodes)).repeat(n_child)
-            below = self.cluster_of[lvl - 1]
+            below, delta = rows[-1][:2]
             if (np.bincount(children, minlength=n_below) != 1).any() \
-                    or (parent[below] != self.cluster_of[lvl]).any():
+                    or (parent[below] != cluster).any():
                 raise ValueError(_UNION)
             edge = np.empty(n_below, dtype=int)
             edge[children] = delays
-            self.delta[lvl] = self.delta[lvl - 1] + edge[below]
-            if (self.delta[lvl] < self.delta[lvl - 1]).any():  # int64 wrapped
-                raise ValueError("accumulated delays must fit a 64-bit integer")
-            self._fusion_plan.append((children, delays,
-                                      np.cumsum(n_child, dtype=int) - n_child))
+            rows.append((cluster, delta + edge[below],
+                         np.array([c.head_site for c in nodes], dtype=int),
+                         (children, delays,
+                          np.cumsum(n_child, dtype=int) - n_child), ()))
+        self._store(n_cells, cost_per_cell, rows)
+        self.merge_log = list(merge_log)
+
+    def _store(self, n_cells: int, cost_per_cell: float, rows) -> None:
+        """Keep the tree as arrays: per level, every cell's cluster and delay,
+        every cluster's head site, the :meth:`fusion_plan` entry and merges."""
+        cluster, delta, self._heads, (_, *self._fusion_plan), self._merges \
+            = zip(*rows)
+        self.n_cells, self.cost_per_cell = n_cells, float(cost_per_cell)
+        self.cluster_of, self.delta = np.stack(cluster), np.stack(delta)
+        if (self.delta[1:] < self.delta[:-1]).any():  # int64 wrapped
+            raise ValueError("accumulated delays must fit a 64-bit integer")
         self.delta.setflags(write=False)
         self.cluster_of.setflags(write=False)
+
+    @cached_property
+    def levels(self) -> list[list[ClusterNode]]:
+        """Every level's clusters as nodes, built on first read."""
+        out = [[ClusterNode(0, i, (i,), (), (), head)
+                for i, head in enumerate(self._heads[0].tolist())]]
+        for ids, heads, (children, delays, start) in zip(
+                self.cluster_of[1:], self._heads[1:], self._fusion_plan):
+            cut = np.cumsum(np.bincount(ids, minlength=len(heads)))[:-1]
+            parts = [[tuple(p.tolist()) for p in np.split(a, at)] for a, at in
+                     ((np.argsort(ids, kind="stable"), cut),
+                      (children, start[1:]), (delays, start[1:]))]
+            out.append([ClusterNode(len(out), k, *node) for k, node in
+                        enumerate(zip(*parts, heads.tolist()))])
+        return out
+
+    @cached_property
+    def merge_log(self) -> list[MergeRecord]:
+        """Every merge of a built tree in order, built on first read."""
+        return [MergeRecord(lvl, k, m[2], m[3]) for lvl, merges in
+                enumerate(self._merges[1:]) for k, m in enumerate(merges)]
 
     # ------------------------------------------------------------------ queries
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.cluster_of) - 1
 
     @property
     def total_edge_delay_sum(self) -> int:
@@ -169,9 +194,10 @@ class AggregationTree:
     @cached_property
     def ring_sum_plan(self) -> RingSumPlan:
         """The :class:`RingSumPlan` of this tree, built once; read-only."""
-        size = np.array([len(c.members) for lv in self.levels for c in lv])
+        size = np.concatenate([np.bincount(ids, minlength=len(heads)) for
+                               ids, heads in zip(self.cluster_of, self._heads)])
         width, reach = len(size), self.total_edge_delay_sum
-        off = np.cumsum([0] + [len(level) for level in self.levels])
+        off = np.cumsum([0] + [len(heads) for heads in self._heads])
         levels = [((reach - lag) * width + off[lvl - 1] + idx, seg, off[lvl],
                    off[lvl + 1])
                   for lvl, (idx, lag, seg) in enumerate(self._fusion_plan, 1)]
@@ -267,28 +293,27 @@ class AggregationTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AggregationTree":
-        levels = [
-            [ClusterNode(lvl, idx, tuple(c["members"]), tuple(c["children"]),
-                         tuple(c["child_delays"]), c["head_site"])
-             for idx, c in enumerate(lv)]
-            for lvl, lv in enumerate(d["levels"])
-        ]
-        for node in (node for level in levels for node in level):
-            where = f"level {node.level} cluster {node.index}"
-            for key in ("members", "children", "child_delays", "head_site"):
-                values = getattr(node, key)
-                bad = [v for v in (values if key != "head_site" else (values,))
-                       if type(v) is not int or not -2**63 <= v < 2**63]
-                if bad:
-                    raise ValueError(f"{where}: {key} must be 64-bit integers, "
-                                     f"got {bad[0]!r}")
-            if node.head_site not in node.members:
-                raise ValueError(f"{where}: head_site {node.head_site} is not "
-                                 "a member")
-        merges = [MergeRecord(m["level"], m["new_index"], m["gamma"], m["cost"])
-                  for m in d.get("merges", ())]
-        return cls(levels, d["n_cells"], d["cost_per_cell"], merges)
+    def from_dict(cls, d) -> "AggregationTree":
+        """The tree of :meth:`to_dict`'s form; a malformed field raises a
+        ValueError that names it."""
+        top = "tree JSON"
+        n_cells = _field(d, "n_cells", top, lambda v: type(v) is int and v >= 1,
+                         "an integer >= 1")
+        cost = _field(d, "cost_per_cell", top, _finite, "a finite number")
+        raw = _field(d, "levels", top, lambda v: type(v) is list and all(
+            type(lv) is list for lv in v), "a list of lists")
+        if "depth" in d:
+            _field(d, "depth", top, lambda v: type(v) is int
+                   and v == len(raw) - 1, f"{len(raw) - 1}, the level count "
+                   "less one")
+        levels = [[_json_node(lvl, idx, c) for idx, c in enumerate(lv)]
+                  for lvl, lv in enumerate(raw)]
+        merges = _field(d, "merges", top, lambda v: type(v) is list, "a list") \
+            if "merges" in d else []
+        log = [MergeRecord(*(_field(m, key, f"merges[{k}]", ok, want)
+                             for key, ok, want in _MERGE_FIELDS))
+               for k, m in enumerate(merges)]
+        return cls(levels, n_cells, cost, log)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -298,6 +323,47 @@ class AggregationTree:
     def load(cls, path) -> "AggregationTree":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _field(obj, key: str, where: str, ok, want: str):
+    """``obj[key]`` of tree JSON, once ``obj`` is a mapping that holds it and
+    ``ok`` accepts it; otherwise a ValueError naming the field."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where}: must be a mapping, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where}: {key} is missing")
+    if not ok(obj[key]):
+        raise ValueError(f"{where}: {key} must be {want}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _finite(v) -> bool:
+    """A JSON number: an int or a finite float, never a bool."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+_MERGE_FIELDS = (("level", lambda v: type(v) is int, "an integer"),
+                 ("new_index", lambda v: type(v) is int, "an integer"),
+                 ("gamma", lambda v: v is None or _finite(v),
+                  "a finite number or null"),
+                 ("cost", _finite, "a finite number"))
+
+
+def _json_node(lvl: int, idx: int, c) -> ClusterNode:
+    """Cluster ``idx`` of level ``lvl`` of tree JSON, its fields checked."""
+    where, fields = f"level {lvl} cluster {idx}", []
+    for key in ("members", "children", "child_delays", "head_site"):
+        value = _field(c, key, where, lambda v: key == "head_site"
+                       or type(v) is list, "a list")
+        bad = [v for v in (value if key != "head_site" else (value,))
+               if type(v) is not int or not -2**63 <= v < 2**63]
+        if bad:
+            raise ValueError(f"{where}: {key} must be 64-bit integers, "
+                             f"got {bad[0]!r}")
+        fields.append(value if key == "head_site" else tuple(value))
+    if fields[3] not in fields[0]:
+        raise ValueError(f"{where}: head_site {fields[3]} is not a member")
+    return ClusterNode(lvl, idx, *fields)
 
 
 def _random_merges(cost_mat, cost, rows, cols, delay_mat, c_cell: float,
@@ -345,16 +411,16 @@ def _greedy_scan(order, rows, cols, cost, gamma, delay_mat, alive, c_cell,
     return c_cell
 
 
-def _next_level(state, centers, merges, alive, c_cell):
+def _next_level(built, far, centers, merges, alive, c_cell):
     """The next level: merged clusters in merge order, then carried ones."""
-    levels, merge_log, _, cluster, heads, far, delta = state
+    cluster, delta, heads = built[-1][:3]
     carried = np.flatnonzero(alive).tolist()
     first, second = (np.array([m[k] for m in merges] + carried) for k in (0, 1))
     new_of = np.empty(len(heads), dtype=int)
     new_of[first] = new_of[second] = np.arange(len(first))
     cluster = new_of[cluster]
-    edge = [m[4] for m in merges]
-    delta = delta + np.array(edge + [0] * len(carried))[cluster]
+    edge = np.array([m[4] for m in merges] + [0] * len(carried), dtype=int)
+    delta = delta + edge[cluster]
     far = np.maximum(far[first], far[second])  # the children's rows,
     far = np.maximum(far[:, first], far[:, second])  # then their columns
     order = np.argsort(cluster, kind="stable")
@@ -370,17 +436,10 @@ def _next_level(state, centers, merges, alive, c_cell):
         pts = centers[mem]
         d2 = ((pts - pts.sum(axis=1, keepdims=True) / k) ** 2).sum(axis=2)
         heads[sel] = mem[np.arange(len(sel)), d2.argmin(axis=1)]
-
-    lvl, flat, ends = len(levels), order.tolist(), np.cumsum(size).tolist()
-    children = [m[:2] for m in merges] + [(k,) for k in carried]
-    delays = [(e, e) for e in edge] + [(0,)] * len(carried)
-    levels = levels + [[ClusterNode(lvl, k, tuple(flat[s:e]), ch, dl, hd)
-                        for k, (s, e, ch, dl, hd) in enumerate(zip(
-                            start.tolist(), ends, children, delays,
-                            heads.tolist()))]]
-    merge_log = merge_log + [MergeRecord(lvl - 1, k, m[2], m[3])
-                             for k, m in enumerate(merges)]
-    return levels, merge_log, c_cell, cluster, heads, far, delta
+    n_child = 1 + (first != second)  # a merge's two clusters or a carried one
+    children = np.stack([first, second], axis=1)[n_child[:, None] > [0, 1]]
+    plan = (children, edge.repeat(n_child), np.cumsum(n_child) - n_child)
+    return built + ((cluster, delta, heads, plan, merges),), c_cell, far
 
 
 def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
@@ -407,15 +466,15 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
     mu = float(mu)
 
     trees = [None] * len(budgets)
-    # (a level's start: the levels and merge log so far, their cost, every
-    # cell's cluster, every cluster's head site, the largest distance between
-    # two clusters' cells and every cell's delay; the budgets that reach it)
-    level0 = [ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)]
-    branches = [(([level0], [], 0.0, np.arange(n_cells), np.arange(n_cells),
-                  dist, np.zeros(n_cells)), range(len(budgets)))]
+    # (a level's start: the levels so far as AggregationTree._store takes
+    # them, their cost and the largest distance between two clusters'
+    # cells; the budgets that reach it)
+    cells = np.arange(n_cells)
+    level0 = (cells, np.zeros(n_cells, dtype=int), cells, None, ())
+    branches = [(((level0,), 0.0, dist), range(len(budgets)))]
     while branches:
-        state, group = branches.pop()
-        levels, merge_log, c_cell, cluster, heads, far, delta = state
+        (built, c_cell, far), group = branches.pop()
+        cluster, delta, heads = built[-1][:3]
         n = len(heads)
         delay_mat = frame_delays(dist[np.ix_(heads, heads)], gamma_delay)
         cost_mat = far / n_cells  # worst-case pair distance per cell
@@ -425,7 +484,8 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
         least = c_cell + cost.min() if n > 1 else None
         done = [k for k in group if least is None or not least <= budgets[k]]
         if done:
-            tree = AggregationTree(levels, n_cells, c_cell, merge_log)
+            tree = AggregationTree.__new__(AggregationTree)
+            tree._store(n_cells, c_cell, built)
             for k in done:
                 trees[k] = tree
         group = sorted(set(group) - set(done), key=lambda k: -budgets[k])
@@ -436,8 +496,8 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
             merges, alive, c_next = _random_merges(
                 cost_mat, cost, rows, cols, delay_mat, c_cell,
                 budgets[group[0]], rng)
-            branches.append((_next_level(state, centers, merges, alive,
-                                         c_next), group))
+            branches.append((_next_level(built, far, centers, merges,
+                                         alive, c_next), group))
             continue
         pair_sum = (mu ** delta)[:, None] * w
         if n < n_cells:  # level 0 is all singletons: the sums are the cells
@@ -467,8 +527,8 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
                                       alive, c_next, c_max, merges)
             keep = [k for k in group if budgets[k] >= c_next]
             group = group[len(keep):]
-            branches.append((_next_level(state, centers, merges, alive,
-                                         c_next), keep))
+            branches.append((_next_level(built, far, centers, merges,
+                                         alive, c_next), keep))
     return trees
 
 

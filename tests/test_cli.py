@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from hiersense import (ControlParams, HierarchicalExchange, RunningRingSums,
-                       control, harness, optimal_traffic)
+                       cli, control, harness, optimal_traffic)
 from hiersense.cli import load_config, main
 from hiersense.config import _load_yaml
 from hiersense.harness import prepare_trial, scheme_ip_sequence
@@ -444,6 +444,56 @@ class TestSweep:
             parsed = _load_yaml(fh)
         with open(ROOT / config) as fh:
             assert parsed == yaml.safe_load(fh)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2, naming its flag,
+    before any trial is set up."""
+
+    @pytest.fixture(autouse=True)
+    def no_trial(self, monkeypatch):
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial was set up")
+        for module, name in ((harness, "prepare_trial"), (cli, "prepare_trial"),
+                             (cli, "trial_topology")):
+            monkeypatch.setattr(module, name, trial)
+
+    @pytest.mark.parametrize("argv, flag, fault", [
+        (["sweep", "-o", "{missing}/x.csv"], "output", "{missing} is not"),
+        (["sweep", "-o", "{file}/x.csv"], "output", "{file} is not"),
+        (["sweep", "-o", "{dir}"], "output", "{dir} is a directory"),
+        (["sweep", "-o", "{dir}/x.csv", "--summary", "{missing}/s.csv"],
+         "summary", "{missing} is not"),
+        (["sweep", "-o", "{dir}/x.csv", "--summary", "{dir}"], "summary",
+         "{dir} is a directory"),
+        (["sweep", "-o", "{dir}/sub/x"], "summary",
+         "{dir}/sub/x_summary.csv is a directory"),
+        (["simulate", "-o", "{missing}/s.csv"], "output", "{missing} is not"),
+        (["simulate", "-o", "{dir}/s.csv", "--trace", "{missing}/t.csv"],
+         "trace", "{missing} is not"),
+        (["simulate", "-o", "{dir}/s.csv", "--trace", "{dir}"], "trace",
+         "{dir} is a directory"),
+        (["build-tree", "-o", "{missing}/t.json"], "output",
+         "{missing} is not"),
+        (["build-tree", "-o", "{dir}"], "output", "{dir} is a directory"),
+    ], ids=["sweep-missing-dir", "sweep-dir-is-file", "sweep-dir",
+            "summary-missing-dir", "summary-dir", "derived-summary-dir",
+            "simulate-missing-dir", "trace-missing-dir", "trace-dir",
+            "build-tree-missing-dir", "build-tree-dir"])
+    def test_exits_2_before_any_trial(self, tmp_path, config_path, capsys,
+                                      argv, flag, fault):
+        (tmp_path / "sub" / "x_summary.csv").mkdir(parents=True)
+        (tmp_path / "file").write_text("")
+        names = {"missing": tmp_path / "missing", "file": tmp_path / "file",
+                 "dir": tmp_path}
+        argv = [a.format(**names) for a in argv]
+        before = sorted(tmp_path.rglob("*"))
+        code = main([argv[0], "--config", config_path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --{flag}: {fault.format(**names)}")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestValidate:

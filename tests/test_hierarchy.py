@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hiersense import hierarchy
 from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
                        build_ibt, build_random_tree, build_topology,
                        compute_phi, compute_weights)
+from hiersense.config import load_config
+from hiersense.harness import prepare_trial, run_experiment, trial_topology
 from hiersense.hierarchy import ClusterNode, MergeRecord
 from hiersense.topology import coupling_matrix
 from tests.conftest import random_phi
 from tests.oracles import gamma_metric, h_distance, pair_cost
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -773,3 +778,135 @@ class TestSerialization:
                            match="^level 0 cluster 1: head_site 0 is not a "
                                  "member$"):
             AggregationTree.from_dict(self.two_cell_dict(level0_head=0))
+
+    @staticmethod
+    def with_merge(edit):
+        """A 2-cell tree's JSON with one merge record, after ``edit``."""
+        d = AggregationTree.from_nested(2, [[(0, 1), (1, 0)]]).to_dict()
+        d["merges"] = [{"level": 0, "new_index": 0, "gamma": None,
+                        "cost": 0.5}]
+        edit(d)
+        return d
+
+    def test_json_with_merges_loads(self):
+        tree = AggregationTree.from_dict(self.with_merge(lambda d: None))
+        assert tree.merge_log == [MergeRecord(0, 0, None, 0.5)]
+        assert tree.depth == 1 and tree.delta.tolist() == [[0, 0], [1, 0]]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("cost_per_cell"),
+         "tree JSON: cost_per_cell is missing"),
+        (lambda d: d.pop("levels"), "tree JSON: levels is missing"),
+        (lambda d: d.pop("n_cells"), "tree JSON: n_cells is missing"),
+        (lambda d: d["levels"][1][0].pop("head_site"),
+         "level 1 cluster 0: head_site is missing"),
+        (lambda d: d["merges"][0].pop("new_index"),
+         "merges[0]: new_index is missing"),
+        (lambda d: d.update(n_cells=2.0),
+         "tree JSON: n_cells must be an integer >= 1, got 2.0"),
+        (lambda d: d.update(n_cells=0),
+         "tree JSON: n_cells must be an integer >= 1, got 0"),
+        (lambda d: d.update(levels=5),
+         "tree JSON: levels must be a list of lists, got 5"),
+        (lambda d: d["levels"][1].__setitem__(0, 7),
+         "level 1 cluster 0: must be a mapping, got 7"),
+        (lambda d: d["levels"][1][0].update(members=5),
+         "level 1 cluster 0: members must be a list, got 5"),
+        (lambda d: d.update(cost_per_cell="x"),
+         "tree JSON: cost_per_cell must be a finite number, got 'x'"),
+        (lambda d: d.update(cost_per_cell=math.nan),
+         "tree JSON: cost_per_cell must be a finite number, got nan"),
+        (lambda d: d.update(depth=5),
+         "tree JSON: depth must be 1, the level count less one, got 5"),
+        (lambda d: d.update(merges={}),
+         "tree JSON: merges must be a list, got {}"),
+        (lambda d: d["merges"][0].update(level="0"),
+         "merges[0]: level must be an integer, got '0'"),
+        (lambda d: d["merges"][0].update(gamma="0.1"),
+         "merges[0]: gamma must be a finite number or null, got '0.1'"),
+        (lambda d: d["merges"][0].update(cost=math.inf),
+         "merges[0]: cost must be a finite number, got inf"),
+        (lambda d: d["merges"].__setitem__(0, [0, 0]),
+         "merges[0]: must be a mapping, got [0, 0]"),
+    ], ids=["no-cost", "no-levels", "no-n-cells", "no-head", "no-new-index",
+            "float-n-cells", "zero-n-cells", "int-levels", "int-node",
+            "int-members", "text-cost", "nan-cost", "depth-5", "dict-merges",
+            "text-merge-level", "text-gamma", "inf-merge-cost",
+            "list-merge"])
+    def test_malformed_tree_json_rejected(self, edit, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AggregationTree.from_dict(self.with_merge(edit))
+
+
+def _plan_arrays(tree):
+    plan = tree.ring_sum_plan
+    return [*(a for level in tree.fusion_plan() for a in level), plan.size,
+            plan.own, plan.sub, plan.rings,
+            *(a for part in plan.levels + plan.runs for a in part)]
+
+
+class TestBuiltTreeEqualsItsJsonRoundTrip:
+    """The node constructor is the oracle of the builders' array path: a
+    built tree and the tree read back from its JSON hold equal arrays and
+    equal node lists."""
+
+    @pytest.mark.parametrize("workload", ["tradeoff", "scale", "fading"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ibt_and_rt(self, workload, seed):
+        config = load_config(str(ROOT / "perfbench" / "workloads"
+                                 / f"{workload}.yaml"),
+                             [f"experiment.master_seed={seed}"])
+        topo, phi = trial_topology(config, 0)
+        trees = []
+        for gamma_delay in (0.0, 0.005):
+            trees += hierarchy.build_ibts(topo, phi, 0.9, gamma_delay,
+                                          [math.inf, 150.0])
+            trees += [build_random_tree(topo, gamma_delay, c_max,
+                                        np.random.default_rng(seed))
+                      for c_max in (math.inf, 5.0)]
+        # the budgets bind somewhere: not every tree is a single root
+        assert any(len(t.levels[-1]) > 1 for t in trees)
+        for tree in trees:
+            back = AggregationTree.from_dict(tree.to_dict())
+            assert np.array_equal(back.cluster_of, tree.cluster_of)
+            assert np.array_equal(back.delta, tree.delta)
+            ours, theirs = _plan_arrays(tree), _plan_arrays(back)
+            assert len(ours) == len(theirs)
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert [p[2:] for p in tree.ring_sum_plan.levels
+                    + tree.ring_sum_plan.runs] == \
+                [p[2:] for p in back.ring_sum_plan.levels
+                 + back.ring_sum_plan.runs]
+            assert back.levels == tree.levels
+            assert back.merge_log == tree.merge_log
+            assert len(tree.merge_log) == tree.n_cells - len(tree.levels[-1])
+
+
+class TestSweepBuildsNoNodes:
+    """Trees reach a sweep as arrays; node lists are built only when read."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {ClusterNode: 0, MergeRecord: 0}
+        for kind in counts:
+            def counting(self, *args, _init=kind.__init__, _kind=kind):
+                counts[_kind] += 1
+                _init(self, *args)
+            monkeypatch.setattr(kind, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("override", [[], ["experiment.is_mode="
+                                               "hierarchical"]])
+    def test_sweep_small(self, counts, override):
+        config = load_config(str(ROOT / "configs" / "sweep_small.yaml"),
+                             override)
+        result = run_experiment(config)
+        assert {row.scheme for row in result.rows} >= {"ibt", "rt"}
+        assert counts == {ClusterNode: 0, MergeRecord: 0}
+        # the counter sees the nodes a read of the node view builds
+        tree = prepare_trial(config, 0).runtimes[0].tree
+        assert counts == {ClusterNode: 0, MergeRecord: 0}
+        nodes, merges = sum(map(len, tree.levels)), len(tree.merge_log)
+        assert counts == {ClusterNode: nodes, MergeRecord: merges}
+        assert nodes > 16 and merges > 0
