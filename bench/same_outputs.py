@@ -4,8 +4,11 @@ the working tree, and compare every file they write byte for byte.
 The set is ``sweep`` (rows and summary) on every ``configs/*.yaml`` and
 ``perfbench/workloads/*.yaml``; ``simulate --trace`` (frames and trace) for
 ``ibt`` on ``sweep_small`` at lambda = 0.02, ``ibt_half`` on ``scale`` and
-``consensus`` on ``fading``; and ``build-tree`` on ``scale``, and on
-``sweep_small`` with one budgeted random-tree scheme at trial 2.  Both sides
+``consensus`` on ``fading``; and ``build-tree`` on ``scale`` and on
+``fading`` (a random layout with noisy sensing), on ``sweep_small`` with one
+budgeted random-tree scheme at trial 2, and on ``sweep_small`` with a mixed
+scheme list (a budgeted IBT first, beside a random tree and an unbudgeted
+IBT of the same ``gamma_delay``) at trial 1.  Both sides
 read the working tree's config files; the parent side runs ``src/`` of
 ``--parent-rev`` (extracted with ``git archive``), the other the working
 tree's ``src/``.  BLAS is pinned to one thread, as in ``perfbench``.
@@ -48,12 +51,19 @@ def commands(out: Path) -> list[list[str]]:
         cmds.append(["simulate", "--config", str(config), "--scheme", scheme,
                      "-o", str(out / f"{stem}.csv"),
                      "--trace", str(out / f"{stem}-trace.csv")] + extra)
-    cmds.append(["build-tree", "--config", str(WORKLOADS / "scale.yaml"),
-                 "-o", str(out / "tree-scale.json")])
+    for name in ("scale", "fading"):
+        cmds.append(["build-tree", "--config", str(WORKLOADS / f"{name}.yaml"),
+                     "-o", str(out / f"tree-{name}.json")])
     cmds.append(["build-tree", "--config", str(SWEEP_SMALL),
                  "-o", str(out / "tree-sweep_small-rt.json"), "--trial", "2",
                  "-D", "schemes=[{name: rt, kind: rt, gamma_delay: 0.02, "
                  "c_max: 40}]"])
+    cmds.append(["build-tree", "--config", str(SWEEP_SMALL),
+                 "-o", str(out / "tree-sweep_small-mixed.json"), "--trial",
+                 "1", "-D", "schemes=[{name: unc, kind: uncoordinated}, "
+                 "{name: h, kind: ibt, gamma_delay: 0.02, c_max: 86.0}, "
+                 "{name: r, kind: rt, gamma_delay: 0.02}, "
+                 "{name: f, kind: ibt, gamma_delay: 0.02}]"])
     return cmds
 
 

@@ -18,9 +18,9 @@ from . import control, inference
 from .aggregation import RunningRingSums, identity_residual
 from .config import ConfigError, ExperimentConfig, load_config
 from .dynamics import OccupancyModel
-from .harness import (_simulate_occupancy, prepare_scheme, prepare_trial,
-                      run_experiment, run_trial_point, scheme_ip_sequence,
-                      trial_topology, write_table)
+from .harness import (_simulate_occupancy, prepare_trial, run_experiment,
+                      run_trial_point, scheme_ip_sequence, trial_topology,
+                      trial_trees, write_table)
 from .hierarchy import AggregationTree, build_ibt
 from .sensing import SensorModel
 from .topology import PathlossParams, build_topology, compute_phi
@@ -35,10 +35,10 @@ def cmd_build_tree(args) -> int:
         print("error: no tree scheme (ibt/rt) in the config", file=sys.stderr)
         return 2
     topology, phi = trial_topology(config, args.trial)
-    tree = prepare_scheme(config, topology, phi, config.occupancy_model(),
-                          args.trial, pick[0]).tree
+    tree = trial_trees(config, topology, phi, args.trial)[pick[0]]
     tree.save(args.output)
     print(f"tree written to {args.output}")
+    print(f"scheme: {pick[1].name}")
     print(f"depth: {tree.depth}")
     print(f"cost per cell: {tree.cost_per_cell:.6g} m "
           f"({tree.cost_per_cell / config.resolved_hop_distance():.6g} hops)")
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "multi-scale spectrum sensing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-tree", help="build and serialize an aggregation tree")
+    what = "write the first tree scheme's tree, as the sweep builds it"
+    p = sub.add_parser("build-tree", help=what, description=what)
     p.add_argument("--config", required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--trial", type=int, default=0)

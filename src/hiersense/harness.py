@@ -32,14 +32,14 @@ from . import control
 from .aggregation import RunningRingSums
 from .config import ConfigError, ExperimentConfig, SchemeSpec
 from .dynamics import OccupancyModel, occupancy_chain, sample_steady_state
-from .hierarchy import (AggregationTree, build_ibt, build_ibts,
-                        build_random_tree)
+from .hierarchy import AggregationTree, build_ibts, build_random_tree
 from .inference import (DelayCompensatedWeights, compute_weights, estimate_ip,
                         estimate_is_oracle)
 from .sensing import SensorModel, filter_posteriors, sample_detection_count
-# set-up and the frame loop run block forms of these; perfbench/tracer.py
-# wraps them under these names
+# set-up and the frame loop run block (or multi-budget) forms of these;
+# perfbench/tracer.py wraps them under these names
 from .dynamics import step_occupancy  # noqa: F401
+from .hierarchy import build_ibt  # noqa: F401
 from .inference import estimate_is_hierarchical  # noqa: F401
 from .sensing import posterior_update, prior_propagate  # noqa: F401
 from .topology import (InterferenceMatrix, NetworkTopology, PathlossParams,
@@ -221,21 +221,30 @@ def _build_fading_layout(config, topology, rng) -> FadingLayout:
     )
 
 
+def trial_trees(config: ExperimentConfig, topology, phi, trial: int
+                ) -> dict[int, AggregationTree]:
+    """Every tree scheme's tree of the trial, by scheme index: the IBT
+    schemes that share a gamma_delay are built in one greedy pass, and each
+    random tree draws from its own stream."""
+    schemes, mu = config.schemes, float(config.occupancy_model().mu)
+    trees = {k: build_random_tree(topology, spec.gamma_delay, spec.c_max,
+                                  _seed_rng(config.master_seed, trial, 5, k))
+             for k, spec in enumerate(schemes) if spec.kind == "rt"}
+    ibt = [k for k, spec in enumerate(schemes) if spec.kind == "ibt"]
+    for delay in dict.fromkeys(schemes[k].gamma_delay for k in ibt):
+        same = [k for k in ibt if schemes[k].gamma_delay == delay]
+        trees.update(zip(same, build_ibts(topology, phi, mu, delay,
+                                          [schemes[k].c_max for k in same])))
+    return trees
+
+
 def prepare_scheme(config: ExperimentConfig, topology, phi, model,
-                   trial: int, scheme_idx: int, tree=None) -> SchemeRuntime:
-    """A scheme's per-trial state; an IBT scheme builds its tree unless it
-    is given one."""
+                   trial: int, scheme_idx: int, tree) -> SchemeRuntime:
+    """A scheme's per-trial state around its tree (None if it has none)."""
     spec = config.schemes[scheme_idx]
-    rt = SchemeRuntime(spec=spec)
+    rt = SchemeRuntime(spec=spec, tree=tree)
     mu = float(model.mu)
-    if spec.kind in ("ibt", "rt"):
-        if spec.kind == "ibt":
-            rt.tree = tree or build_ibt(topology, phi, mu, spec.gamma_delay,
-                                        spec.c_max)
-        else:
-            rng = _seed_rng(config.master_seed, trial, 5, scheme_idx)
-            rt.tree = build_random_tree(topology, spec.gamma_delay, spec.c_max,
-                                        rng)
+    if tree is not None:
         if config.is_mode == "hierarchical":
             # traffic has no known memory: its weights take mu = 1
             rt.weights, rt.weights_uncomp = compute_weights(rt.tree, phi,
@@ -279,14 +288,7 @@ def prepare_trial(config: ExperimentConfig, trial: int) -> TrialContext:
     m = np.full(config.n_cells, float(config.m_per_cell)
                 if config.population_mode == "constant" else np.inf)
 
-    # the IBT schemes that share a gamma_delay are built in one greedy pass
-    ibt = [k for k, spec in enumerate(config.schemes) if spec.kind == "ibt"]
-    trees = {}
-    for delay in dict.fromkeys(config.schemes[k].gamma_delay for k in ibt):
-        same = [k for k in ibt if config.schemes[k].gamma_delay == delay]
-        trees.update(zip(same, build_ibts(
-            topology, phi, float(model.mu), delay,
-            [config.schemes[k].c_max for k in same])))
+    trees = trial_trees(config, topology, phi, trial)
     runtimes = [prepare_scheme(config, topology, phi, model, trial, k,
                                trees.get(k))
                 for k in range(len(config.schemes))]

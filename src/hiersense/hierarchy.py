@@ -300,6 +300,7 @@ class AggregationTree:
         n_cells = _field(d, "n_cells", top, lambda v: type(v) is int and v >= 1,
                          "an integer >= 1")
         cost = _field(d, "cost_per_cell", top, _finite, "a finite number")
+        _field(d, "cost_per_cell", top, lambda v: v >= 0, ">= 0")
         raw = _field(d, "levels", top, lambda v: type(v) is list and all(
             type(lv) is list for lv in v), "a list of lists")
         if "depth" in d:
@@ -310,8 +311,7 @@ class AggregationTree:
                   for lvl, lv in enumerate(raw)]
         merges = _field(d, "merges", top, lambda v: type(v) is list, "a list") \
             if "merges" in d else []
-        log = [MergeRecord(*(_field(m, key, f"merges[{k}]", ok, want)
-                             for key, ok, want in _MERGE_FIELDS))
+        log = [_json_merge(k, m, [len(lv) for lv in levels])
                for k, m in enumerate(merges)]
         return cls(levels, n_cells, cost, log)
 
@@ -347,6 +347,21 @@ _MERGE_FIELDS = (("level", lambda v: type(v) is int, "an integer"),
                  ("gamma", lambda v: v is None or _finite(v),
                   "a finite number or null"),
                  ("cost", _finite, "a finite number"))
+
+
+def _json_merge(k: int, m, clusters: list[int]) -> MergeRecord:
+    """Merge ``k`` of tree JSON, its fields checked against the tree's
+    per-level cluster counts: it forms a cluster of the level above its own."""
+    where = f"merges[{k}]"
+    rec = MergeRecord(*(_field(m, key, where, ok, want)
+                        for key, ok, want in _MERGE_FIELDS))
+    depth = len(clusters) - 1
+    _field(m, "level", where, lambda v: 0 <= v < depth, f"in [0, {depth})")
+    count = clusters[rec.level + 1]
+    _field(m, "new_index", where, lambda v: 0 <= v < count,
+           f"in [0, {count}), the cluster count of level {rec.level + 1}")
+    _field(m, "cost", where, lambda v: v >= 0, ">= 0")
+    return rec
 
 
 def _json_node(lvl: int, idx: int, c) -> ClusterNode:

@@ -76,23 +76,68 @@ class TestBuildTree:
         ctx = prepare_trial(load_config(config_path, override[1:]), 1)
         assert json.loads(out.read_text()) == ctx.runtimes[1].tree.to_dict()
 
-    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
-    def test_budgeted_ibt_matches_the_sweep(self, tmp_path, fraction):
-        # the sweep builds the three budgets of one gamma_delay in one pass,
-        # build-tree the first alone
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75, "mixed"])
+    def test_budgeted_ibt_matches_the_sweep(self, tmp_path, capsys, fraction):
+        # the sweep builds the budgets of one gamma_delay in one pass, and
+        # build-tree writes the first tree scheme's tree of that pass
         config = str(ROOT / "configs" / "sweep_small.yaml")
         full = "{name: full, kind: ibt, gamma_delay: 0.02}"
-        free = prepare_trial(load_config(config, [f"schemes=[{full}]"]), 1)
-        c_max = fraction * free.runtimes[0].tree.cost_per_cell
-        override = ["-D", f"schemes=[{{name: half, kind: ibt, gamma_delay: "
-                          f"0.02, c_max: {c_max!r}}}, {full}, {{name: q, "
-                          f"kind: ibt, gamma_delay: 0.02, c_max: "
-                          f"{c_max / 2!r}}}]"]
+        if fraction == "mixed":
+            override = ["-D", "schemes=[{name: unc, kind: uncoordinated}, "
+                              "{name: h, kind: ibt, gamma_delay: 0.02, "
+                              "c_max: 86.0}, {name: r, kind: rt, "
+                              "gamma_delay: 0.02}, {name: f, kind: ibt, "
+                              "gamma_delay: 0.02}]"]
+            first, name = 1, "h"
+        else:
+            free = prepare_trial(load_config(config, [f"schemes=[{full}]"]), 1)
+            c_max = fraction * free.runtimes[0].tree.cost_per_cell
+            override = ["-D", f"schemes=[{{name: half, kind: ibt, gamma_delay: "
+                              f"0.02, c_max: {c_max!r}}}, {full}, {{name: q, "
+                              f"kind: ibt, gamma_delay: 0.02, c_max: "
+                              f"{c_max / 2!r}}}]"]
+            first, name = 0, "half"
         out = tmp_path / "tree.json"
         assert main(["build-tree", "--config", config, "-o", str(out),
                      "--trial", "1"] + override) == 0
+        assert f"scheme: {name}\n" in capsys.readouterr().out
         ctx = prepare_trial(load_config(config, override[1:]), 1)
-        assert json.loads(out.read_text()) == ctx.runtimes[0].tree.to_dict()
+        tree = ctx.runtimes[first].tree
+        assert json.loads(out.read_text()) == tree.to_dict()
+        if fraction == "mixed":
+            assert tree.depth == 2
+
+    MIXED = ["-D", "schemes=[{name: ibt, kind: ibt}, {name: rt, kind: rt}, "
+                   "{name: half, kind: ibt, c_max: 150.0}, {name: d, kind: "
+                   "ibt, gamma_delay: 0.02}, {name: unc, kind: uncoordinated}]",
+             "-D", "experiment.trials=2"]
+
+    def test_no_path_calls_the_single_budget_builder(self, tmp_path,
+                                                     config_path, monkeypatch):
+        # a trial's trees come only from trial_trees, which builds IBTs with
+        # build_ibts; build_ibt is left for the tracer alone
+        def unreachable(*args, **kwargs):
+            raise AssertionError("harness.build_ibt was called")
+        monkeypatch.setattr(harness, "build_ibt", unreachable)
+        assert main(["build-tree", "--config", config_path,
+                     "-o", str(tmp_path / "tree.json")] + self.MIXED) == 0
+        harness.run_experiment(load_config(config_path, self.MIXED[1::2]))
+
+    def test_one_ibt_pass_per_trial_and_delay(self, tmp_path, config_path,
+                                              monkeypatch):
+        delays = []
+
+        def counted(topology, phi, mu, gamma_delay, budgets):
+            delays.append(gamma_delay)
+            return build_ibts(topology, phi, mu, gamma_delay, budgets)
+        build_ibts = harness.build_ibts
+        monkeypatch.setattr(harness, "build_ibts", counted)
+        harness.run_experiment(load_config(config_path, self.MIXED[1::2]))
+        assert delays == [0.0, 0.02, 0.0, 0.02]
+        delays.clear()
+        assert main(["build-tree", "--config", config_path, "--trial", "1",
+                     "-o", str(tmp_path / "tree.json")] + self.MIXED) == 0
+        assert delays == [0.0, 0.02]
 
     def test_budget_override_gives_flat_forest(self, tmp_path, config_path,
                                                capsys):

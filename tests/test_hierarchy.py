@@ -828,11 +828,27 @@ class TestSerialization:
          "merges[0]: cost must be a finite number, got inf"),
         (lambda d: d["merges"].__setitem__(0, [0, 0]),
          "merges[0]: must be a mapping, got [0, 0]"),
+        (lambda d: d["merges"][0].update(level=7),
+         "merges[0]: level must be in [0, 1), got 7"),
+        (lambda d: d["merges"][0].update(level=-1),
+         "merges[0]: level must be in [0, 1), got -1"),
+        (lambda d: d["merges"][0].update(new_index=-3),
+         "merges[0]: new_index must be in [0, 1), the cluster count of "
+         "level 1, got -3"),
+        (lambda d: d["merges"][0].update(new_index=1),
+         "merges[0]: new_index must be in [0, 1), the cluster count of "
+         "level 1, got 1"),
+        (lambda d: d["merges"][0].update(cost=-1.0),
+         "merges[0]: cost must be >= 0, got -1.0"),
+        (lambda d: d.update(cost_per_cell=-5.0),
+         "tree JSON: cost_per_cell must be >= 0, got -5.0"),
     ], ids=["no-cost", "no-levels", "no-n-cells", "no-head", "no-new-index",
             "float-n-cells", "zero-n-cells", "int-levels", "int-node",
             "int-members", "text-cost", "nan-cost", "depth-5", "dict-merges",
             "text-merge-level", "text-gamma", "inf-merge-cost",
-            "list-merge"])
+            "list-merge", "merge-level-7", "negative-merge-level",
+            "negative-new-index", "new-index-past-level", "negative-merge-cost",
+            "negative-cost-per-cell"])
     def test_malformed_tree_json_rejected(self, edit, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AggregationTree.from_dict(self.with_merge(edit))
