@@ -1,17 +1,20 @@
 """Same outputs: run a fixed set of CLI commands on a parent revision and on
-the working tree, and compare every file they write byte for byte.
+the working tree, and compare every file they write, and what each prints,
+byte for byte.
 
 The set is ``sweep`` (rows and summary) on every ``configs/*.yaml`` and
 ``perfbench/workloads/*.yaml``; ``simulate --trace`` (frames and trace) for
 ``ibt`` on ``sweep_small`` at lambda = 0.02, ``ibt_half`` on ``scale`` and
-``consensus`` on ``fading``; and ``build-tree`` on ``scale`` and on
-``fading`` (a random layout with noisy sensing), on ``sweep_small`` with one
-budgeted random-tree scheme at trial 2, and on ``sweep_small`` with a mixed
-scheme list (a budgeted IBT first, beside a random tree and an unbudgeted
-IBT of the same ``gamma_delay``) at trial 1.  Both sides
-read the working tree's config files; the parent side runs ``src/`` of
-``--parent-rev`` (extracted with ``git archive``), the other the working
-tree's ``src/``.  BLAS is pinned to one thread, as in ``perfbench``.
+``consensus`` on ``fading``; ``build-tree`` on ``scale`` and on ``fading``
+(a random layout with noisy sensing), on ``sweep_small`` with one budgeted
+random-tree scheme at trial 2, and on ``sweep_small`` with a mixed scheme
+list (a budgeted IBT first, beside a random tree and an unbudgeted IBT of
+the same ``gamma_delay``) at trial 1; and ``validate``, with no config and
+on ``blockage_tradeoff``.  Each command's stdout is one more compared file,
+``<name>.stdout``, with the side's output directory replaced by ``<out>``.
+Both sides read the working tree's config files; the parent side runs
+``src/`` of ``--parent-rev`` (extracted with ``git archive``), the other the
+working tree's ``src/``.  BLAS is pinned to one thread, as in ``perfbench``.
 
     python3 bench/same_outputs.py --parent-rev HEAD~1
 
@@ -37,42 +40,52 @@ SWEEP_SMALL = ROOT / "configs" / "sweep_small.yaml"
 MAIN = "import sys; from hiersense.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def commands(out: Path) -> list[list[str]]:
-    """Each command's arguments, writing into ``out``."""
-    cmds = [["sweep", "--config", str(path), "-o",
-             str(out / f"sweep-{path.parent.name}-{path.stem}.csv")]
-            for pattern in ("configs/*.yaml", "perfbench/workloads/*.yaml")
-            for path in sorted(ROOT.glob(pattern))]
+def commands(out: Path) -> dict[str, list[str]]:
+    """Each command's arguments, writing into ``out``, by the name its
+    stdout is saved under."""
+    cmds = {}
+    for pattern in ("configs/*.yaml", "perfbench/workloads/*.yaml"):
+        for path in sorted(ROOT.glob(pattern)):
+            name = f"sweep-{path.parent.name}-{path.stem}"
+            cmds[name] = ["sweep", "--config", str(path), "-o",
+                          str(out / f"{name}.csv")]
     for config, scheme, extra in (
             (SWEEP_SMALL, "ibt", ["--grid-value", "0.02"]),
             (WORKLOADS / "scale.yaml", "ibt_half", []),
             (WORKLOADS / "fading.yaml", "consensus", [])):
-        stem = f"simulate-{config.stem}-{scheme}"
-        cmds.append(["simulate", "--config", str(config), "--scheme", scheme,
-                     "-o", str(out / f"{stem}.csv"),
-                     "--trace", str(out / f"{stem}-trace.csv")] + extra)
+        name = f"simulate-{config.stem}-{scheme}"
+        cmds[name] = ["simulate", "--config", str(config), "--scheme", scheme,
+                      "-o", str(out / f"{name}.csv"),
+                      "--trace", str(out / f"{name}-trace.csv")] + extra
     for name in ("scale", "fading"):
-        cmds.append(["build-tree", "--config", str(WORKLOADS / f"{name}.yaml"),
-                     "-o", str(out / f"tree-{name}.json")])
-    cmds.append(["build-tree", "--config", str(SWEEP_SMALL),
-                 "-o", str(out / "tree-sweep_small-rt.json"), "--trial", "2",
-                 "-D", "schemes=[{name: rt, kind: rt, gamma_delay: 0.02, "
-                 "c_max: 40}]"])
-    cmds.append(["build-tree", "--config", str(SWEEP_SMALL),
-                 "-o", str(out / "tree-sweep_small-mixed.json"), "--trial",
-                 "1", "-D", "schemes=[{name: unc, kind: uncoordinated}, "
-                 "{name: h, kind: ibt, gamma_delay: 0.02, c_max: 86.0}, "
-                 "{name: r, kind: rt, gamma_delay: 0.02}, "
-                 "{name: f, kind: ibt, gamma_delay: 0.02}]"])
+        cmds[f"tree-{name}"] = ["build-tree", "--config",
+                                str(WORKLOADS / f"{name}.yaml"),
+                                "-o", str(out / f"tree-{name}.json")]
+    cmds["tree-sweep_small-rt"] = [
+        "build-tree", "--config", str(SWEEP_SMALL),
+        "-o", str(out / "tree-sweep_small-rt.json"), "--trial", "2",
+        "-D", "schemes=[{name: rt, kind: rt, gamma_delay: 0.02, c_max: 40}]"]
+    cmds["tree-sweep_small-mixed"] = [
+        "build-tree", "--config", str(SWEEP_SMALL),
+        "-o", str(out / "tree-sweep_small-mixed.json"), "--trial", "1",
+        "-D", "schemes=[{name: unc, kind: uncoordinated}, "
+        "{name: h, kind: ibt, gamma_delay: 0.02, c_max: 86.0}, "
+        "{name: r, kind: rt, gamma_delay: 0.02}, "
+        "{name: f, kind: ibt, gamma_delay: 0.02}]"]
+    cmds["validate"] = ["validate"]
+    cmds["validate-blockage_tradeoff"] = [
+        "validate", "--config", str(ROOT / "configs" / "blockage_tradeoff.yaml")]
     return cmds
 
 
 def run_side(src: Path, out: Path) -> None:
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), **PINNED_ENV)
-    for argv in commands(out):
-        subprocess.run([sys.executable, "-c", MAIN] + argv, env=env, cwd=ROOT,
-                       check=True, stdout=subprocess.DEVNULL)
+    for name, argv in commands(out).items():
+        stdout = subprocess.run([sys.executable, "-c", MAIN] + argv, env=env,
+                                cwd=ROOT, check=True, stdout=subprocess.PIPE,
+                                text=True).stdout
+        (out / f"{name}.stdout").write_text(stdout.replace(str(out), "<out>"))
 
 
 def main(argv=None) -> int:

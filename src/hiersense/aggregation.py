@@ -50,11 +50,10 @@ class HierarchicalExchange:
         if self.window < 1:
             raise ValueError("history length must be >= 1")
         self._t = -1
-        self._buffers = [np.zeros((len(lv), self.window)) for lv in tree.levels]
-        self._placeholder = [
-            np.array([len(c.members) * self.steady_value for c in lv])
-            for lv in tree.levels
-        ]
+        self._buffers = [np.zeros((len(size), self.window))
+                         for size in tree.cluster_sizes]
+        self._placeholder = [size * self.steady_value
+                             for size in tree.cluster_sizes]
         self._plan = tree.fusion_plan()
 
     @property
@@ -218,9 +217,9 @@ def identity_residual(tree: AggregationTree, aggregates, history, t: int,
     history = np.asarray(history, dtype=float)
     cells = np.arange(tree.n_cells)
     direct = []
-    for lvl, level in enumerate(tree.levels):
+    for lvl, size in enumerate(tree.cluster_sizes):
         tau = t - tree.delta[lvl]
         delayed = np.where(tau < 0, pre, history[np.maximum(tau, 0), cells])
         direct.append(np.bincount(tree.cluster_of[lvl], weights=delayed,
-                                  minlength=len(level)))
+                                  minlength=len(size)))
     return float(np.abs(np.asarray(aggregates) - np.concatenate(direct)).max())

@@ -42,9 +42,9 @@ def cmd_build_tree(args) -> int:
     print(f"depth: {tree.depth}")
     print(f"cost per cell: {tree.cost_per_cell:.6g} m "
           f"({tree.cost_per_cell / config.resolved_hop_distance():.6g} hops)")
-    for lvl, nodes in enumerate(tree.levels):
-        sizes = sorted(len(c.members) for c in nodes)
-        print(f"level {lvl}: {len(nodes)} clusters, sizes {sizes}")
+    for lvl, sizes in enumerate(tree.cluster_sizes):
+        print(f"level {lvl}: {len(sizes)} clusters, sizes "
+              f"{sorted(sizes.tolist())}")
     return 0
 
 
@@ -54,8 +54,8 @@ def _write_trace(path: str, ctx, tree) -> None:
     if tree is not None:
         occupancy = RunningRingSums(tree, ctx.t_total, float(ctx.model.pi_b))
         occupancy.commit(ctx.bhat_seq)
-        heads = [(lvl, k) for lvl, level in enumerate(tree.levels)
-                 for k in range(len(level))]
+        heads = [(lvl, k) for lvl, sizes in enumerate(tree.cluster_sizes)
+                 for k in range(len(sizes))]
         rows = ((t, lvl, head, value) for t in range(ctx.t_total)
                 for (lvl, head), value in zip(heads, occupancy.aggregates(t)))
     write_table(path, ["frame", "level", "head", "aggregate"], rows)
@@ -132,11 +132,15 @@ def _check_aggregate_identity(model, rng) -> tuple[bool, str]:
 
 def _check_belief_oracle(model, rng) -> tuple[bool, str]:
     """Exact enumeration vs closed-form marginals on a 4-cell instance."""
-    worst = 0.0
+    worst, keys = 0.0, ("members", "children", "child_delays", "head_site")
     for k in range(10):
-        tree4 = AggregationTree.from_nested(
-            4, [[([(0, int(rng.integers(3))), (1, int(rng.integers(3)))], 1),
-                 ([(2, int(rng.integers(3))), (3, int(rng.integers(3)))], 2)]])
+        d = [int(rng.integers(3)) for _ in range(4)]
+        levels = [[([i], [], [], i) for i in range(4)],
+                  [([0, 1], [0, 1], d[:2], 0), ([2, 3], [2, 3], d[2:], 2)],
+                  [([0, 1, 2, 3], [0, 1], [1, 2], 0)]]
+        levels = [[dict(zip(keys, c)) for c in lv] for lv in levels]
+        tree4 = AggregationTree.from_dict({"n_cells": 4, "cost_per_cell": 0.0,
+                                           "levels": levels})
         running = RunningRingSums(tree4, 12, float(model.pi_b))
         running.commit(_simulate_occupancy(model, 4, 13, rng)[:-1])
         hist = running.ring_sums(np.arange(12))[:, 0]

@@ -32,16 +32,6 @@ _UNION = "cluster members must equal the union of its children's members"
 
 
 @dataclass(frozen=True)
-class ClusterNode:
-    level: int
-    index: int
-    members: tuple[int, ...]
-    children: tuple[int, ...]
-    child_delays: tuple[int, ...]
-    head_site: int
-
-
-@dataclass(frozen=True)
 class MergeRecord:
     """One greedy merge: two level-`level` clusters formed cluster `new_index`."""
 
@@ -73,85 +63,29 @@ class RingSumPlan(NamedTuple):
 class AggregationTree:
     """Immutable level hierarchy with per-cell per-level delays, as arrays."""
 
-    def __init__(self, levels, n_cells: int, cost_per_cell: float = 0.0,
-                 merge_log=()):
-        if not levels or len(levels[0]) != n_cells:
-            raise ValueError("level 0 must hold one singleton per cell")
-        for i, node in enumerate(levels[0]):
-            if node.members != (i,):
-                raise ValueError("level-0 clusters must be singletons in cell order")
-        rows = [(np.arange(n_cells), np.zeros(n_cells, dtype=int), np.array(
-            [c.head_site for c in levels[0]], dtype=int), None, ())]
-        for lvl in range(1, len(levels)):
-            nodes = levels[lvl]
-            if any(node.index != pos for pos, node in enumerate(nodes)):
-                raise ValueError("cluster indices must match list positions")
-            children = np.array([c for node in nodes for c in node.children], dtype=int)
-            delays = np.array([d for node in nodes for d in node.child_delays], dtype=int)
-            if (delays < 0).any():
-                raise ValueError("edge delays must be nonnegative")
-            if any(len(node.child_delays) != len(node.children)
-                   for node in nodes):
-                raise ValueError("each child must have one edge delay")
-            n_below = len(levels[lvl - 1])
-            if ((children < 0) | (children >= n_below)).any():
-                raise ValueError("child indices must lie in the level below")
-            members = np.array([i for node in nodes for i in node.members], dtype=int)
-            size = np.array([len(node.members) for node in nodes], dtype=int)
-            member_node = np.arange(len(nodes)).repeat(size)
-            n_child = [len(node.children) for node in nodes]
-            # cells in range, listed in order within each node
-            if ((members < 0) | (members >= n_cells)).any() \
-                    or (np.diff(member_node * n_cells + members) <= 0).any():
-                raise ValueError(_UNION)
-            count = np.bincount(members, minlength=n_cells)
-            if (count > 1).any():
-                raise ValueError("clusters within a level must be disjoint")
-            if (count == 0).any():
-                raise ValueError("every cell must belong to a cluster at each level")
-            cluster = member_node[np.argsort(members)]  # a permutation
-            # each cluster below is one node's child, held whole by that node
-            parent = np.empty(n_below, dtype=int)
-            parent[children] = np.arange(len(nodes)).repeat(n_child)
-            below, delta = rows[-1][:2]
-            if (np.bincount(children, minlength=n_below) != 1).any() \
-                    or (parent[below] != cluster).any():
-                raise ValueError(_UNION)
-            edge = np.empty(n_below, dtype=int)
-            edge[children] = delays
-            rows.append((cluster, delta + edge[below],
-                         np.array([c.head_site for c in nodes], dtype=int),
-                         (children, delays,
-                          np.cumsum(n_child, dtype=int) - n_child), ()))
-        self._store(n_cells, cost_per_cell, rows)
-        self.merge_log = list(merge_log)
-
-    def _store(self, n_cells: int, cost_per_cell: float, rows) -> None:
-        """Keep the tree as arrays: per level, every cell's cluster and delay,
-        every cluster's head site, the :meth:`fusion_plan` entry and merges."""
+    def __init__(self, n_cells: int, cost_per_cell: float, rows):
+        """The tree of ``rows``, one per level as the builders and
+        :meth:`from_dict` make them: every cell's cluster and accumulated
+        delay, every cluster's head site, the :meth:`fusion_plan` entry
+        (None at level 0) and the level's merges."""
         cluster, delta, self._heads, (_, *self._fusion_plan), self._merges \
             = zip(*rows)
         self.n_cells, self.cost_per_cell = n_cells, float(cost_per_cell)
         self.cluster_of, self.delta = np.stack(cluster), np.stack(delta)
-        if (self.delta[1:] < self.delta[:-1]).any():  # int64 wrapped
-            raise ValueError("accumulated delays must fit a 64-bit integer")
+        wrapped = np.flatnonzero((self.delta[1:] < self.delta[:-1]).any(axis=1))
+        if len(wrapped):  # int64 wrapped
+            raise ValueError(f"level {wrapped[0] + 1}: accumulated delays "
+                             "must fit a 64-bit integer")
         self.delta.setflags(write=False)
         self.cluster_of.setflags(write=False)
 
     @cached_property
-    def levels(self) -> list[list[ClusterNode]]:
-        """Every level's clusters as nodes, built on first read."""
-        out = [[ClusterNode(0, i, (i,), (), (), head)
-                for i, head in enumerate(self._heads[0].tolist())]]
-        for ids, heads, (children, delays, start) in zip(
-                self.cluster_of[1:], self._heads[1:], self._fusion_plan):
-            cut = np.cumsum(np.bincount(ids, minlength=len(heads)))[:-1]
-            parts = [[tuple(p.tolist()) for p in np.split(a, at)] for a, at in
-                     ((np.argsort(ids, kind="stable"), cut),
-                      (children, start[1:]), (delays, start[1:]))]
-            out.append([ClusterNode(len(out), k, *node) for k, node in
-                        enumerate(zip(*parts, heads.tolist()))])
-        return out
+    def cluster_sizes(self) -> list[np.ndarray]:
+        """Every level's cluster sizes, in cluster order; read-only."""
+        sizes = [np.bincount(ids) for ids in self.cluster_of]
+        for size in sizes:
+            size.setflags(write=False)
+        return sizes
 
     @cached_property
     def merge_log(self) -> list[MergeRecord]:
@@ -194,10 +128,9 @@ class AggregationTree:
     @cached_property
     def ring_sum_plan(self) -> RingSumPlan:
         """The :class:`RingSumPlan` of this tree, built once; read-only."""
-        size = np.concatenate([np.bincount(ids, minlength=len(heads)) for
-                               ids, heads in zip(self.cluster_of, self._heads)])
+        size = np.concatenate(self.cluster_sizes)
         width, reach = len(size), self.total_edge_delay_sum
-        off = np.cumsum([0] + [len(heads) for heads in self._heads])
+        off = np.cumsum([0] + list(map(len, self.cluster_sizes)))
         levels = [((reach - lag) * width + off[lvl - 1] + idx, seg, off[lvl],
                    off[lvl + 1])
                   for lvl, (idx, lag, seg) in enumerate(self._fusion_plan, 1)]
@@ -222,71 +155,26 @@ class AggregationTree:
             arr.setflags(write=False)
         return plan
 
-    # -------------------------------------------------------------- construction
-
-    @classmethod
-    def from_nested(cls, n_cells: int, roots) -> "AggregationTree":
-        """Build a tree from a nested spec, mainly for tests and small oracles.
-
-        Each node is either a cell id (leaf) or a list of ``(child, delay)``
-        pairs.  All leaves must sit at the same depth and every cell must
-        appear exactly once; forests pass several roots of equal height.
-        """
-
-        def height(node):
-            if isinstance(node, int):
-                return 0
-            hs = {height(child) for child, _ in node}
-            if len(hs) != 1:
-                raise ValueError("all leaves must sit at the same depth")
-            return hs.pop() + 1
-
-        heights = {height(r) for r in roots}
-        if len(heights) != 1:
-            raise ValueError("all roots must have the same height")
-        depth = heights.pop()
-
-        levels: list[list[ClusterNode]] = [[
-            ClusterNode(0, i, (i,), (), (), i) for i in range(n_cells)
-        ]]
-        for lvl in range(1, depth + 1):
-            levels.append([])
-
-        def build(node, lvl):
-            """Returns (index at level lvl, members)."""
-            if isinstance(node, int):
-                if not (0 <= node < n_cells):
-                    raise ValueError(f"cell id out of range: {node}")
-                return node, (node,)
-            child_indices, delays, members = [], [], []
-            for child, delay in node:
-                idx, mem = build(child, lvl - 1)
-                child_indices.append(idx)
-                delays.append(int(delay))
-                members.extend(mem)
-            members = tuple(sorted(members))
-            new = ClusterNode(lvl, len(levels[lvl]), members,
-                              tuple(child_indices), tuple(delays), min(members))
-            levels[lvl].append(new)
-            return new.index, members
-
-        for root in roots:
-            build(root, depth)
-        return cls(levels, n_cells)
-
     # ------------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
+        # level 0's clusters have no children: n empty segments
+        plans = [(np.empty(0, dtype=int),) * 2 + (np.zeros(self.n_cells, int),),
+                 *self._fusion_plan]
+        levels = []
+        for ids, size, heads, (children, delays, start) in zip(
+                self.cluster_of, self.cluster_sizes, self._heads, plans):
+            parts = [[p.tolist() for p in np.split(a, at)] for a, at in
+                     ((np.argsort(ids, kind="stable"), np.cumsum(size)[:-1]),
+                      (children, start[1:]), (delays, start[1:]))]
+            levels.append([{"members": m, "children": c, "child_delays": dl,
+                            "head_site": h}
+                           for m, c, dl, h in zip(*parts, heads.tolist())])
         return {
             "n_cells": self.n_cells,
             "depth": self.depth,
             "cost_per_cell": self.cost_per_cell,
-            "levels": [
-                [{"members": list(c.members), "children": list(c.children),
-                  "child_delays": list(c.child_delays), "head_site": c.head_site}
-                 for c in lv]
-                for lv in self.levels
-            ],
+            "levels": levels,
             "merges": [{"level": m.level, "new_index": m.new_index,
                         "gamma": m.gamma, "cost": m.cost}
                        for m in self.merge_log],
@@ -295,7 +183,8 @@ class AggregationTree:
     @classmethod
     def from_dict(cls, d) -> "AggregationTree":
         """The tree of :meth:`to_dict`'s form; a malformed field raises a
-        ValueError that names it."""
+        ValueError that names it, and a fault in a level's structure one
+        that names the level."""
         top = "tree JSON"
         n_cells = _field(d, "n_cells", top, lambda v: type(v) is int and v >= 1,
                          "an integer >= 1")
@@ -307,13 +196,21 @@ class AggregationTree:
             _field(d, "depth", top, lambda v: type(v) is int
                    and v == len(raw) - 1, f"{len(raw) - 1}, the level count "
                    "less one")
-        levels = [[_json_node(lvl, idx, c) for idx, c in enumerate(lv)]
-                  for lvl, lv in enumerate(raw)]
+        # before anything sized by n_cells is built
+        if not raw or len(raw[0]) != n_cells:
+            raise ValueError(f"level 0: must hold one singleton per cell, got "
+                             f"{len(raw[0]) if raw else 0} clusters for "
+                             f"{n_cells} cells")
+        rows = [_json_level(0, raw[0], None)]
+        for lvl in range(1, len(raw)):
+            rows.append(_json_level(lvl, raw[lvl], rows[-1]))
         merges = _field(d, "merges", top, lambda v: type(v) is list, "a list") \
             if "merges" in d else []
-        log = [_json_merge(k, m, [len(lv) for lv in levels])
+        log = [_json_merge(k, m, [len(row[2]) for row in rows])
                for k, m in enumerate(merges)]
-        return cls(levels, n_cells, cost, log)
+        tree = cls(n_cells, cost, rows)
+        tree.merge_log = log  # the file's records, not rebuilt from rows
+        return tree
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -364,8 +261,9 @@ def _json_merge(k: int, m, clusters: list[int]) -> MergeRecord:
     return rec
 
 
-def _json_node(lvl: int, idx: int, c) -> ClusterNode:
-    """Cluster ``idx`` of level ``lvl`` of tree JSON, its fields checked."""
+def _json_node(lvl: int, idx: int, c) -> list:
+    """Cluster ``idx`` of level ``lvl`` of tree JSON as its members,
+    children, child delays and head site, each field checked."""
     where, fields = f"level {lvl} cluster {idx}", []
     for key in ("members", "children", "child_delays", "head_site"):
         value = _field(c, key, where, lambda v: key == "head_site"
@@ -375,10 +273,59 @@ def _json_node(lvl: int, idx: int, c) -> ClusterNode:
         if bad:
             raise ValueError(f"{where}: {key} must be 64-bit integers, "
                              f"got {bad[0]!r}")
-        fields.append(value if key == "head_site" else tuple(value))
+        if lvl == 0 and key in ("children", "child_delays") and value:
+            raise ValueError(f"{where}: {key} must be empty at level 0, "
+                             f"got {value!r}")
+        fields.append(value)
     if fields[3] not in fields[0]:
         raise ValueError(f"{where}: head_site {fields[3]} is not a member")
-    return ClusterNode(lvl, idx, *fields)
+    return fields
+
+
+def _json_level(lvl: int, clusters: list, below) -> tuple:
+    """Level ``lvl`` of tree JSON as the row :class:`AggregationTree` takes,
+    each cluster's fields and the level's structure checked against
+    ``below``, the row of the level beneath (None at level 0)."""
+    nodes = [_json_node(lvl, idx, c) for idx, c in enumerate(clusters)]
+    members, children, delays = (np.array([v for node in nodes
+                                           for v in node[k]], dtype=int)
+                                 for k in range(3))
+    heads = np.array([node[3] for node in nodes], dtype=int)
+    fault = f"level {lvl}: "
+    if below is None:
+        if members.tolist() != list(range(len(nodes))):
+            raise ValueError(fault + "clusters must be singletons in cell order")
+        return members, np.zeros_like(members), heads, None, ()
+    cluster_below, delta_below, heads_below = below[:3]
+    n_cells, n_below = len(cluster_below), len(heads_below)
+    if (delays < 0).any():
+        raise ValueError(fault + "edge delays must be nonnegative")
+    n_child = np.array([len(node[1]) for node in nodes], dtype=int)
+    if any(len(node[2]) != len(node[1]) for node in nodes):
+        raise ValueError(fault + "each child must have one edge delay")
+    if ((children < 0) | (children >= n_below)).any():
+        raise ValueError(fault + "child indices must lie in the level below")
+    member_node = np.arange(len(nodes)).repeat([len(node[0]) for node in nodes])
+    # cells in range, listed in order within each cluster
+    if ((members < 0) | (members >= n_cells)).any() \
+            or (np.diff(member_node * n_cells + members) <= 0).any():
+        raise ValueError(fault + _UNION)
+    count = np.bincount(members, minlength=n_cells)
+    if (count > 1).any():
+        raise ValueError(fault + "clusters must be disjoint")
+    if (count == 0).any():
+        raise ValueError(fault + "every cell must belong to a cluster")
+    cluster = member_node[np.argsort(members)]  # a permutation
+    # each cluster below is one cluster's child, held whole by that cluster
+    parent = np.empty(n_below, dtype=int)
+    parent[children] = np.arange(len(nodes)).repeat(n_child)
+    if (np.bincount(children, minlength=n_below) != 1).any() \
+            or (parent[cluster_below] != cluster).any():
+        raise ValueError(fault + _UNION)
+    edge = np.empty(n_below, dtype=int)
+    edge[children] = delays
+    return (cluster, delta_below + edge[cluster_below], heads,
+            (children, delays, np.cumsum(n_child) - n_child), ())
 
 
 def _random_merges(cost_mat, cost, rows, cols, delay_mat, c_cell: float,
@@ -481,7 +428,7 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
     mu = float(mu)
 
     trees = [None] * len(budgets)
-    # (a level's start: the levels so far as AggregationTree._store takes
+    # (a level's start: the levels so far as AggregationTree takes
     # them, their cost and the largest distance between two clusters'
     # cells; the budgets that reach it)
     cells = np.arange(n_cells)
@@ -499,8 +446,7 @@ def _agglomerate(topology: NetworkTopology, phi, mu: float, gamma_delay: float,
         least = c_cell + cost.min() if n > 1 else None
         done = [k for k in group if least is None or not least <= budgets[k]]
         if done:
-            tree = AggregationTree.__new__(AggregationTree)
-            tree._store(n_cells, c_cell, built)
+            tree = AggregationTree(n_cells, c_cell, built)
             for k in done:
                 trees[k] = tree
         group = sorted(set(group) - set(done), key=lambda k: -budgets[k])

@@ -11,13 +11,112 @@ point's frames in one call and multiplies each link block into its gains
 in place), and the pathloss law and the dB
 conversion with a fresh array per operation (``topology.pathloss_db`` and
 ``db_to_lin`` work in place on one output).
+
+Aggregation trees also have a node form here: ``ClusterNode`` levels, read
+from a tree by ``node_levels`` and turned back into one by
+``tree_from_nodes``, the plain per-node oracle of the builders' and
+``AggregationTree.from_dict``'s array rows; ``from_nested`` writes small
+hand-made trees.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from hiersense.hierarchy import AggregationTree
 from hiersense.topology import NetworkTopology, coupling_matrix
+
+
+@dataclass(frozen=True)
+class ClusterNode:
+    level: int
+    index: int
+    members: tuple[int, ...]
+    children: tuple[int, ...]
+    child_delays: tuple[int, ...]
+    head_site: int
+
+
+def node_levels(tree) -> list[list[ClusterNode]]:
+    """Every level's clusters of ``tree`` as nodes, read from its JSON."""
+    return [[ClusterNode(lvl, k, tuple(c["members"]), tuple(c["children"]),
+                         tuple(c["child_delays"]), c["head_site"])
+             for k, c in enumerate(level)]
+            for lvl, level in enumerate(tree.to_dict()["levels"])]
+
+
+def tree_from_nodes(levels, n_cells: int, cost_per_cell: float = 0.0,
+                    merge_log=()) -> AggregationTree:
+    """The tree of well-formed ``ClusterNode`` levels, converted node by node
+    into the rows ``AggregationTree`` takes; it checks nothing."""
+    cluster, delta = np.arange(n_cells), np.zeros(n_cells, dtype=int)
+    rows = [(cluster, delta,
+             np.array([c.head_site for c in levels[0]], dtype=int), None, ())]
+    for nodes in levels[1:]:
+        edge = np.zeros(len(rows[-1][2]), dtype=int)
+        new = np.empty(n_cells, dtype=int)
+        children, delays, start = [], [], []
+        for node in nodes:
+            new[list(node.members)] = node.index
+            edge[list(node.children)] = node.child_delays
+            start.append(len(children))
+            children += node.children
+            delays += node.child_delays
+        delta = delta + edge[cluster]
+        cluster = new
+        rows.append((cluster, delta,
+                     np.array([c.head_site for c in nodes], dtype=int),
+                     tuple(np.array(a, dtype=int)
+                           for a in (children, delays, start)), ()))
+    tree = AggregationTree(n_cells, cost_per_cell, rows)
+    tree.merge_log = list(merge_log)
+    return tree
+
+
+def from_nested(n_cells: int, roots) -> AggregationTree:
+    """A tree from a nested spec, through ``AggregationTree.from_dict``.
+
+    Each node is either a cell id (leaf) or a list of ``(child, delay)``
+    pairs.  All leaves must sit at the same depth and every cell must
+    appear exactly once; forests pass several roots of equal height.  A
+    cluster's head site is its lowest member.
+    """
+
+    def height(node):
+        if isinstance(node, int):
+            return 0
+        hs = {height(child) for child, _ in node}
+        if len(hs) != 1:
+            raise ValueError("all leaves must sit at the same depth")
+        return hs.pop() + 1
+
+    heights = {height(r) for r in roots}
+    if len(heights) != 1:
+        raise ValueError("all roots must have the same height")
+    levels = [[{"members": [i], "children": [], "child_delays": [],
+                "head_site": i} for i in range(n_cells)]]
+    levels += [[] for _ in range(heights.pop())]
+
+    def build(node, lvl):
+        """The node's index at level ``lvl`` and its members."""
+        if isinstance(node, int):
+            return node, [node]
+        indices, delays, members = [], [], []
+        for child, delay in node:
+            idx, mem = build(child, lvl - 1)
+            indices.append(idx)
+            delays.append(int(delay))
+            members += mem
+        members.sort()
+        levels[lvl].append({"members": members, "children": indices,
+                            "child_delays": delays, "head_site": members[0]})
+        return len(levels[lvl]) - 1, members
+
+    for root in roots:
+        build(root, len(levels) - 1)
+    return AggregationTree.from_dict({"n_cells": n_cells,
+                                      "cost_per_cell": 0.0, "levels": levels})
 
 
 def gamma_metric(phi, cluster_n, cluster_m, delays, edge_delay: int, mu: float

@@ -98,7 +98,7 @@ def test_criterion_2_aggregate_identity_holds_every_frame():
         state = step_occupancy(MODEL, state, rng)
     report(2, worst <= 1e-9,
            f"max aggregate/delayed-local residual over 500 frames x "
-           f"{sum(len(l) for l in tree.levels)} nodes = {worst:.3e} (tol 1e-9)")
+           f"{sum(map(len, tree.cluster_sizes))} nodes = {worst:.3e} (tol 1e-9)")
 
 
 def test_criterion_3_closed_form_traffic_matches_grid_search():

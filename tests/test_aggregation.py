@@ -9,11 +9,12 @@ from hiersense import (AggregationTree, BufferUnderrunError,
                        sample_steady_state, step_occupancy)
 from hiersense.aggregation import identity_residual
 from hiersense.topology import PathlossParams
+from tests.oracles import from_nested, node_levels
 
 
 def delayed_tree():
     """Depth-2 tree over 4 cells with heterogeneous edge delays."""
-    return AggregationTree.from_nested(
+    return from_nested(
         4, [[([(0, 1), (1, 2)], 1), ([(2, 0), (3, 1)], 3)]])
 
 
@@ -41,7 +42,7 @@ def sigma_oracle(tree, locals_seq, steady, i, t):
 
 class TestAdvanceAndSigma:
     def test_zero_delay_pair_sums_current_frame(self):
-        tree = AggregationTree.from_nested(2, [[(0, 0), (1, 0)]])
+        tree = from_nested(2, [[(0, 0), (1, 0)]])
         ex = HierarchicalExchange(tree, steady_value=0.05)
         ex.advance_frame([0.3, 0.9], 0)
         assert ex.read(1, 0, 0) == pytest.approx(1.2)
@@ -51,7 +52,7 @@ class TestAdvanceAndSigma:
         assert sigma[1] == pytest.approx([0.9, 0.3])
 
     def test_single_cell_tree(self):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         ex = HierarchicalExchange(tree, steady_value=0.05)
         ex.advance_frame([0.4], 0)
         assert ex.sigma_all(0).tolist() == [[0.4]]
@@ -90,7 +91,7 @@ class TestAdvanceAndSigma:
         for t in range(12):
             ex.advance_frame(b, t)
         for lvl in range(1, 3):
-            for node in tree.levels[lvl]:
+            for node in node_levels(tree)[lvl]:
                 expect = b[list(node.members)].sum()
                 assert ex.read(lvl, node.index, 11) == pytest.approx(expect)
 
@@ -257,15 +258,15 @@ def running_sums_tree(name):
         # single-frame commit fuses level 1, then levels 2 and 3 together
         pairs = [[(0, 1), (1, 2)], [(2, 1), (3, 3)], [(4, 1), (5, 1)],
                  [(6, 2), (7, 1)]]
-        return AggregationTree.from_nested(8, [[
+        return from_nested(8, [[
             ([(pairs[0], 0), (pairs[1], 1)], 1),
             ([(pairs[2], 2), (pairs[3], 0)], 2)]])
     if name == "single":
-        return AggregationTree.from_nested(1, [0])
+        return from_nested(1, [0])
     if name == "wide":
         # clusters of 150 and 50 children: long sums, which numpy adds
         # pairwise rather than in order
-        return AggregationTree.from_nested(200, [
+        return from_nested(200, [
             [(j, j % 4) for j in range(150)],
             [(j, 1) for j in range(150, 200)]])
     topo = build_topology("grid", 16, (400.0, 400.0), 1, rng_seed=9)

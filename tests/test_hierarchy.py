@@ -12,10 +12,12 @@ from hiersense import (AggregationTree, InterferenceMatrix, PathlossParams,
                        compute_phi, compute_weights)
 from hiersense.config import load_config
 from hiersense.harness import prepare_trial, run_experiment, trial_topology
-from hiersense.hierarchy import ClusterNode, MergeRecord
+from hiersense.hierarchy import MergeRecord
 from hiersense.topology import coupling_matrix
 from tests.conftest import random_phi
-from tests.oracles import gamma_metric, h_distance, pair_cost
+from tests.oracles import (ClusterNode, from_nested, gamma_metric,
+                           h_distance, node_levels, pair_cost,
+                           tree_from_nodes)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,15 +31,16 @@ def fig_tree():
     """
     left = [(0, 1), (1, 1), (4, 2), (5, 1)]
     right = [(2, 0), (3, 1), (6, 1), (7, 2)]
-    return AggregationTree.from_nested(8, [[(left, 2), (right, 1)]])
+    return from_nested(8, [[(left, 2), (right, 1)]])
 
 
 class TestManualTree:
     def test_depth_and_partitions(self, fig_tree):
         assert fig_tree.depth == 2
-        assert sorted(fig_tree.levels[1][0].members) == [0, 1, 4, 5]
-        assert sorted(fig_tree.levels[1][1].members) == [2, 3, 6, 7]
-        assert fig_tree.levels[2][0].members == tuple(range(8))
+        levels = node_levels(fig_tree)
+        assert sorted(levels[1][0].members) == [0, 1, 4, 5]
+        assert sorted(levels[1][1].members) == [2, 3, 6, 7]
+        assert levels[2][0].members == tuple(range(8))
 
     def test_delay_recursion(self, fig_tree):
         # cell 0: 1 frame to its level-1 head, +2 to the root
@@ -72,7 +75,7 @@ class TestManualTree:
             assert len(set(combined.tolist())) == 8
 
     def test_single_cell_tree(self):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         assert tree.depth == 0
         assert tree.ring_sets(0)[0].tolist() == [0]
 
@@ -84,73 +87,71 @@ class TestManualTree:
 
     def test_mixed_leaf_depths_rejected(self):
         with pytest.raises(ValueError):
-            AggregationTree.from_nested(3, [[(0, 1), ([(1, 0), (2, 0)], 1)]])
+            from_nested(3, [[(0, 1), ([(1, 0), (2, 0)], 1)]])
 
 
-def _leaves(n):
-    return [ClusterNode(0, i, (i,), (), (), i) for i in range(n)]
+def _four_cell_json(level1=None, leaves=range(4)):
+    """A 4-cell tree's JSON: ``leaves`` at level 0 and, if given, ``level1``'s
+    (members, children, child delays, head site) clusters at level 1."""
+    keys = ("members", "children", "child_delays", "head_site")
+    levels = [[dict(zip(keys, ([i], [], [], i))) for i in leaves]]
+    if level1 is not None:
+        levels.append([dict(zip(keys, c)) for c in level1])
+    return {"n_cells": 4, "cost_per_cell": 0.0, "levels": levels}
 
 
 class TestTreeConstructorErrors:
-    """Each check of AggregationTree.__init__ on a 4-cell tree with one
-    fault in level 1."""
+    """Each structural check of AggregationTree.from_dict on a 4-cell tree
+    with one fault in level 1; the message names the level."""
 
     @pytest.mark.parametrize("level1, message", [
-        ([ClusterNode(1, 1, (0, 1), (0, 1), (1, 1), 0),
-          ClusterNode(1, 0, (2, 3), (2, 3), (0, 0), 2)],
-         "cluster indices must match list positions"),
-        ([ClusterNode(1, 0, (0, 1), (0, 1), (1, -1), 0),
-          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0), 2)],
+        ([([0, 1], [0, 1], [1, -1], 0), ([2, 3], [2, 3], [0, 0], 2)],
          "edge delays must be nonnegative"),
-        ([ClusterNode(1, 0, (0, 1), (0, 1), (0, 0), 0),
-          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1),
-          ClusterNode(1, 2, (3,), (3,), (0,), 3)],
-         "clusters within a level must be disjoint"),
-        ([ClusterNode(1, 0, (0, 1), (0, 1), (0, 0), 0),
-          ClusterNode(1, 1, (2,), (2,), (0,), 2)],
-         "every cell must belong to a cluster at each level"),
-        ([ClusterNode(1, 0, (0, 1, 2), (0, 1), (0, 0), 0),
-          ClusterNode(1, 1, (3,), (3,), (0,), 3)],
+        ([([0, 1], [0, 1], [0, 0], 0), ([1, 2], [1, 2], [0, 0], 1),
+          ([3], [3], [0], 3)],
+         "clusters must be disjoint"),
+        ([([0, 1], [0, 1], [0, 0], 0), ([2], [2], [0], 2)],
+         "every cell must belong to a cluster"),
+        ([([0, 1, 2], [0, 1], [0, 0], 0), ([3], [3], [0], 3)],
          "cluster members must equal the union of its children's members"),
-        ([ClusterNode(1, 0, (1, 0), (0, 1), (0, 0), 0),
-          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0), 2)],
+        ([([1, 0], [0, 1], [0, 0], 0), ([2, 3], [2, 3], [0, 0], 2)],
          "cluster members must equal the union of its children's members"),
         # numpy would wrap -1 to the last cluster below
-        ([ClusterNode(1, 0, (0, 3), (0, -1), (1, 1), 0),
-          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1)],
+        ([([0, 3], [0, -1], [1, 1], 0), ([1, 2], [1, 2], [0, 0], 1)],
          "child indices must lie in the level below"),
-        ([ClusterNode(1, 0, (0, 3), (0, 7), (1, 1), 0),
-          ClusterNode(1, 1, (1, 2), (1, 2), (0, 0), 1)],
+        ([([0, 3], [0, 7], [1, 1], 0), ([1, 2], [1, 2], [0, 0], 1)],
          "child indices must lie in the level below"),
-        ([ClusterNode(1, 0, (0, 1), (0, 1), (1,), 0),
-          ClusterNode(1, 1, (2, 3), (2, 3), (0, 0, 0), 2)],
+        ([([0, 1], [0, 1], [1], 0), ([2, 3], [2, 3], [0, 0, 0], 2)],
          "each child must have one edge delay"),
-        ([ClusterNode(1, 0, (0, 1), (0, 1, 1), (0, 0, 0), 0),
-          ClusterNode(1, 1, (2, 3), (3,), (0,), 3)],
+        ([([0, 1], [0, 1, 1], [0, 0, 0], 0), ([2, 3], [3], [0], 3)],
          "cluster members must equal the union of its children's members"),
-    ], ids=["index-order", "negative-delay", "overlap", "missing-cell",
-            "extra-member", "unsorted-members", "child-minus-one", "child-7",
-            "delay-count", "repeated-child"])
+    ], ids=["negative-delay", "overlap", "missing-cell", "extra-member",
+            "unsorted-members", "child-minus-one", "child-7", "delay-count",
+            "repeated-child"])
     def test_level_fault(self, level1, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            AggregationTree([_leaves(4), level1], 4)
+        with pytest.raises(ValueError, match=f"^level 1: {message}$"):
+            AggregationTree.from_dict(_four_cell_json(level1))
 
     def test_accumulated_delay_overflow(self):
-        # 2**62 + 2**62 wraps int64 to -2**63
-        with pytest.raises(ValueError, match="must fit a 64-bit integer"):
-            AggregationTree.from_nested(4, [[([(0, 2**62), (1, 0)], 2**62),
-                                             ([(2, 0), (3, 0)], 0)]])
+        # 2**62 + 2**62 wraps int64 to -2**63 at level 2
+        with pytest.raises(ValueError, match="^level 2: accumulated delays "
+                                             "must fit a 64-bit integer$"):
+            from_nested(4, [[([(0, 2**62), (1, 0)], 2**62),
+                             ([(2, 0), (3, 0)], 0)]])
 
     def test_level_zero_faults(self):
-        with pytest.raises(ValueError, match="one singleton per cell"):
-            AggregationTree([_leaves(3)], 4)
-        with pytest.raises(ValueError, match="singletons in cell order"):
-            AggregationTree([_leaves(4)[::-1]], 4)
+        with pytest.raises(ValueError, match="^level 0: must hold one "
+                           "singleton per cell, got 3 clusters for 4 cells$"):
+            AggregationTree.from_dict(_four_cell_json(leaves=range(3)))
+        d = _four_cell_json()
+        d["levels"][0][:2] = d["levels"][0][1::-1]
+        with pytest.raises(ValueError, match="^level 0: clusters must be "
+                                             "singletons in cell order$"):
+            AggregationTree.from_dict(d)
 
     def test_valid_levels_give_clusters_and_delays(self):
-        tree = AggregationTree([_leaves(4), [
-            ClusterNode(1, 0, (1, 3), (3, 1), (2, 1), 1),
-            ClusterNode(1, 1, (0, 2), (0, 2), (0, 4), 0)]], 4)
+        tree = AggregationTree.from_dict(_four_cell_json(
+            [([1, 3], [3, 1], [2, 1], 1), ([0, 2], [0, 2], [0, 4], 0)]))
         assert tree.cluster_of[1].tolist() == [1, 0, 1, 0]
         assert tree.delta[1].tolist() == [0, 1, 4, 2]
 
@@ -226,12 +227,12 @@ def _replay_greedy(tree, topology, phi, mu, gamma_delay, c_max):
                             - topology.cell_centers[nb.head_site])
         return math.ceil(gamma_delay * hd)
 
-    c_cell = 0.0
+    c_cell, levels = 0.0, node_levels(tree)
     for lvl in range(tree.depth):
-        cur = tree.levels[lvl]
+        cur = levels[lvl]
         unpaired = set(range(len(cur)))
         for rec in [r for r in tree.merge_log if r.level == lvl]:
-            node = tree.levels[lvl + 1][rec.new_index]
+            node = levels[lvl + 1][rec.new_index]
             k1, k2 = node.children
             assert k1 in unpaired and k2 in unpaired
             best = -math.inf
@@ -258,7 +259,7 @@ def _replay_greedy(tree, topology, phi, mu, gamma_delay, c_max):
             c_cell += cost
             unpaired -= {k1, k2}
         # whatever could not be paired must carry over unchanged, delay-free
-        carried = [n for n in tree.levels[lvl + 1] if len(n.children) == 1]
+        carried = [n for n in levels[lvl + 1] if len(n.children) == 1]
         assert sorted(n.children[0] for n in carried) == sorted(unpaired)
         assert all(n.child_delays == (0,) for n in carried)
     assert abs(c_cell - tree.cost_per_cell) < 1e-9
@@ -285,9 +286,9 @@ class TestBuildIbt:
         phi = compute_phi(topo, PathlossParams())
         tree = build_ibt(topo, phi, 0.9)
         assert tree.depth == 2
-        level1 = sorted(tuple(c.members) for c in tree.levels[1])
-        assert level1 == [(0, 1), (2, 3)]
-        assert tree.levels[2][0].members == (0, 1, 2, 3)
+        levels = node_levels(tree)
+        assert sorted(c.members for c in levels[1]) == [(0, 1), (2, 3)]
+        assert levels[2][0].members == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("seed,gamma_delay,c_max", [
         (0, 0.0, math.inf),
@@ -321,8 +322,9 @@ class TestBuildIbt:
         mu = 0.9
         tree = build_ibt(topo, phi, mu, gamma_delay=0.03)
         weights = compute_weights(tree, phi, mu)
+        levels = node_levels(tree)
         for rec in tree.merge_log:
-            node = tree.levels[rec.level + 1][rec.new_index]
+            node = levels[rec.level + 1][rec.new_index]
             total = weights.phi_del[list(node.members), rec.level + 1].sum()
             assert abs(total - rec.gamma) < 1e-12
 
@@ -330,13 +332,14 @@ class TestBuildIbt:
         topo, phi = grid16
         mu = 0.9
         tree = build_ibt(topo, phi, mu, gamma_delay=0.03)
+        levels = node_levels(tree)
         for rec in tree.merge_log:
-            node = tree.levels[rec.level + 1][rec.new_index]
+            node = levels[rec.level + 1][rec.new_index]
             if len(node.children) != 2:
                 continue
             k1, k2 = node.children
-            c1 = tree.levels[rec.level][k1]
-            c2 = tree.levels[rec.level][k2]
+            c1 = levels[rec.level][k1]
+            c2 = levels[rec.level][k2]
             edge = node.child_delays[0]
             got = gamma_metric(phi, c1.members, c2.members,
                                tree.delta[rec.level], edge, mu)
@@ -352,7 +355,7 @@ class TestBuildRandomTree:
         topo = build_topology("grid", 16, (400.0, 400.0))
         tree = build_random_tree(topo, rng=rng)
         assert tree.depth == 4
-        assert [len(lv) for lv in tree.levels] == [16, 8, 4, 2, 1]
+        assert list(map(len, tree.cluster_sizes)) == [16, 8, 4, 2, 1]
 
     def test_reproducible_under_seed(self):
         topo = build_topology("grid", 16, (400.0, 400.0))
@@ -370,12 +373,12 @@ class TestBuildRandomTree:
         tree = build_random_tree(topo, c_max=50.0, rng=rng)
         assert tree.cost_per_cell <= 50.0
         # recompute the cost from the merge structure
-        total = 0.0
+        total, levels = 0.0, node_levels(tree)
         for rec in tree.merge_log:
-            node = tree.levels[rec.level + 1][rec.new_index]
+            node = levels[rec.level + 1][rec.new_index]
             k1, k2 = node.children
-            total += pair_cost(topo, tree.levels[rec.level][k1].members,
-                               tree.levels[rec.level][k2].members)
+            total += pair_cost(topo, levels[rec.level][k1].members,
+                               levels[rec.level][k2].members)
         assert abs(total - tree.cost_per_cell) < 1e-9
 
 
@@ -454,7 +457,7 @@ def _agglomerate_by_argmax(topology, phi, mu, gamma_delay, c_max, rng=None):
             nxt.append(ClusterNode(lvl, len(nxt), cur[k].members, (int(k),),
                                    (0,), cur[k].head_site))
         levels.append(nxt)
-    return AggregationTree(levels, n_cells, c_cell, merge_log)
+    return tree_from_nodes(levels, n_cells, c_cell, merge_log)
 
 
 def _tree_json(tree) -> str:
@@ -687,7 +690,8 @@ class TestWeightsMatchMaskOracle:
         forests = [build_ibt(topo, phi, 0.9, 0.02, _mid_level_budget(free, 1)),
                    build_random_tree(topo, 0.02, _mid_level_budget(free, 0),
                                      np.random.default_rng(1))]
-        assert all(len(t.levels[-1]) > 1 for t in forests)  # unreachable pairs
+        # unreachable pairs
+        assert all(len(t.cluster_sizes[-1]) > 1 for t in forests)
         for tree in [free, build_ibt(topo, phi, 0.0, 0.0)] + forests:
             # a tuple of memories shares one h-distance pass
             shared = compute_weights(tree, phi, (0.9, 1.0))
@@ -782,7 +786,7 @@ class TestSerialization:
     @staticmethod
     def with_merge(edit):
         """A 2-cell tree's JSON with one merge record, after ``edit``."""
-        d = AggregationTree.from_nested(2, [[(0, 1), (1, 0)]]).to_dict()
+        d = from_nested(2, [[(0, 1), (1, 0)]]).to_dict()
         d["merges"] = [{"level": 0, "new_index": 0, "gamma": None,
                         "cost": 0.5}]
         edit(d)
@@ -842,13 +846,23 @@ class TestSerialization:
          "merges[0]: cost must be >= 0, got -1.0"),
         (lambda d: d.update(cost_per_cell=-5.0),
          "tree JSON: cost_per_cell must be >= 0, got -5.0"),
+        # the input must not be silently altered: to_dict would write []
+        (lambda d: d["levels"][0][0].update(children=[5], child_delays=[7]),
+         "level 0 cluster 0: children must be empty at level 0, got [5]"),
+        (lambda d: d["levels"][0][1].update(child_delays=[7]),
+         "level 0 cluster 1: child_delays must be empty at level 0, got [7]"),
+        # rejected before anything of n_cells' size is built
+        (lambda d: d.update(n_cells=10**9),
+         "level 0: must hold one singleton per cell, got 2 clusters for "
+         "1000000000 cells"),
     ], ids=["no-cost", "no-levels", "no-n-cells", "no-head", "no-new-index",
             "float-n-cells", "zero-n-cells", "int-levels", "int-node",
             "int-members", "text-cost", "nan-cost", "depth-5", "dict-merges",
             "text-merge-level", "text-gamma", "inf-merge-cost",
             "list-merge", "merge-level-7", "negative-merge-level",
             "negative-new-index", "new-index-past-level", "negative-merge-cost",
-            "negative-cost-per-cell"])
+            "negative-cost-per-cell", "level-0-children", "level-0-delays",
+            "n-cells-10**9"])
     def test_malformed_tree_json_rejected(self, edit, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AggregationTree.from_dict(self.with_merge(edit))
@@ -862,9 +876,9 @@ def _plan_arrays(tree):
 
 
 class TestBuiltTreeEqualsItsJsonRoundTrip:
-    """The node constructor is the oracle of the builders' array path: a
-    built tree and the tree read back from its JSON hold equal arrays and
-    equal node lists."""
+    """The node form is the oracle of the builders' array rows: a built
+    tree, the tree read back from its JSON and the tree converted node by
+    node from its node levels hold equal arrays and merge logs."""
 
     @pytest.mark.parametrize("workload", ["tradeoff", "scale", "fading"])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -881,36 +895,45 @@ class TestBuiltTreeEqualsItsJsonRoundTrip:
                                         np.random.default_rng(seed))
                       for c_max in (math.inf, 5.0)]
         # the budgets bind somewhere: not every tree is a single root
-        assert any(len(t.levels[-1]) > 1 for t in trees)
+        assert any(len(t.cluster_sizes[-1]) > 1 for t in trees)
         for tree in trees:
-            back = AggregationTree.from_dict(tree.to_dict())
-            assert np.array_equal(back.cluster_of, tree.cluster_of)
-            assert np.array_equal(back.delta, tree.delta)
-            ours, theirs = _plan_arrays(tree), _plan_arrays(back)
-            assert len(ours) == len(theirs)
-            for a, b in zip(ours, theirs):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert [p[2:] for p in tree.ring_sum_plan.levels
-                    + tree.ring_sum_plan.runs] == \
-                [p[2:] for p in back.ring_sum_plan.levels
-                 + back.ring_sum_plan.runs]
-            assert back.levels == tree.levels
-            assert back.merge_log == tree.merge_log
-            assert len(tree.merge_log) == tree.n_cells - len(tree.levels[-1])
+            ours = _plan_arrays(tree)
+            for other in (AggregationTree.from_dict(tree.to_dict()),
+                          tree_from_nodes(node_levels(tree), tree.n_cells,
+                                          tree.cost_per_cell, tree.merge_log)):
+                assert np.array_equal(other.cluster_of, tree.cluster_of)
+                assert np.array_equal(other.delta, tree.delta)
+                theirs = _plan_arrays(other)
+                assert len(ours) == len(theirs)
+                for a, b in zip(ours, theirs):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert [p[2:] for p in tree.ring_sum_plan.levels
+                        + tree.ring_sum_plan.runs] == \
+                    [p[2:] for p in other.ring_sum_plan.levels
+                     + other.ring_sum_plan.runs]
+                assert other.merge_log == tree.merge_log
+            assert len(tree.merge_log) == \
+                tree.n_cells - len(tree.cluster_sizes[-1])
 
 
 class TestSweepBuildsNoNodes:
-    """Trees reach a sweep as arrays; node lists are built only when read."""
+    """Trees exist only as arrays: the package has no node form, and a
+    sweep builds no merge records; they are built only when read."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {ClusterNode: 0, MergeRecord: 0}
-        for kind in counts:
-            def counting(self, *args, _init=kind.__init__, _kind=kind):
-                counts[_kind] += 1
-                _init(self, *args)
-            monkeypatch.setattr(kind, "__init__", counting)
+        counts = {MergeRecord: 0}
+
+        def counting(self, *args, _init=MergeRecord.__init__):
+            counts[MergeRecord] += 1
+            _init(self, *args)
+        monkeypatch.setattr(MergeRecord, "__init__", counting)
         return counts
+
+    def test_no_node_form(self):
+        assert not hasattr(hierarchy, "ClusterNode")
+        assert not hasattr(AggregationTree, "levels")
+        assert not hasattr(AggregationTree, "from_nested")
 
     @pytest.mark.parametrize("override", [[], ["experiment.is_mode="
                                                "hierarchical"]])
@@ -919,10 +942,9 @@ class TestSweepBuildsNoNodes:
                              override)
         result = run_experiment(config)
         assert {row.scheme for row in result.rows} >= {"ibt", "rt"}
-        assert counts == {ClusterNode: 0, MergeRecord: 0}
-        # the counter sees the nodes a read of the node view builds
+        assert counts == {MergeRecord: 0}
+        # the counter sees the records a read of the merge log builds
         tree = prepare_trial(config, 0).runtimes[0].tree
-        assert counts == {ClusterNode: 0, MergeRecord: 0}
-        nodes, merges = sum(map(len, tree.levels)), len(tree.merge_log)
-        assert counts == {ClusterNode: nodes, MergeRecord: merges}
-        assert nodes > 16 and merges > 0
+        assert counts == {MergeRecord: 0}
+        merges = len(tree.merge_log)
+        assert counts == {MergeRecord: merges} and merges > 0

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from hiersense import (AggregationTree, HierarchicalExchange,
-                       InterferenceMatrix, SensorModel,
+from hiersense import (HierarchicalExchange, InterferenceMatrix, SensorModel,
                        compute_weights, estimate_ip,
                        exact_belief, marginal_occupancy, sample_steady_state,
                        step_occupancy)
 from hiersense.inference import estimate_is_hierarchical, estimate_is_oracle
 from tests.conftest import random_phi
+from tests.oracles import from_nested
 
 
 def lift(node, levels):
@@ -28,7 +28,7 @@ def random_depth2_tree(rng, n=4, delay_choices=(0, 1, 2)):
     for grp in groups:
         pairs = [(int(c), int(rng.choice(delay_choices))) for c in grp]
         roots.append((pairs, int(rng.choice(delay_choices))))
-    return AggregationTree.from_nested(n, [roots])
+    return from_nested(n, [roots])
 
 
 def simulate_sigma_histories(tree, model, frames, rng):
@@ -50,14 +50,14 @@ def simulate_sigma_histories(tree, model, frames, rng):
 
 class TestComputeWeights:
     def test_isolated_cell(self):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         phi = InterferenceMatrix(np.array([[3.7]]))
         w = compute_weights(tree, phi, 0.9)
         assert w.phi_tot[0] == 1.0
         assert w.phi_del[0, 0] == 1.0
 
     def test_zero_delays_recover_ring_sums(self, rng):
-        tree = AggregationTree.from_nested(
+        tree = from_nested(
             4, [[([(0, 0), (1, 0)], 0), ([(2, 0), (3, 0)], 0)]])
         phi = random_phi(rng, 4)
         w = compute_weights(tree, phi, 0.9)
@@ -69,7 +69,7 @@ class TestComputeWeights:
             assert abs(w.phi_del[i].sum() - w.phi_tot[i]) < 1e-12
 
     def test_two_cell_hand_value(self):
-        tree = AggregationTree.from_nested(2, [[(0, 0), (1, 2)]])
+        tree = from_nested(2, [[(0, 0), (1, 2)]])
         phi = InterferenceMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]))
         w = compute_weights(tree, phi, 0.9)
         # cell 0 sees cell 1 at delay 2: 0.9^2 * 0.25
@@ -108,7 +108,7 @@ class TestMarginalOccupancy:
 
 class TestEstimateIp:
     def test_isolated_cell_reduces_to_own_posterior(self, paper_model):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         phi = InterferenceMatrix(np.array([[8.0]]))
         w = compute_weights(tree, phi, float(paper_model.mu))
         for bhat in (0.0, 0.3, 1.0):
@@ -129,7 +129,7 @@ class TestEstimateIp:
         # carry full information and the estimate equals the direct weighted
         # sum over the true occupancy
         inner = [([(0, 0), (1, 0)], 0), (lift(2, 1), 0)]
-        tree = AggregationTree.from_nested(4, [[(inner, 0), (lift(3, 2), 0)]])
+        tree = from_nested(4, [[(inner, 0), (lift(3, 2), 0)]])
         phi = random_phi(rng, 4)
         w = compute_weights(tree, phi, float(paper_model.mu))
         coupling = phi.coupling()
@@ -178,7 +178,7 @@ class TestEstimateIp:
 
     def test_unreachable_rings_fall_back_to_prior(self, paper_model, rng):
         # two disconnected singletons: forest with empty rings
-        tree = AggregationTree.from_nested(2, [0, 1])
+        tree = from_nested(2, [0, 1])
         phi = random_phi(rng, 2)
         w = compute_weights(tree, phi, float(paper_model.mu))
         ip = estimate_ip(np.array([[1.0], [0.0]]), w, paper_model)
@@ -228,7 +228,7 @@ class TestEstimateIs:
 
 class TestExactBelief:
     def test_single_cell_point_mass(self, paper_model):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         belief = exact_belief([[1.0]], tree, paper_model, 0)
         assert belief.prob([1]) == pytest.approx(1.0)
         assert belief.prob([0]) == pytest.approx(0.0)
@@ -242,12 +242,12 @@ class TestExactBelief:
             assert belief.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_sensor_rejected(self, paper_model):
-        tree = AggregationTree.from_nested(1, [0])
+        tree = from_nested(1, [0])
         with pytest.raises(ValueError):
             exact_belief([[1.0]], tree, paper_model, 0, SensorModel(0.1, 0.0))
 
     def test_infeasible_history_rejected(self, paper_model):
-        tree = AggregationTree.from_nested(2, [[(0, 0), (1, 0)]])
+        tree = from_nested(2, [[(0, 0), (1, 0)]])
         with pytest.raises(ValueError):
             exact_belief([[0.0, 2.5]], tree, paper_model, 0)  # fractional
         with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ class TestExactBelief:
     def test_permutation_symmetry_with_homogeneous_delays(self, paper_model):
         # cells of a ring sharing one delay are exchangeable given the
         # aggregate (the delayed bits are uniform over permutations)
-        tree = AggregationTree.from_nested(
+        tree = from_nested(
             4, [[([(0, 1), (1, 1)], 2), ([(2, 1), (3, 1)], 2)]])
         hist = np.array([[1.0, 1.0, 2.0]])
         belief = exact_belief(hist, tree, paper_model, 0)
@@ -287,7 +287,7 @@ class TestExactBelief:
 
     def test_point_masses_at_full_knowledge(self, paper_model, rng):
         # zero delays and singleton rings pin the belief to the truth
-        tree = AggregationTree.from_nested(
+        tree = from_nested(
             3, [[([(0, 0), (1, 0)], 0), (lift(2, 1), 0)]])
         b_hist, sig = simulate_sigma_histories(tree, paper_model, 6, rng)
         for i in (0, 1):
