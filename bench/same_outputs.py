@@ -3,14 +3,17 @@ the working tree, and compare every file they write, and what each prints,
 byte for byte.
 
 The set is ``sweep`` (rows and summary) on every ``configs/*.yaml`` and
-``perfbench/workloads/*.yaml``; ``simulate --trace`` (frames and trace) for
-``ibt`` on ``sweep_small`` at lambda = 0.02, ``ibt_half`` on ``scale`` and
-``consensus`` on ``fading``; ``build-tree`` on ``scale`` and on ``fading``
-(a random layout with noisy sensing), on ``sweep_small`` with one budgeted
-random-tree scheme at trial 2, and on ``sweep_small`` with a mixed scheme
-list (a budgeted IBT first, beside a random tree and an unbudgeted IBT of
-the same ``gamma_delay``) at trial 1; and ``validate``, with no config and
-on ``blockage_tradeoff``.  Each command's stdout is one more compared file,
+``perfbench/workloads/*.yaml``, and with consensus schemes only on
+``sweep_small`` (degrees 2, 3 and 15, the complete graph on its 16 cells)
+and on a 9-cell random layout (degrees 2, 4 and 8); ``simulate --trace``
+(frames and trace) for ``ibt`` on ``sweep_small`` at lambda = 0.02,
+``ibt_half`` on ``scale`` and ``consensus`` on ``fading``; ``build-tree`` on
+``scale`` and on ``fading`` (a random layout with noisy sensing), on
+``sweep_small`` with one budgeted random-tree scheme at trial 2, and on
+``sweep_small`` with a mixed scheme list (a budgeted IBT first, beside a
+random tree and an unbudgeted IBT of the same ``gamma_delay``) at trial 1;
+and ``validate``, with no config and on ``blockage_tradeoff``.  Each
+command's stdout is one more compared file,
 ``<name>.stdout``, with the side's output directory replaced by ``<out>``.
 Both sides read the working tree's config files; the parent side runs
 ``src/`` of ``--parent-rev`` (extracted with ``git archive``), the other the
@@ -49,6 +52,16 @@ def commands(out: Path) -> dict[str, list[str]]:
             name = f"sweep-{path.parent.name}-{path.stem}"
             cmds[name] = ["sweep", "--config", str(path), "-o",
                           str(out / f"{name}.csv")]
+    random9 = ["-D", "topology.kind=random", "-D", "topology.n_cells=9",
+               "-D", "topology.n_blockages=0"]
+    for layout, degrees, extra in (("sweep_small", (2, 3, 15), []),
+                                   ("random9", (2, 4, 8), random9)):
+        name = f"sweep-{layout}-consensus"
+        schemes = ", ".join(f"{{name: c{d}, kind: consensus, degree: {d}}}"
+                            for d in degrees)
+        cmds[name] = ["sweep", "--config", str(SWEEP_SMALL), "-o",
+                      str(out / f"{name}.csv"), "-D",
+                      f"schemes=[{schemes}]"] + extra
     for config, scheme, extra in (
             (SWEEP_SMALL, "ibt", ["--grid-value", "0.02"]),
             (WORKLOADS / "scale.yaml", "ibt_half", []),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,15 +287,69 @@ def uncoordinated_traffic(p_tx: float, m, a_max: float | None = None
     return p_tx * m
 
 
+def _suitable(edges: set, left: dict) -> bool:
+    """Whether a pairing round left two stubs that can still join.  As in
+    networkx, the inner loop swaps the outer ``s1``, which moves its break."""
+    if not left:
+        return True
+    for s1 in left:
+        for s2 in left:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _regular_edges(n: int, degree: int, rng: random.Random) -> set:
+    """Edges of one random ``degree``-regular graph on ``n`` nodes: the
+    Steger-Wormald pairing, restarted on the same stream until it succeeds."""
+    while True:
+        edges = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            rng.shuffle(stubs)
+            left = {}  # node -> its unpaired stubs, in first-seen order
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                s1, s2 = min(s1, s2), max(s1, s2)
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    left[s1] = left.get(s1, 0) + 1
+                    left[s2] = left.get(s2, 0) + 1
+            if not _suitable(edges, left):
+                break
+            stubs = [node for node, k in left.items() for _ in range(k)]
+        else:
+            return edges
+
+
 def random_regular_connected(n: int, degree: int, seed: int,
                              max_tries: int = 50) -> np.ndarray:
-    """Adjacency matrix of a connected random regular graph (bounded retries)."""
-    import networkx as nx
+    """Adjacency matrix of a connected random regular graph (bounded retries).
 
+    Attempt k draws the graph of networkx 3.6.1's
+    ``random_regular_graph(degree, n, seed=seed + k)``, whose Steger-Wormald
+    pairing on ``random.Random(seed + k)`` is ported here, and the first
+    connected draw is returned.
+    """
+    if not 0 <= degree < n or n * degree % 2:
+        raise ValueError(f"no degree-{degree} regular graph on n={n} nodes: "
+                         f"need 0 <= degree < n and n * degree even")
     for attempt in range(max_tries):
-        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
-        if nx.is_connected(g):
-            return nx.to_numpy_array(g, nodelist=range(n)).astype(bool)
+        edges = _regular_edges(n, degree, random.Random(seed + attempt))
+        i, j = np.array(list(edges), dtype=int).reshape(-1, 2).T
+        adj = np.zeros((n, n), dtype=bool)
+        adj[i, j] = adj[j, i] = True
+        reached = front = np.arange(n) == 0  # breadth-first from node 0
+        while front.any():
+            front = adj[front].any(axis=0) & ~reached
+            reached |= front
+        if reached.all():
+            return adj
     raise RuntimeError(f"no connected degree-{degree} graph found in "
                        f"{max_tries} tries")
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +439,22 @@ class TestSweep:
         assert "schemes[1]: no connected degree-2 graph" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_consensus_sweep_runs_without_networkx(self, tmp_path):
+        # networkx is only the test oracle of the consensus graph
+        out = tmp_path / "rows.csv"
+        code = ("import sys; sys.modules['networkx'] = None; "
+                "from hiersense.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--config",
+             "configs/sweep_small.yaml", "-o", str(out), "-D",
+             "schemes=[{name: u, kind: uncoordinated}, "
+             "{name: c, kind: consensus, degree: 3}]"],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert {row["scheme"] for row in read_rows(out)} == {"u", "c"}
 
     @pytest.mark.parametrize("text, what", [
         ("topology: {kind: grid\nschemes: [\n", "while parsing"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -496,6 +497,89 @@ class TestBaselines:
         b_hat = rng.integers(0, 2, 8).astype(float)
         got = ctl.consensus_ip(mixer, b_hat, phi_tot)
         assert np.allclose(got, b_hat.mean() * phi_tot, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """networkx, the oracle of the consensus-graph port, at the version the
+    port follows."""
+    nx = pytest.importorskip(
+        "networkx", reason="networkx (the test extra) is the port's oracle")
+    if not nx.__version__.startswith("3.6."):
+        pytest.skip(f"the port follows networkx 3.6.x, not {nx.__version__}")
+    return nx
+
+
+def networkx_regular_connected(nx, n, degree, seed, max_tries=50):
+    """The networkx form the port replaces: its adjacency and the number of
+    attempts it took."""
+    for attempt in range(max_tries):
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            adj = nx.to_numpy_array(g, nodelist=range(n)).astype(bool)
+            return adj, attempt + 1
+    raise RuntimeError(f"no connected degree-{degree} graph found in "
+                       f"{max_tries} tries")
+
+
+class TestRandomRegularConnected:
+    # (n, degree): seeds; degree 2 on 8-20 cells often needs several attempts
+    CASES = {(1, 0): range(5), (2, 1): range(5), (6, 4): range(20),
+             (9, 8): range(10), (16, 15): range(10), (10, 9): range(10),
+             (64, 5): range(2000, 2060), (16, 3): range(60),
+             (64, 3): range(20), (256, 4): range(10), (9, 4): range(40),
+             (8, 2): range(40), (9, 2): range(40), (12, 2): range(40),
+             (20, 2): range(40)}
+    # sha256 of the adjacency's bytes; fixed, so they hold without networkx
+    GOLDEN = {
+        (64, 5, 2037):
+            "7edf8351563747f74b8f5c0c2b13ff8400f1c63f5f4d44e5178b40cc273e026b",
+        (9, 4, 1):
+            "032fe7abcf2c212dafa0eec92a10f3ce3b2fc8929fd14860833f7bef37e537ff",
+        (20, 2, 1):
+            "6e434b58d1d4dffa6fb143f534a2259adec724abca0258f000917b3b2ccc3d06",
+    }
+
+    def test_same_adjacency_as_networkx(self, nx):
+        cases = [(n, d, seed) for (n, d), seeds in self.CASES.items()
+                 for seed in seeds]
+        assert len(cases) >= 400 and (64, 5, 2037) in cases
+        retried = 0
+        for n, degree, seed in cases:
+            expect, attempts = networkx_regular_connected(nx, n, degree, seed)
+            got = ctl.random_regular_connected(n, degree, seed)
+            assert got.dtype == bool and got.shape == (n, n)
+            assert np.array_equal(got, expect), (n, degree, seed)
+            retried += attempts > 1
+        # seed + attempt is exercised, not only each seed's first draw
+        assert retried >= 50
+
+    def test_same_runtime_error_as_networkx(self, nx):
+        with pytest.raises(RuntimeError) as expect:
+            networkx_regular_connected(nx, 8, 1, 0, max_tries=3)
+        with pytest.raises(RuntimeError) as got:
+            ctl.random_regular_connected(8, 1, 0, max_tries=3)
+        assert str(got.value) == str(expect.value) \
+            == "no connected degree-1 graph found in 3 tries"
+
+    @pytest.mark.parametrize("n, degree, seed", sorted(GOLDEN))
+    def test_golden_digest(self, n, degree, seed):
+        adj = ctl.random_regular_connected(n, degree, seed)
+        assert adj.dtype == bool and adj.shape == (n, n)
+        assert hashlib.sha256(adj.tobytes()).hexdigest() \
+            == self.GOLDEN[n, degree, seed]
+
+    @pytest.mark.parametrize("n, degree", [(7, 3), (4, 4), (4, 5), (4, -2)])
+    def test_impossible_graph_raises_before_drawing(self, monkeypatch, n,
+                                                    degree):
+        # without this check the pairing would never finish
+        def no_draw(*args):
+            raise AssertionError("drew a graph")
+
+        monkeypatch.setattr(ctl, "_regular_edges", no_draw)
+        with pytest.raises(ValueError, match=rf"no degree-{degree} regular "
+                                             rf"graph on n={n} nodes"):
+            ctl.random_regular_connected(n, degree, seed=0)
 
 
 class TestUpperBoundByFullKnowledge:
