@@ -3,7 +3,10 @@ the working tree, and compare every file they write, and what each prints,
 byte for byte.
 
 The set is ``sweep`` (rows and summary) on every ``configs/*.yaml`` and
-``perfbench/workloads/*.yaml``, and with consensus schemes only on
+``perfbench/workloads/*.yaml``, on the ``fading`` workload again at
+``master_seed`` 3 (frames in which every SU transmits, and frames with more
+than 64 active SUs, which the SU->SU gather takes in row blocks), and with
+consensus schemes only on
 ``sweep_small`` (degrees 2, 3 and 15, the complete graph on its 16 cells)
 and on a 9-cell random layout (degrees 2, 4 and 8); ``simulate --trace``
 (frames and trace) for ``ibt`` on ``sweep_small`` at lambda = 0.02,
@@ -52,6 +55,12 @@ def commands(out: Path) -> dict[str, list[str]]:
             name = f"sweep-{path.parent.name}-{path.stem}"
             cmds[name] = ["sweep", "--config", str(path), "-o",
                           str(out / f"{name}.csv")]
+    # trial 0 at seed 3: each coordinated scheme's grid points hold a frame
+    # in which every SU transmits, and frames with more than 64 active SUs
+    cmds["sweep-workloads-fading-seed3"] = [
+        "sweep", "--config", str(WORKLOADS / "fading.yaml"), "-o",
+        str(out / "sweep-workloads-fading-seed3.csv"),
+        "-D", "experiment.master_seed=3"]
     random9 = ["-D", "topology.kind=random", "-D", "topology.n_cells=9",
                "-D", "topology.n_blockages=0"]
     for layout, degrees, extra in (("sweep_small", (2, 3, 15), []),

@@ -1,4 +1,5 @@
-"""Set-up scaling: time each trial set-up stage at N = 64, 256 and 1024.
+"""Set-up scaling: time each trial set-up stage at N = 64, 256 and 1024, and
+trace its memory peak.
 
 Times the line-of-sight matrix (``NetworkTopology``), ``compute_phi``,
 ``build_ibt``, ``build_random_tree`` and ``compute_weights`` on square grids
@@ -37,7 +38,13 @@ time of whichever stage meets them first.  Every worker also hashes the LOS
 matrix, the tree JSON (the budget sweep's too), the fading layout's
 arrays, the fading evaluation's throughput and INR, the histories and the
 frame stage's traffic trajectories, and the run records whether both sides
-built identical outputs.
+built identical outputs.  After the timed repetitions, one more worker per
+side runs every stage under ``tracemalloc`` and records, in place of each
+stage's time, its traced peak above the traced size at its entry
+(``peak_mb``, beside ``median_s``; the frame stage gives the largest peak
+of its grid points).  Traced peaks repeat from run to run, so one traced
+run per side suffices; tracing slows allocation, so no time is read from
+it.
 
     python3 bench/setup_scaling.py --parent-rev HEAD~1 --out BENCH.json
 
@@ -58,6 +65,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +115,14 @@ def extracted_src(rev: str):
 
 
 def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its cost: wall seconds, or, while
+    ``tracemalloc`` traces (in a memory worker), the traced peak in MB
+    above the traced size at entry."""
+    if tracemalloc.is_tracing():
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 1e6
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - t0
@@ -114,8 +130,9 @@ def _timed(fn, *args, **kwargs):
 
 def _frame_stage(n: int, blockages: int, side: float):
     """run_trial_point seconds per frame of an IBT scheme with hierarchical
-    SU interference, the median over the grid points of ``FRAME_LAMBDAS``,
-    and the bytes of their traffic trajectories."""
+    SU interference, the median over the grid points of ``FRAME_LAMBDAS``
+    (in a memory worker, the largest peak of a grid point), and the bytes
+    of their traffic trajectories."""
     from hiersense import ExperimentConfig, SchemeSpec, harness
 
     cfg = ExperimentConfig(
@@ -125,13 +142,15 @@ def _frame_stage(n: int, blockages: int, side: float):
         lambda_grid=FRAME_LAMBDAS)
     ctx = harness.prepare_trial(cfg, 0)
     ip_seq = harness.scheme_ip_sequence(ctx, ctx.runtimes[0])
-    per_frame, out = [], []
+    costs, out = [], []
     for grid_idx, lam in enumerate(FRAME_LAMBDAS):
-        t0 = time.perf_counter()
-        frames, _ = harness.run_trial_point(ctx, 0, lam, grid_idx, ip_seq)
-        per_frame.append((time.perf_counter() - t0) / ctx.t_total)
+        (frames, _), cost = _timed(harness.run_trial_point, ctx, 0, lam,
+                                   grid_idx, ip_seq)
+        costs.append(cost)
         out.append(frames.traffic.tobytes())
-    return statistics.median(per_frame), b"".join(out)
+    if tracemalloc.is_tracing():
+        return max(costs), b"".join(out)
+    return statistics.median(costs) / ctx.t_total, b"".join(out)
 
 
 def _ibt_budgets_stage(topo, phi, free):
@@ -157,13 +176,12 @@ def _rt_budgets_stage(topo, free):
     import numpy as np
     from hiersense import build_random_tree
 
-    seconds, out = 0.0, []
-    for f in BUDGET_FRACTIONS:
-        tree, s = _timed(build_random_tree, topo, GAMMA_DELAY,
-                         f * free.cost_per_cell, np.random.default_rng(0))
-        seconds += s
-        out.append(json.dumps(tree.to_dict(), sort_keys=True))
-    return seconds, "".join(out).encode()
+    trees, cost = _timed(lambda: [
+        build_random_tree(topo, GAMMA_DELAY, f * free.cost_per_cell,
+                          np.random.default_rng(0))
+        for f in BUDGET_FRACTIONS])
+    return cost, "".join(json.dumps(tree.to_dict(), sort_keys=True)
+                         for tree in trees).encode()
 
 
 def _histories_stage(n: int):
@@ -174,13 +192,15 @@ def _histories_stage(n: int):
 
     model, sensor = OccupancyModel(NU1, NU0), SensorModel(EPS_F, EPS_M)
     m = np.full(n, float(SU_PER_CELL))
-    t0 = time.perf_counter()
-    b_seq = harness._simulate_occupancy(model, n, FRAMES,
-                                        np.random.default_rng(0))
-    post = harness._simulate_sensing(model, sensor, m, b_seq,
-                                     np.random.default_rng(1))
-    seconds = time.perf_counter() - t0
-    return seconds, b_seq.tobytes() + post.tobytes()
+
+    def histories():
+        b_seq = harness._simulate_occupancy(model, n, FRAMES,
+                                            np.random.default_rng(0))
+        return b_seq, harness._simulate_sensing(model, sensor, m, b_seq,
+                                                np.random.default_rng(1))
+
+    (b_seq, post), cost = _timed(histories)
+    return cost, b_seq.tobytes() + post.tobytes()
 
 
 def _fading_layout_stage(topo):
@@ -280,9 +300,9 @@ def worker() -> list[dict]:
     return [_measure(n, b) for n in SIZES for b in BLOCKAGES]
 
 
-def _run_side(src: Path) -> list[dict]:
+def _run_side(src: Path, memory: bool = False) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src), **PINNED_ENV)
-    cmd = [sys.executable, __file__, "--worker"]
+    cmd = [sys.executable, __file__, "--worker"] + ["--memory"] * memory
     out = subprocess.run(cmd, env=env, check=True, capture_output=True,
                          text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -334,8 +354,11 @@ def main(argv=None) -> int:
                     help="git revision timed as the parent side")
     ap.add_argument("--out", help="JSON record to write (required)")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--memory", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
+        if args.memory:
+            tracemalloc.start()
         print(json.dumps(worker()))
         return 0
     if args.out is None:  # no default: it would overwrite a committed record
@@ -355,10 +378,14 @@ def main(argv=None) -> int:
                 runs.append({"side": side, "rep": rep, "rows": rows,
                              "loadavg_1m": os.getloadavg()[0]})
                 print(f"rep {rep} {side}: done", file=sys.stderr)
+        # traced peaks repeat from run to run: one traced run per side
+        memory_runs = [{"side": side, "rows": _run_side(src, memory=True)}
+                       for side, src in sides.items()]
         load_after = os.getloadavg()
 
-    digests = {side: {(r["n"], r["blockages"]): r["output_sha256"]
-                      for run in runs if run["side"] == side
+    # every run of a side, timed or traced, must hash alike
+    digests = {side: {(r["n"], r["blockages"], r["output_sha256"])
+                      for run in runs + memory_runs if run["side"] == side
                       for r in run["rows"]} for side in sides}
     summary = _summary(runs)
     largest = max(SIZES)
@@ -376,7 +403,8 @@ def main(argv=None) -> int:
                 "access, the occupancy and noisy sensing history time, and "
                 "the hierarchical-IS frame time (run_trial_point per frame: "
                 "decide and score, median over grid points), parent vs "
-                "change, grid layouts",
+                "change, grid layouts; and each stage's tracemalloc peak "
+                "above its entry, from one traced run per side (peak_mb)",
         "parent_rev": rev,
         "params": {"sizes": SIZES, "blockages": BLOCKAGES, "reps": REPS,
                    "cell_side_m": CELL_SIDE_M, "mu": MU,
@@ -408,7 +436,9 @@ def main(argv=None) -> int:
         "identical_outputs": digests["parent"] == digests["change"],
         "targets": targets,
         "median_s": summary,
+        "peak_mb": _summary(memory_runs),
         "runs": runs,
+        "memory_runs": memory_runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({"identical_outputs": record["identical_outputs"],

@@ -179,27 +179,36 @@ def _disc_offsets(n, radius, rng):
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
+# rows per pass over a block-sized array: the passes' temporaries stay
+# small, and most frames' active SUs fit in one
+_GATHER_ROWS = 64
+
+
 def _sq_distance(a, b) -> np.ndarray:
     """(len(a), len(b)) squared distances between two point sets.
 
     ``dx * dx + dy * dy``, from one coordinate at a time: the sum over a
     length-2 axis is ``x0 + x1``, so this equals
     ``((a[:, None] - b[None]) ** 2).sum(-1)`` bit for bit without its 3-D
-    temporaries.
+    temporaries.  ``dx * dx`` fills the one output, and ``dy * dy`` is added
+    ``_GATHER_ROWS`` rows at a time.
     """
     d2 = a[:, 0, None] - b[:, 0]
-    dy = a[:, 1, None] - b[:, 1]
     d2 *= d2
-    dy *= dy
-    d2 += dy
+    for lo in range(0, len(a), _GATHER_ROWS):
+        dy = a[lo:lo + _GATHER_ROWS, 1, None] - b[:, 1]
+        dy *= dy
+        d2[lo:lo + _GATHER_ROWS] += dy
     return d2
 
 
 def _pl_linear(params: PathlossParams, tx_pos, rx_pos) -> np.ndarray:
+    """Linear path loss of every tx -> rx user link, in place on one array."""
     d = _sq_distance(tx_pos, rx_pos)
     np.sqrt(d, out=d)
     np.maximum(d, 1.0, out=d)  # pathloss law degenerates at zero range
-    return db_to_lin(pathloss_db(params, d, True))  # every user link is LOS
+    pathloss_db(params, d, True, out=d)  # every user link is LOS
+    return db_to_lin(d, out=d)
 
 
 def _build_fading_layout(config, topology, rng) -> FadingLayout:
@@ -364,8 +373,12 @@ def eval_fading_success(layout: FadingLayout, traffic, m, b_seq,
             continue  # no success, and an INR of 0
         ss, sp = n_act * n_act, n_act * n_apu
         sub = g[:ss].reshape(n_act, n_act)
-        sub *= layout.pl_su_su if n_act == n_su else \
-            layout.pl_su_su.take(act[:, None] * n_su + act)
+        if n_act == n_su:
+            sub *= layout.pl_su_su
+        else:  # gathered a row block at a time
+            for r in range(0, n_act, _GATHER_ROWS):
+                rows = act[r:r + _GATHER_ROWS, None] * n_su
+                sub[r:r + _GATHER_ROWS] *= layout.pl_su_su.take(rows + act)
         own = sub.diagonal()
         noise = _sum(sub, 0)  # then 1 + (that - own) + the PU block's sum
         noise -= own

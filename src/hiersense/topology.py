@@ -14,8 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def db_to_lin(x):
-    """Convert dB (power ratio) to linear scale."""
+def db_to_lin(x, out=None):
+    """Convert dB (power ratio) to linear scale, into ``out`` if given (it
+    may be ``x`` itself)."""
+    if out is not None:
+        return np.power(10.0, np.divide(x, 10.0, out=out), out=out)
     lin = np.asarray(x, dtype=float) / 10.0
     if not isinstance(lin, np.ndarray):
         # numpy's scalar power, which can differ from its array loop's in
@@ -211,7 +214,8 @@ def layout_errors(kind: str, n_cells: int, area, n_blockages: int
          f"must be a square number for a grid topology, got {n_cells}"),
         ("n_blockages", 0 <= n_blockages <= segments,
          f"must be in [0, {segments}], the inner grid cell boundaries of "
-         "this layout"))
+         "this layout" if kind == "grid" else
+         "must be 0: only grid layouts take blockages"))
     return [(name, msg) for name, ok, msg in checks if not ok]
 
 
@@ -297,31 +301,46 @@ def coupling_matrix(phi) -> np.ndarray:
     return phi_arr / np.diag(phi_arr)[None, :]
 
 
-def pathloss_db(params: PathlossParams, distance_m, los) -> np.ndarray:
-    """INR in dB for given distances and LOS flags.
+_FACTOR_ROWS = 64  # rows of pathloss_db's exponent factors per pass
+
+
+def pathloss_db(params: PathlossParams, distance_m, los, out=None
+                ) -> np.ndarray:
+    """INR in dB for given distances and LOS flags, into ``out`` if given
+    (it may be the distance array itself).
 
     Distance-dependent term uses the LOS/NLOS exponent relative to the
     reference distance; distances are taken as-is (callers clamp if needed).
     """
     d = np.asarray(distance_m, dtype=float)
     los = np.asarray(los, dtype=bool)
-    out = np.empty(np.broadcast_shapes(d.shape, los.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(d.shape, los.shape))
     np.divide(d, params.ref_distance_m, out=out)
     np.log10(out, out=out)
-    # alpha * 10 takes one of two values: a 0-d factor for a scalar LOS flag
-    out *= np.where(los, params.alpha_los * 10.0, params.alpha_nlos * 10.0)
+    a_los, a_nlos = params.alpha_los * 10.0, params.alpha_nlos * 10.0
+    if not los.ndim:
+        out *= a_los if los else a_nlos
+    else:
+        # each flag's factor alpha * 10, one row block at a time: a masked
+        # multiply per exponent would take about 3x as long
+        los = np.broadcast_to(los, out.shape)
+        for lo in range(0, len(out), _FACTOR_ROWS):
+            out[lo:lo + _FACTOR_ROWS] *= np.where(los[lo:lo + _FACTOR_ROWS],
+                                                  a_los, a_nlos)
     np.subtract(params.tx_power_dbm - params.noise_power_dbm
                 - params.ref_loss_db, out, out=out)
     return out if out.ndim else out[()]
 
 
 def compute_phi(topology: NetworkTopology, params: PathlossParams) -> InterferenceMatrix:
-    """Build the INR matrix from the pathloss model.
+    """Build the INR matrix from the pathloss model, in place on one copy of
+    the distance matrix.
 
     The diagonal (own-cell SNR) is evaluated at the reference distance, since
     the pathloss law is undefined at zero distance.
     """
     d = topology.distance_matrix.copy()
     np.fill_diagonal(d, params.ref_distance_m)
-    phi_db = pathloss_db(params, d, topology.los_matrix)
-    return InterferenceMatrix(db_to_lin(phi_db))
+    pathloss_db(params, d, topology.los_matrix, out=d)
+    return InterferenceMatrix(db_to_lin(d, out=d))

@@ -392,6 +392,19 @@ class TestSweep:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_blockages_on_random_layout_named_with_exit_code_2(self, tmp_path,
+                                                               capsys):
+        # sweep_small keeps its one blockage; a random layout has no grid
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", "configs/sweep_small.yaml",
+                     "-o", str(out), "-D", "topology.kind=random"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("topology.n_blockages: must be 0: only grid layouts take "
+                "blockages") in err
+        assert "grid cell boundaries" not in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, message", [
         ("pathloss.bandwidth_hz=-1", "pathloss: bandwidth_hz must be positive"),
         ("pathloss={alpha_los: 4, alpha_nlos: 3}",

@@ -2,6 +2,7 @@ import copy
 import csv
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction
 
@@ -753,6 +754,13 @@ class TestFadingBlockMatchesFrameOracle:
         fresh = self.check(self.layout(), access, busy, 1)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, fresh))
 
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_row_blocks(self, monkeypatch, rows):
+        # the 40 SUs span several row blocks of the SU->SU gather, the last
+        # one partial, in every frame whose SUs do not all transmit
+        monkeypatch.setattr(harness, "_GATHER_ROWS", rows)
+        self.test_every_trap_then_smaller_frames()
+
     def test_trial_layout(self):
         cfg = small_config(topology_kind="random", n_blockages=0,
                            population_mode="constant", m_per_cell=4,
@@ -865,6 +873,44 @@ class TestFadingLayoutMatchesBroadcast:
         tx, rx = rng.uniform(0, 800, (30, 2)), rng.uniform(0, 800, (7, 2))
         assert harness._pl_linear(params, tx, rx).tobytes() == \
             _pl_linear_broadcast(params, tx, rx).tobytes()
+
+    @pytest.mark.parametrize("rows", [64, 16])
+    @pytest.mark.parametrize("n_tx", [37, 1])
+    def test_row_blocks(self, rng, monkeypatch, n_tx, rows):
+        # with 16 rows a block, 37 transmitters end in a partial block
+        monkeypatch.setattr(harness, "_GATHER_ROWS", rows)
+        tx, rx = rng.uniform(0, 800, (n_tx, 2)), rng.uniform(0, 800, (50, 2))
+        tx[0] = rx[3]  # a coincident pair, clamped to 1 m
+        expect = ((tx[:, None, :] - rx[None, :, :]) ** 2).sum(-1)
+        assert harness._sq_distance(tx, rx).tobytes() == expect.tobytes()
+        params = ExperimentConfig().pathloss
+        assert harness._pl_linear(params, tx, rx).tobytes() == \
+            _pl_linear_broadcast(params, tx, rx).tobytes()
+
+
+class TestFadingLayoutMemory:
+    def test_peak_is_its_own_arrays(self):
+        # each path-loss block is built in place on one array: the traced
+        # peak stays near the bytes the layout keeps
+        cfg = small_config(topology_kind="random", n_cells=64,
+                           area=(800.0, 800.0), n_blockages=0,
+                           population_mode="constant", m_per_cell=10,
+                           eval_mode="fading_mc")
+        topology, _ = harness.trial_topology(cfg, 0)
+        rng = np.random.default_rng(0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            layout = harness._build_fading_layout(cfg, topology, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = sum(getattr(layout, f.name).nbytes for f in fields(layout))
+        assert layout.pl_su_su.shape == (640, 640)
+        assert peak < 1.25 * kept + 2 ** 20, (peak, kept)
 
 
 def _simulate_sensing_per_frame(model, sensor, m, b_seq, rng):

@@ -288,6 +288,18 @@ class TestPathlossMatchesFreshArrays:
             assert type(got) is type(expect)
             assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
+    @pytest.mark.parametrize("los", ["mask", True, False])
+    def test_in_place_over_its_input(self, default_pathloss, rng, los):
+        # 150 rows: the exponent factors' row blocks end in a partial one
+        d = rng.uniform(0.5, 3000.0, (150, 70))
+        flags = rng.random(d.shape) < 0.5 if los == "mask" else los
+        expect_db = pathloss_db_fresh(default_pathloss, d, flags)
+        out = d.copy()
+        assert pathloss_db(default_pathloss, out, flags, out=out) is out
+        assert out.tobytes() == expect_db.tobytes()
+        assert db_to_lin(out, out=out) is out
+        assert out.tobytes() == db_to_lin_fresh(expect_db).tobytes()
+
     def test_db_to_lin_leaves_its_input(self, rng):
         x = rng.uniform(-100.0, 100.0, 1000)
         before = x.copy()
